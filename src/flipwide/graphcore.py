@@ -53,6 +53,14 @@ class Graph:
             self.rows = tuple(rows)
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """Wrap rows this module built itself, skipping validation."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.rows = rows
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -75,9 +83,12 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in iter_bits(self.rows[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+        for u, row in enumerate(self.rows):
+            rest = row >> (u + 1) << (u + 1)
+            while rest:
+                low = rest & -rest
+                yield (u, low.bit_length() - 1)
+                rest ^= low
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -216,7 +227,11 @@ class Flip:
                 raise InputError(f"negative vertex id {v} in flip")
 
     def mirror(self) -> "Flip":
-        return Flip(self.b, self.a)
+        # both sides are already sorted and checked
+        out = object.__new__(Flip)
+        object.__setattr__(out, "a", self.b)
+        object.__setattr__(out, "b", self.a)
+        return out
 
 
 FlipSet = tuple[Flip, ...]
@@ -258,7 +273,7 @@ def apply_flips(g: Graph, flips: Iterable[Flip]) -> Graph:
         for u in f.b:
             if not amask >> u & 1:
                 rows[u] ^= amask
-    return Graph(n, rows)
+    return Graph._trusted(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,22 @@ sequence element y, mask(e, y) is the bitmask of witnesses z satisfying
 e(z, y); the truth of a tuple is "the AND of its entry masks is nonzero".
 Masks are keyed by vertex, so they are shared across every refinement
 round of the extractor.
+
+For a pattern of length k over a sequence of length s with n witnesses,
+a true tuple is found by one k*s bitset sweep. A false tuple is found, or
+ruled out, by witness branching: each level places one entry where it
+removes a still-alive witness, so the search tree is at most k levels
+deep, and two O(k*s) prechecks settle most constant patterns without
+branching. Neither search has a node budget or an enumeration fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence as Seq
 
-from .errors import ExtractionShortfall, InputError
+from .errors import ExtractionShortfall, InputError, InternalInvariantError
 from .formulas import Atom, EvalContext, Pattern, entry_mask
-from .graphcore import iter_bits
-
-_NODE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -59,127 +62,188 @@ def _check_items(items: Seq[int]) -> None:
         raise InputError("sequence items must be pairwise distinct")
 
 
-def _entry_masks(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-                 items: Seq[int]) -> list[list[int]]:
-    return [[entry_mask(ctx, phi, e, y) for y in items] for e in entries]
+def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
+                items: Seq[int], rows: dict,
+                ) -> list[tuple[list[int], dict[int, int]]]:
+    """Each entry's witness masks over ``items`` with its kill-position
+    cache. ``rows`` keeps both per entry, so every pattern scanned over
+    the same items shares them."""
+    out = []
+    for e in entries:
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = ([entry_mask(ctx, phi, e, y) for y in items], {})
+        out.append(row)
+    return out
 
 
 def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | None:
     """Smallest-witness search for one increasing tuple with truth True.
 
-    Per witness z, the positions usable at entry j are a bitmask; a greedy
-    lowest-bit walk either builds an increasing tuple or rules z out.
+    One bitset sweep finds every witness z that some increasing tuple
+    keeps: reach[i] holds the witnesses for which the entries so far fit
+    into positions below i. The lowest such z then takes the greedy
+    lowest-position walk, which is the tuple returned.
+    """
+    s = len(masks[0])
+    reach = [alive0] * (s + 1)
+    for row in masks:
+        acc = 0
+        nxt = [0]
+        for prev, m in zip(reach, row):
+            acc |= prev & m
+            nxt.append(acc)
+        reach = nxt
+    final = reach[s]
+    if not final:
+        return None
+    z = (final & -final).bit_length() - 1
+    picks = []
+    idx = -1
+    for row in masks:
+        idx += 1
+        while not row[idx] >> z & 1:
+            idx += 1
+        picks.append(idx)
+    return tuple(picks)
+
+
+def _find_false_tuple(masks: list[list[int]], alive0: int,
+                      kill_caches: list[dict[int, int]],
+                      ) -> tuple[int, ...] | None:
+    """Lexicographically smallest increasing tuple whose witness
+    intersection is empty, or None when every increasing tuple keeps a
+    witness.
+
+    Witness branching, the bounded search tree for hitting sets: some
+    unplaced entry must remove the lowest alive witness z at a position
+    that still fits the increasing order, so the search branches over
+    exactly those (entry, position) pairs and places at most one entry
+    per level, k levels deep. A branch that failed is excluded from its
+    later siblings. Two O(k*s) prechecks settle most constant patterns
+    at once: a witness that no position of any entry removes, and more
+    alive witnesses than the entries can remove between them. Kill
+    positions are computed per (entry, witness) the first time that
+    witness is branched on, into ``kill_caches``: one dict per entry,
+    which callers share across searches over the same rows. The
+    smallest tuple is found by fixing positions left to right, asking the
+    search for a completion of each candidate prefix. The search keeps
+    O(k) state and the caches at most one int per (entry, witness); there
+    is no node budget and no enumeration.
     """
     depth = len(masks)
     s = len(masks[0])
-    for z in iter_bits(alive0):
-        prev = -1
-        picks = []
-        ok = True
-        for j in range(depth):
-            row = 0
-            for idx in range(prev + 1, s):
-                if masks[j][idx] >> z & 1:
-                    row = idx
-                    break
-            else:
-                ok = False
-                break
-            picks.append(row)
-            prev = row
-        if ok:
-            return tuple(picks)
-    return None
-
-
-class _NodeBudget(Exception):
-    pass
-
-
-def _find_false_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | None:
-    """Search for one increasing tuple whose witness intersection is empty.
-
-    Depth-first over positions with three sound prunes (a witness no
-    remaining entry can remove, an upper bound on removable witnesses,
-    and a dominance memo on (depth, alive) states). Falls back to plain
-    tuple enumeration if the node budget runs out, so the answer is
-    always exact.
-    """
-    depth = len(masks)
-    s = len(masks[0])
-
-    surviving_all = []
     maxkill = []
-    for j in range(depth):
-        surv = alive0
+    surviving = alive0
+    for row in masks:
         kill = 0
-        for m in masks[j]:
-            surv &= m
+        for m in row:
+            surviving &= m
             kill = max(kill, (alive0 & ~m).bit_count())
-        surviving_all.append(surv)
         maxkill.append(kill)
-    unkillable = [0] * (depth + 1)
-    killbudget = [0] * (depth + 1)
-    unkillable[depth] = alive0
-    for j in range(depth - 1, -1, -1):
-        unkillable[j] = unkillable[j + 1] & surviving_all[j]
-        killbudget[j] = killbudget[j + 1] + maxkill[j]
-
-    memo: list[dict[int, int]] = [{} for _ in range(depth)]
-    nodes = 0
-
-    def dfs(j: int, prev: int, alive: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _NODE_CAP:
-            raise _NodeBudget
-        if alive & unkillable[j]:
-            return None
-        if alive.bit_count() > killbudget[j]:
-            return None
-        best = memo[j].get(alive)
-        if best is not None and best <= prev:
-            return None
-        memo[j][alive] = prev
-        for idx in range(prev + 1, s - (depth - 1 - j)):
-            new = alive & masks[j][idx]
-            if not new:
-                tail = range(idx + 1, idx + depth - j)
-                return (idx, *tail)
-            if j < depth - 1:
-                found = dfs(j + 1, idx, new)
-                if found is not None:
-                    return (idx, *found)
+    if surviving:
         return None
 
-    try:
-        return dfs(0, -1, alive0)
-    except _NodeBudget:
-        pass
-    for combo in combinations(range(s), depth):
-        inter = alive0
-        for j, idx in enumerate(combo):
-            inter &= masks[j][idx]
-            if not inter:
-                return combo
-    return None
+    def kills(j: int, z: int) -> int:
+        cache = kill_caches[j]
+        got = cache.get(z)
+        if got is None:
+            got = 0
+            bit = 1
+            for m in masks[j]:
+                if not m >> z & 1:
+                    got |= bit
+                bit <<= 1
+            cache[z] = got
+        return got
+
+    pos = [-1] * depth
+    banned = [0] * depth
+
+    def completes(first: int, prev: int, alive: int, budget: int) -> bool:
+        """Can entries first.. be placed after ``prev``, around the ones
+        already in ``pos``, so that no alive witness is left?"""
+        if not alive:
+            return True
+        if alive.bit_count() > budget:
+            return False
+        z = (alive & -alive).bit_length() - 1
+        his = [0] * depth
+        nxt_j, nxt_p = depth, s
+        for j in range(depth - 1, first - 1, -1):
+            if pos[j] >= 0:
+                nxt_j, nxt_p = j, pos[j]
+            else:
+                his[j] = nxt_p - (nxt_j - j)
+        saved = banned[:]
+        found = False
+        last_j, last_p = first - 1, prev
+        for j in range(first, depth):
+            if pos[j] >= 0:
+                last_j, last_p = j, pos[j]
+                continue
+            lo = last_p + (j - last_j)
+            window = (1 << (his[j] + 1)) - (1 << lo)
+            opts = kills(j, z) & window & ~banned[j]
+            while opts:
+                low = opts & -opts
+                i = low.bit_length() - 1
+                new = alive & masks[j][i]
+                if not new:
+                    found = True
+                    break
+                pos[j] = i
+                found = completes(first, prev, new, budget - maxkill[j])
+                pos[j] = -1
+                if found:
+                    break
+                banned[j] |= low
+                opts ^= low
+            if found:
+                break
+        banned[:] = saved
+        return found
+
+    budget = sum(maxkill)
+    if not completes(0, -1, alive0, budget):
+        return None
+    fixed: list[int] = []
+    alive = alive0
+    prev = -1
+    for j in range(depth):
+        budget -= maxkill[j]
+        for p in range(prev + 1, s - (depth - 1 - j)):
+            new = alive & masks[j][p]
+            if not new:
+                return (*fixed, p, *range(p + 1, p + depth - j))
+            if j < depth - 1 and completes(j + 1, p, new, budget):
+                break
+        else:
+            raise InternalInvariantError(
+                "witness search lost a completion it had found")
+        fixed.append(p)
+        alive = new
+        prev = p
 
 
 def _scan(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-          items: Seq[int], alive0: int) -> tuple[bool, tuple[int, ...] | None]:
+          items: Seq[int], alive0: int, rows: dict,
+          ) -> tuple[bool, tuple[int, ...] | None]:
     """Truth of the first tuple, plus one tuple with the other truth if any.
 
     Requires len(items) >= len(entries). Returned tuples contain sequence
-    items, not positions.
+    items, not positions. ``rows`` is the per-entry cache of
+    ``_entry_rows`` for these items.
     """
     depth = len(entries)
-    masks = _entry_masks(ctx, phi, entries, items)
+    got = _entry_rows(ctx, phi, entries, items, rows)
+    masks = [m for m, _ in got]
     first = alive0
     for j in range(depth):
         first &= masks[j][j]
     t0 = bool(first)
     if t0:
-        bad = _find_false_tuple(masks, alive0)
+        bad = _find_false_tuple(masks, alive0, [c for _, c in got])
     else:
         bad = _find_true_tuple(masks, alive0)
     if bad is None:
@@ -199,11 +263,12 @@ def is_delta_indiscernible(
     """
     _check_items(items)
     full = ctx.graph.full_mask()
+    rows: dict = {}
     for pattern in patterns:
         depth = len(pattern)
         if len(items) < depth:
             continue
-        t0, other = _scan(ctx, phi, pattern.entries, items, full)
+        t0, other = _scan(ctx, phi, pattern.entries, items, full, rows)
         if other is None:
             continue
         head = tuple(items[:depth])
@@ -222,12 +287,13 @@ def em_type(ctx: EvalContext, phi: tuple[Atom, ...], patterns: Seq[Pattern],
     """
     _check_items(items)
     full = ctx.graph.full_mask()
+    rows: dict = {}
     out = []
     for pattern in patterns:
         if len(items) < len(pattern):
             out.append(pattern)
             continue
-        t0, other = _scan(ctx, phi, pattern.entries, items, full)
+        t0, other = _scan(ctx, phi, pattern.entries, items, full, rows)
         if t0 and other is None:
             out.append(pattern)
     return out
@@ -253,7 +319,7 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     depth = len(entries)
     if len(items) < depth:
         return items, None
-    t0, other = _scan(ctx, phi, entries, items, alive0)
+    t0, other = _scan(ctx, phi, entries, items, alive0, {})
     if other is None:
         return items, t0
 

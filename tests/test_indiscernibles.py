@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +8,15 @@ from hypothesis import strategies as st
 from flipwide import (
     EvalContext,
     ExtractionShortfall,
+    FlipWideRequest,
     InputError,
     edge_atom,
     em_type,
     enumerate_type_patterns,
+    eq_atom,
     eval_gamma,
     extract_indiscernible,
+    flip_widen,
     is_delta_indiscernible,
     type_pattern,
 )
@@ -22,7 +28,11 @@ from flipwide.generators import (
     random_bounded_degree,
     star_forest,
 )
-from flipwide.indiscernibles import ExtractionConfig
+from flipwide.indiscernibles import (
+    ExtractionConfig,
+    _find_false_tuple,
+    _find_true_tuple,
+)
 
 EDGE = (edge_atom(),)
 PATS3 = enumerate_type_patterns(1, 3)
@@ -179,3 +189,110 @@ def test_em_type_on_clique():
     assert len(got) == 9
     for p in got:
         assert sum((False,) in e for e in p.entries) <= 1
+
+
+def _first_false_by_enumeration(masks, alive0):
+    for combo in combinations(range(len(masks[0])), len(masks)):
+        inter = alive0
+        for j, idx in enumerate(combo):
+            inter &= masks[j][idx]
+        if not inter:
+            return combo
+    return None
+
+
+def _first_true_by_witness_walk(masks, alive0):
+    # the lowest witness with any increasing tuple, then its greedy
+    # lowest-position walk
+    for z in range(alive0.bit_length()):
+        if not alive0 >> z & 1:
+            continue
+        picks = []
+        idx = -1
+        for row in masks:
+            idx = next((i for i in range(idx + 1, len(row))
+                        if row[i] >> z & 1), None)
+            if idx is None:
+                break
+            picks.append(idx)
+        else:
+            return tuple(picks)
+    return None
+
+
+def test_tuple_searches_match_enumeration():
+    # rows come from a small pool, so one row may sit at several entries,
+    # and each row's kill cache is shared by two searches, as in _scan
+    rng = random.Random(20221)
+    outcomes = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        s = rng.randint(1, 9)
+        k = rng.randint(1, min(4, s))
+        density = rng.choice((0.2, 0.5, 0.8, 0.9, 0.97))
+        pool = [([sum(1 << z for z in range(n) if rng.random() < density)
+                  for _ in range(s)], {}) for _ in range(rng.randint(1, k))]
+        picks = [rng.choice(pool) for _ in range(k)]
+        masks = [row for row, _ in picks]
+        caches = [cache for _, cache in picks]
+        for _ in range(2):
+            alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
+            want_false = _first_false_by_enumeration(masks, alive0)
+            want_true = _first_true_by_witness_walk(masks, alive0)
+            fresh = [{} for _ in masks]
+            assert _find_false_tuple(masks, alive0, fresh) == want_false
+            assert _find_false_tuple(masks, alive0, caches) == want_false
+            assert _find_true_tuple(masks, alive0) == want_true
+            outcomes["false" if want_false else "no_false"] += 1
+            outcomes["true" if want_true else "no_true"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def _brute_indiscernible(ctx, phi, patterns, items):
+    """First pattern whose truth varies over increasing tuples, or None."""
+    for pattern in patterns:
+        truths = {eval_gamma(ctx, phi, pattern, combo)[0]
+                  for combo in combinations(items, len(pattern))}
+        if len(truths) > 1:
+            return pattern
+    return None
+
+
+@given(st.integers(0, 10_000), st.integers(4, 9), st.integers(1, 4),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_indiscernibility_matches_brute_force(seed, n, d, use_eq, data):
+    g = random_bounded_degree(n, d, seed)
+    if use_eq:
+        ctx = EvalContext(g, (0, n - 1), ball_radius=1)
+        phi = (eq_atom(0), eq_atom(1))
+        pool = list(range(1, n - 1))
+    else:
+        ctx = edge_ctx(g)
+        phi = EDGE
+        pool = list(range(n))
+    items = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                               max_size=len(pool)).map(sorted))
+    patterns = enumerate_type_patterns(len(phi), 3)
+    ok, cex = is_delta_indiscernible(ctx, phi, patterns, items)
+    blocking = _brute_indiscernible(ctx, phi, patterns, items)
+    assert ok == (blocking is None)
+    if not ok:
+        assert cex.pattern == blocking
+        for tup, truth in ((cex.true_tuple, True), (cex.false_tuple, False)):
+            assert list(tup) == [y for y in items if y in tup]
+            assert eval_gamma(ctx, phi, blocking, tup)[0] is truth
+
+
+def test_constancy_past_the_enumeration_cliff():
+    # a dense constant sequence past the size where a node-budgeted
+    # search gives up and enumerates every increasing k-tuple, which
+    # takes tens of seconds at these sizes; no time is asserted
+    ctx = EvalContext(clique(150), (0, 1), ball_radius=0)
+    phi = (eq_atom(0), eq_atom(1))
+    patterns = enumerate_type_patterns(2, 4)
+    assert is_delta_indiscernible(ctx, phi, patterns,
+                                  list(range(2, 150))) == (True, None)
+    g = clique(120)
+    res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), 1, 1))
+    assert len(res.b_set) == 119
