@@ -34,11 +34,13 @@ from .graphcore import (
     ball,
     ball_mask,
     distances_from,
+    eq_class_mask,
     exact_distance_layer,
     format_edge_list,
     is_distance_r_independent,
     make_flip_set,
     parse_edge_list,
+    phi_equivalent_over,
 )
 from .indiscernibles import (
     Counterexample,
@@ -69,7 +71,6 @@ from .sampleset import (
     SampleSetResult,
     build_sample_set,
     decompose_exceptional,
-    phi_equivalent_over,
     verify_sample_set,
 )
 from .wideness import (

@@ -118,6 +118,13 @@ def _result_json(res: FlipWideResult) -> dict:
     }
 
 
+def _vertex_array(value, what: str) -> list[int]:
+    # JSON true/false decode to bool, a subclass of int: demand int itself
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
+        raise InputError(f"{what} must be an array of integer vertex ids")
+    return value
+
+
 def _parse_flips(doc) -> tuple[Flip, ...]:
     if isinstance(doc, dict):
         doc = doc.get("flips")
@@ -127,7 +134,8 @@ def _parse_flips(doc) -> tuple[Flip, ...]:
     for entry in doc:
         if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
             raise InputError("each flip needs 'a' and 'b' vertex arrays")
-        flips.append(Flip(entry["a"], entry["b"]))
+        flips.append(Flip(_vertex_array(entry["a"], "flip side 'a'"),
+                          _vertex_array(entry["b"], "flip side 'b'")))
     return tuple(flips)
 
 
@@ -196,9 +204,12 @@ def _cmd_verify(args) -> int:
         raise InputError("result JSON must hold b_set and flips")
     flips = _parse_flips(doc)
     radius = args.radius if args.radius is not None else doc.get("radius")
-    if not isinstance(radius, int) or radius < 0:
+    if radius is None:
         raise InputError("radius missing from result; pass -r")
-    b_set = tuple(doc["b_set"])
+    if type(radius) is not int or radius < 0:
+        raise InputError(f"radius must be a nonnegative integer, got "
+                         f"{radius!r}; pass -r")
+    b_set = tuple(_vertex_array(doc["b_set"], "b_set"))
     res = FlipWideResult(b_set, flips, radius, (), True,
                          shortfall=False)
     ok, pair = verify_flip_wide(g, res, radius)

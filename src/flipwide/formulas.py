@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError
-from .graphcore import Graph, ball_mask
+from .graphcore import Graph, ball_mask, eq_class_mask, phi_equivalent_over
 
 EDGE = "edge"
 DIST_LEQ = "dist_leq"
@@ -94,14 +94,15 @@ def type_pattern(types: Iterable[PhiType]) -> Pattern:
 
 
 class EvalContext:
-    """Graph plus marked constants and per-radius ball caches.
+    """Graph plus marked constants and a per-vertex ball cache.
 
-    Immutable after construction apart from internal memo tables; safe to
-    share across threads for read-only evaluation.
+    Balls are computed the first time a vertex needs one. Immutable after
+    construction apart from internal memo tables; safe to share across
+    threads for read-only evaluation.
     """
 
-    __slots__ = ("graph", "constants", "ball_radius", "balls",
-                 "constant_rows", "_atom_masks", "_type_masks")
+    __slots__ = ("graph", "constants", "ball_radius", "_balls",
+                 "_atom_masks", "_type_masks")
 
     def __init__(self, graph: Graph, constants: Sequence[int] = (),
                  ball_radius: int = 1):
@@ -112,9 +113,7 @@ class EvalContext:
         self.graph = graph
         self.constants = tuple(constants)
         self.ball_radius = ball_radius
-        self.balls = tuple(ball_mask(graph, v, ball_radius)
-                           for v in range(graph.n))
-        self.constant_rows = tuple(graph.rows[c] for c in self.constants)
+        self._balls: dict[int, int] = {}
         self._atom_masks: dict = {}
         self._type_masks: dict = {}
 
@@ -123,6 +122,13 @@ class EvalContext:
             raise InputError(f"constant index {index} out of range "
                              f"(have {len(self.constants)})")
         return self.constants[index]
+
+    def ball(self, y: int) -> int:
+        """Mask of the radius-``ball_radius`` ball around y, cached."""
+        got = self._balls.get(y)
+        if got is None:
+            got = self._balls[y] = ball_mask(self.graph, y, self.ball_radius)
+        return got
 
 
 def eval_eq_nbhd(ctx: EvalContext, const_index: int, x: int, y: int) -> bool:
@@ -134,32 +140,25 @@ def eval_eq_nbhd(ctx: EvalContext, const_index: int, x: int, y: int) -> bool:
     """
     c = ctx.constant(const_index)
     ctx.graph.check_vertex(x)
-    b = ctx.balls[y]
-    if (b >> x & 1) != (b >> c & 1):
-        return False
-    return (ctx.graph.rows[x] & b) == (ctx.constant_rows[const_index] & b)
+    return phi_equivalent_over(ctx.graph, x, c, ctx.ball(y))
 
 
 def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
-    """Bitmask of all x with atom(x, y), cached per (atom, y)."""
+    """Bitmask of all x with atom(x, y), cached per (atom, y).
+
+    An eq_nbhd mask is the constant's class under ``eq_class_mask`` over
+    the ball of y: O(|ball|) mask operations, not a pass over the graph.
+    """
     key = (atom, y)
     got = ctx._atom_masks.get(key)
     if got is not None:
         return got
-    g = ctx.graph
     if atom.kind == EDGE:
-        m = g.rows[y]
+        m = ctx.graph.rows[y]
     elif atom.kind == DIST_LEQ:
-        m = ctx.balls[y]
+        m = ctx.ball(y)
     else:
-        c = ctx.constant(atom.const)
-        b = ctx.balls[y]
-        target = ctx.constant_rows[atom.const] & b
-        c_in = b >> c & 1
-        m = 0
-        for x in range(g.n):
-            if (b >> x & 1) == c_in and (g.rows[x] & b) == target:
-                m |= 1 << x
+        m = eq_class_mask(ctx.graph, ctx.constant(atom.const), ctx.ball(y))
     ctx._atom_masks[key] = m
     return m
 

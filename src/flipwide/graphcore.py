@@ -155,6 +155,33 @@ def ball_mask(g: Graph, v: int, radius: int) -> int:
     return m
 
 
+def phi_equivalent_over(g: Graph, a: int, b: int, ball: int) -> bool:
+    """Same membership in ``ball`` and identical edge-neighborhood inside it."""
+    if (ball >> a & 1) != (ball >> b & 1):
+        return False
+    return (g.rows[a] & ball) == (g.rows[b] & ball)
+
+
+def eq_class_mask(g: Graph, s: int, ball: int) -> int:
+    """Bitmask of every x with ``phi_equivalent_over(g, x, s, ball)``.
+
+    x qualifies when it has s's membership in ``ball`` and, for each u in
+    the ball, is adjacent to u exactly when s is: the intersection of
+    ``ball`` (or its complement) with rows[u] or ~rows[u] per ball
+    vertex u. That is O(|ball|) big-int operations, not a pass over n.
+    """
+    rows = g.rows
+    srow = rows[s]
+    m = ball if ball >> s & 1 else g.full_mask() & ~ball
+    rest = ball
+    while rest and m:
+        low = rest & -rest
+        row = rows[low.bit_length() - 1]
+        m &= row if srow & low else ~row
+        rest ^= low
+    return m
+
+
 def ball(g: Graph, v: int, radius: int) -> frozenset[int]:
     return frozenset(iter_bits(ball_mask(g, v, radius)))
 
@@ -310,7 +337,11 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise InputError(f"edge line must be 'u v', got {line!r}") from None
         edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    g = Graph.from_edges(n, edges)
+    if g.edge_count() != m:
+        raise InputError(f"edge list repeats an edge: header promises {m} "
+                         f"edges, found {g.edge_count()} distinct")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

@@ -192,11 +192,15 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
                 if not new:
                     found = True
                     break
-                pos[j] = i
-                found = completes(first, prev, new, budget - maxkill[j])
-                pos[j] = -1
-                if found:
-                    break
+                rest = budget - maxkill[j]
+                # a child with more alive witnesses than it can remove
+                # fails on entry, so it is not entered at all
+                if new.bit_count() <= rest:
+                    pos[j] = i
+                    found = completes(first, prev, new, rest)
+                    pos[j] = -1
+                    if found:
+                        break
                 banned[j] |= low
                 opts ^= low
             if found:

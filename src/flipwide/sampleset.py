@@ -8,6 +8,16 @@ additionally requires a single sample covering both sides.
 
 Index convention: the exceptional index is 0-based; the sentinel value
 len(I) means no position is exceptional and one sample covers every ball.
+
+Each round works on one class table: for every surviving ball and sample,
+``graphcore.eq_class_mask`` gives the mask of all vertices equivalent to
+the sample over the ball, in O(|ball|) mask operations. Prefix and suffix
+intersections of that table yield every vertex's certificate at once,
+and saturating bitset counters pick the next sample. The center balls are
+computed once per build; survivors reuse them. ``decompose_exceptional``
+and ``phi_equivalent_over`` stay the per-vertex definitions, and
+``verify_sample_set`` uses only those, so the verifier does not depend on
+the kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +26,14 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ExtractionShortfall, InputError, ModeError
 from .formulas import EvalContext, enumerate_type_patterns, eq_atom
-from .graphcore import Graph, ball_mask
+from .graphcore import (
+    Graph,
+    ball_mask,
+    eq_class_mask,
+    iter_bits,
+    mask_of,
+    phi_equivalent_over,
+)
 from .indiscernibles import ExtractionConfig, extract_indiscernible
 
 _NOT_NIP = "class likely not monadically NIP at these budgets"
@@ -65,13 +82,6 @@ class SampleSetResult:
     s_lt: tuple[int | None, ...]
     s_gt: tuple[int | None, ...]
     mode: str
-
-
-def phi_equivalent_over(g: Graph, a: int, b: int, ball: int) -> bool:
-    """Same membership in ``ball`` and identical edge-neighborhood inside it."""
-    if (ball >> a & 1) != (ball >> b & 1):
-        return False
-    return (g.rows[a] & ball) == (g.rows[b] & ball)
 
 
 def decompose_exceptional(
@@ -132,6 +142,92 @@ def _stable_certificate(
     return None
 
 
+def _class_table(g: Graph, samples: tuple[int, ...],
+                 balls: list[int]) -> list[list[int]]:
+    """table[i][p]: every vertex equivalent to samples[p] over balls[i]."""
+    return [[eq_class_mask(g, s, ball) for s in samples] for ball in balls]
+
+
+def _certificates(full: int, table: list[list[int]], nsamples: int,
+                  ) -> list[tuple[int, int, int]] | None:
+    """Every vertex's decompose_exceptional certificate, for all at once.
+
+    Prefix and suffix intersections of the class table give, per sample,
+    the vertices equivalent to it over every ball before (after) each
+    position. A vertex takes the sentinel from the lowest sample covering
+    all balls, else the smallest split position with the lowest samples
+    on both sides. None as soon as some vertex has no certificate.
+    """
+    count = len(table)
+    prefix = [[full] * nsamples]
+    for row in table:
+        prefix.append([a & m for a, m in zip(prefix[-1], row)])
+    suffix = [[full] * nsamples]
+    for row in reversed(table):
+        suffix.append([a & m for a, m in zip(suffix[-1], row)])
+    suffix.reverse()
+
+    def union(masks: list[int]) -> int:
+        out = 0
+        for m in masks:
+            out |= m
+        return out
+
+    splits = []
+    covered = union(prefix[count])
+    for e in range(count):
+        both = union(prefix[e]) & union(suffix[e + 1]) & ~covered
+        splits.append(both)
+        covered |= both
+    if covered != full:
+        return None
+
+    def lowest(vertices: int, masks: list[int], out: list[int]) -> None:
+        for p, m in enumerate(masks):
+            hit = vertices & m
+            for v in iter_bits(hit):
+                out[v] = p
+            vertices ^= hit
+
+    n = full.bit_length()
+    e_of = [count] * n
+    p_of = [0] * n
+    lowest(union(prefix[count]), prefix[count], p_of)
+    q_of = p_of[:]
+    for e, both in enumerate(splits):
+        if both:
+            lowest(both, prefix[e], p_of)
+            lowest(both, suffix[e + 1], q_of)
+            for v in iter_bits(both):
+                e_of[v] = e
+    return list(zip(e_of, p_of, q_of))
+
+
+def _pick_sample(full: int, table: list[list[int]], marked: int,
+                 ) -> tuple[int | None, list[int]]:
+    """Lowest unmarked vertex equivalent to some sample over at most two
+    balls, with those balls; (None, []) when there is none.
+
+    Saturating bitset counters (at least one, two, three balls) count
+    every vertex's equivalent balls at once.
+    """
+    hits = []
+    once = twice = thrice = 0
+    for row in table:
+        h = 0
+        for m in row:
+            h |= m
+        hits.append(h)
+        thrice |= twice & h
+        twice |= once & h
+        once |= h
+    free = full & ~thrice & ~marked
+    if not free:
+        return None, []
+    pick = (free & -free).bit_length() - 1
+    return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
+
+
 def _check_disjoint(g: Graph, centers, radius: int) -> list[int]:
     balls = [ball_mask(g, c, radius) for c in centers]
     seen = 0
@@ -165,7 +261,8 @@ def build_sample_set(
     """
     for c in inp.centers:
         g.check_vertex(c)
-    _check_disjoint(g, inp.centers, inp.half_radius)
+    ball_of = dict(zip(inp.centers,
+                       _check_disjoint(g, inp.centers, inp.half_radius)))
     n = g.n
     if not inp.centers:
         return SampleSetResult((), (), (0,) * n, (None,) * n, (None,) * n,
@@ -173,6 +270,7 @@ def build_sample_set(
     if cfg is None:
         cfg = ExtractionConfig(target_length=budget.min_surviving_length)
 
+    full = g.full_mask()
     samples: list[int] = []
     survivors = list(inp.centers)
     for _ in range(budget.max_rounds):
@@ -193,31 +291,14 @@ def build_sample_set(
         # Termination is tested before any length floor: with zero or one
         # surviving ball every vertex decomposes, so a heavily pruned
         # sequence ends the loop with a short honest result, not an error.
-        balls = [ball_mask(g, c, inp.half_radius) for c in survivors]
+        balls = [ball_of[c] for c in survivors]
         sample_tuple = tuple(samples)
-        certs: list[tuple[int, int, int] | None] = []
-        complete = True
-        for a in range(n):
-            cert = decompose_exceptional(g, sample_tuple, balls, a)
-            certs.append(cert)
-            if cert is None:
-                complete = False
-                break
-        if complete:
+        table = _class_table(g, sample_tuple, balls)
+        certs = _certificates(full, table, len(samples))
+        if certs is not None:
             return _assemble(g, inp, sample_tuple, survivors, balls, certs)
 
-        marked = set(samples)
-        pick = None
-        outliers: list[int] = []
-        for v in range(n):
-            if v in marked:
-                continue
-            out = [i for i, ball in enumerate(balls)
-                   if any(phi_equivalent_over(g, v, s, ball) for s in samples)]
-            if len(out) <= 2:
-                pick = v
-                outliers = out
-                break
+        pick, outliers = _pick_sample(full, table, mask_of(samples))
         if pick is None:
             raise BudgetExceeded(
                 "no vertex is inequivalent to the samples over all but two "

@@ -188,6 +188,42 @@ def test_verify_broken_json(graph_file, tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def small_result(tmp_path, **fields):
+    # one flip on clique(4) and a one-vertex B: verifies with exit 0
+    doc = {"b_set": [1], "flips": [{"a": [0], "b": [1]}], "radius": 1}
+    doc.update(fields)
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps(doc))
+    return str(res)
+
+
+def test_verify_small_result_holds(graph_file, tmp_path, capsys):
+    gf = graph_file(clique(4))
+    code, text, _ = run(
+        ["verify", "-g", gf, "--result", small_result(tmp_path)], capsys)
+    assert code == 0 and json.loads(text)["verified"] is True
+
+
+@pytest.mark.parametrize("fields,what", [
+    ({"flips": [{"a": ["x"], "b": [1]}]}, "flip side 'a'"),
+    ({"flips": [{"a": [0], "b": 0.5}]}, "flip side 'b'"),
+    ({"flips": [{"a": [True], "b": [1]}]}, "flip side 'a'"),
+    ({"b_set": "1"}, "b_set"),
+    ({"b_set": [0.5]}, "b_set"),
+    ({"b_set": [True]}, "b_set"),
+    ({"radius": True}, "radius"),
+], ids=["side-string", "side-float", "side-bool", "b_set-string",
+        "b_set-float", "b_set-bool", "radius-bool"])
+def test_verify_rejects_mistyped_result(graph_file, tmp_path, capsys,
+                                        fields, what):
+    gf = graph_file(clique(4))
+    code, out, err = run(
+        ["verify", "-g", gf, "--result", small_result(tmp_path, **fields)],
+        capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and what in err
+
+
 # ---------------------------------------------------------------- extract
 
 def test_extract_matching(graph_file, capsys):
@@ -297,6 +333,32 @@ def test_apply_flips_rejects_malformed(graph_file, tmp_path, capsys):
     fl.write_text(json.dumps([{"a": [0]}]))
     code, _, err = run(["apply-flips", "-g", gf, "--flips", str(fl)], capsys)
     assert code == 1 and "'a' and 'b'" in err
+
+
+@pytest.mark.parametrize("flip,what", [
+    ({"a": ["x"], "b": [1]}, "flip side 'a'"),
+    ({"a": [0], "b": 0.5}, "flip side 'b'"),
+    ({"a": [0], "b": [True]}, "flip side 'b'"),
+], ids=["side-string", "side-float", "side-bool"])
+def test_apply_flips_rejects_mistyped_sides(graph_file, tmp_path, capsys,
+                                            flip, what):
+    gf = graph_file(clique(4))
+    fl = tmp_path / "f.json"
+    fl.write_text(json.dumps([flip]))
+    code, out, err = run(["apply-flips", "-g", gf, "--flips", str(fl)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and what in err
+
+
+def test_apply_flips_rejects_repeated_edge(tmp_path, capsys):
+    gf = tmp_path / "g.edges"
+    gf.write_text("2 2\n0 1\n1 0\n")
+    fl = tmp_path / "f.json"
+    fl.write_text("[]")
+    code, out, err = run(
+        ["apply-flips", "-g", str(gf), "--flips", str(fl)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "repeats an edge" in err
 
 
 # ------------------------------------------------------------ environment

@@ -19,12 +19,15 @@ from flipwide import (
     all_pairs_distance,
     apply_flips,
     ball,
+    ball_mask,
     distances_from,
+    eq_class_mask,
     exact_distance_layer,
     format_edge_list,
     is_distance_r_independent,
     make_flip_set,
     parse_edge_list,
+    phi_equivalent_over,
 )
 
 
@@ -236,6 +239,27 @@ def test_edge_iteration_order_and_count():
 @given(graphs_st)
 def test_edge_list_round_trip(g):
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+@given(graphs_st, st.data())
+def test_eq_class_mask_matches_pointwise(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    if data.draw(st.booleans()):
+        ball = ball_mask(g, data.draw(st.integers(0, g.n - 1)),
+                         data.draw(st.integers(0, 2)))
+    else:
+        ball = data.draw(st.integers(0, g.full_mask()))
+    got = eq_class_mask(g, s, ball)
+    assert got >> s & 1
+    for x in range(g.n):
+        assert bool(got >> x & 1) == phi_equivalent_over(g, x, s, ball)
+    assert got >> g.n == 0
+
+
+def test_edge_list_parsing_rejects_repeated_edges():
+    for bad in ("2 2\n0 1\n1 0\n", "3 3\n0 1\n1 2\n0 1\n"):
+        with pytest.raises(InputError, match="repeats an edge"):
+            parse_edge_list(bad)
 
 
 def test_edge_list_parsing_rejects_junk():

@@ -8,6 +8,8 @@ builder and the independent verifier.
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flipwide import (
     BudgetExceeded,
@@ -22,7 +24,12 @@ from flipwide import (
 )
 from flipwide.generators import clique, edgeless, half_graph, path, star_forest
 from flipwide.graphcore import Graph, ball_mask
-from flipwide.sampleset import _stable_certificate
+from flipwide.sampleset import (
+    _certificates,
+    _class_table,
+    _pick_sample,
+    _stable_certificate,
+)
 
 
 def build_and_verify(g, centers, hr, mode, budget=None):
@@ -171,6 +178,67 @@ def test_stable_certificate_one_bad_ball():
     assert _stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (1, 0, 0)
     g = edgeless(5)
     assert _stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (3, 0, 0)
+
+
+# ------------------------------------------- vertex-parallel differentials
+
+@st.composite
+def graph_samples_balls(draw):
+    """A small random graph, distinct samples, and pairwise disjoint
+    vertex sets as balls: radius-0/1 balls around greedily chosen
+    centers, or the classes of a random labelling."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs),
+                           max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, keep in zip(pairs, picked) if keep])
+    samples = tuple(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=4)))
+    balls = []
+    if draw(st.booleans()):
+        radius = draw(st.integers(0, 1))
+        seen = 0
+        for c in draw(st.permutations(range(n))):
+            b = ball_mask(g, c, radius)
+            if not b & seen:
+                balls.append(b)
+                seen |= b
+    else:
+        labels = draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n))
+        for k in range(6):
+            b = sum(1 << v for v, lab in enumerate(labels) if lab == k)
+            if b:
+                balls.append(b)
+    return g, samples, balls[:draw(st.integers(0, len(balls)))]
+
+
+def pick_by_vertex(g, samples, balls):
+    # the per-vertex picker loop the bitset counters replace
+    for v in range(g.n):
+        if v in samples:
+            continue
+        out = [i for i, ball in enumerate(balls)
+               if any(phi_equivalent_over(g, v, s, ball) for s in samples)]
+        if len(out) <= 2:
+            return v, out
+    return None, []
+
+
+@given(graph_samples_balls())
+def test_certificates_match_per_vertex_decomposition(case):
+    g, samples, balls = case
+    table = _class_table(g, samples, balls)
+    want = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
+    got = _certificates(g.full_mask(), table, len(samples))
+    assert got == (None if None in want else want)
+
+
+@given(graph_samples_balls())
+def test_sample_pick_matches_per_vertex_loop(case):
+    g, samples, balls = case
+    marked = sum(1 << s for s in samples)
+    got = _pick_sample(g.full_mask(), _class_table(g, samples, balls), marked)
+    assert got == pick_by_vertex(g, samples, balls)
 
 
 # ------------------------------------------------------------ validation
