@@ -79,15 +79,17 @@ def _read_vertices(source: str, g: Graph) -> tuple[int, ...]:
         raise InputError(f"vertex list {source}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    started = getattr(_emit, "_t0", None)
+def _emit(text: str, out: str | None, started: float) -> None:
+    """Write ``text`` to ``out`` (stdout when None), then one stderr line
+    with the time since ``started`` (a ``time.monotonic`` reading) and the
+    text's digest."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    elapsed = 0.0 if started is None else time.monotonic() - started
+    elapsed = time.monotonic() - started
     print(f"elapsed {elapsed:.3f}s sha256 {digest}", file=sys.stderr)
 
 
@@ -151,7 +153,7 @@ def _cmd_generate(args) -> int:
     if takes_seed:
         call.append(args.seed)
     g = fn(*call)
-    _emit(format_edge_list(g), args.output)
+    _emit(format_edge_list(g), args.output, args.started)
     return 0
 
 
@@ -166,7 +168,7 @@ def _cmd_flip_widen(args) -> int:
                            window=args.window)
     req = FlipWideRequest(g, a_set, args.radius, args.target, budget, ext)
     res = flip_widen(req)
-    _emit(_dump(_result_json(res)), args.output)
+    _emit(_dump(_result_json(res)), args.output, args.started)
     if res.shortfall:
         print(f"shortfall: {len(res.b_set)} of {args.target} requested",
               file=sys.stderr)
@@ -193,7 +195,7 @@ def _cmd_extract(args) -> int:
     out = extract_indiscernible(ctx, phi, patterns, seq, cfg)
     ok, _ = is_delta_indiscernible(ctx, phi, patterns, out)
     _emit(_dump({"sequence": list(out), "length": len(out), "verified": ok}),
-          args.output)
+          args.output, args.started)
     return 0 if ok else 2
 
 
@@ -216,7 +218,7 @@ def _cmd_verify(args) -> int:
     report = {"verified": ok, "radius": radius}
     if not ok:
         report["violation"] = list(pair)
-    _emit(_dump(report), args.output)
+    _emit(_dump(report), args.output, args.started)
     return 0 if ok else 2
 
 
@@ -253,14 +255,14 @@ def _cmd_diagnose(args) -> int:
     if not report:
         raise InputError("nothing to diagnose: pass --alt-rank, --order, "
                          "--shatter, or --pairing")
-    _emit(_dump(report), args.output)
+    _emit(_dump(report), args.output, args.started)
     return 0
 
 
 def _cmd_apply_flips(args) -> int:
     g = _read_graph(args.graph)
     flips = _parse_flips(json.loads(_read_text(args.flips)))
-    _emit(format_edge_list(apply_flips(g, flips)), args.output)
+    _emit(format_edge_list(apply_flips(g, flips)), args.output, args.started)
     return 0
 
 
@@ -333,11 +335,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _emit._t0 = time.monotonic()
+    started = time.monotonic()
     parser = _build_parser()
     try:
         _check_threads_env()
         args = parser.parse_args(argv)
+        args.started = started
         return args.run(args)
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,14 +5,15 @@ used for indiscernibility.
 
 Evaluation is mask-based: for a fixed second argument y, each atom has a
 bitmask of satisfying first arguments, computed once and cached on the
-EvalContext. Pattern evaluation then reduces to AND/OR over masks.
+EvalContext, and so has each pattern entry. Pattern evaluation then
+reduces to AND/OR over masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InputError
 from .graphcore import Graph, ball_mask, eq_class_mask, phi_equivalent_over
@@ -94,18 +95,25 @@ def type_pattern(types: Iterable[PhiType]) -> Pattern:
 
 
 class EvalContext:
-    """Graph plus marked constants and a per-vertex ball cache.
+    """Graph plus marked constants and per-vertex memo tables.
 
-    Balls are computed the first time a vertex needs one. Immutable after
-    construction apart from internal memo tables; safe to share across
+    Balls are computed the first time a vertex needs one; ``balls`` may
+    hand in balls already computed at ``ball_radius``, as vertex -> mask,
+    and they are taken as given. Atom masks are memoized per (atom, y).
+    Entry masks are memoized per (phi, entry), as one dict from y to
+    mask, so a scan over a sequence looks each entry up once and then
+    indexes by vertex. Type masks have no memo of their own: each is
+    computed only when an entry mask is first built. Immutable after
+    construction apart from these memo tables; safe to share across
     threads for read-only evaluation.
     """
 
     __slots__ = ("graph", "constants", "ball_radius", "_balls",
-                 "_atom_masks", "_type_masks")
+                 "_atom_masks", "_entry_masks")
 
     def __init__(self, graph: Graph, constants: Sequence[int] = (),
-                 ball_radius: int = 1):
+                 ball_radius: int = 1, *,
+                 balls: Mapping[int, int] | None = None):
         if ball_radius < 0:
             raise InputError(f"ball radius must be nonnegative, got {ball_radius}")
         for c in constants:
@@ -113,9 +121,9 @@ class EvalContext:
         self.graph = graph
         self.constants = tuple(constants)
         self.ball_radius = ball_radius
-        self._balls: dict[int, int] = {}
+        self._balls: dict[int, int] = dict(balls) if balls else {}
         self._atom_masks: dict = {}
-        self._type_masks: dict = {}
+        self._entry_masks: dict = {}
 
     def constant(self, index: int) -> int:
         if not 0 <= index < len(self.constants):
@@ -171,13 +179,13 @@ def eval_atom(ctx: EvalContext, atom: Atom, x: int, y: int) -> bool:
 
 def type_mask(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
               y: int) -> int:
-    """Bitmask of all x whose complete type over ``phi`` at y is ``tau``."""
+    """Bitmask of all x whose complete type over ``phi`` at y is ``tau``.
+
+    Computed from the memoized atom masks on every call, without a memo
+    of its own; ``entry_row`` memoizes what it builds from these.
+    """
     if len(tau) != len(phi):
         raise InputError(f"type arity {len(tau)} does not match |phi|={len(phi)}")
-    key = (phi, tau, y)
-    got = ctx._type_masks.get(key)
-    if got is not None:
-        return got
     full = ctx.graph.full_mask()
     m = full
     for atom, positive in zip(phi, tau):
@@ -185,7 +193,6 @@ def type_mask(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
         m &= am if positive else full & ~am
         if not m:
             break
-    ctx._type_masks[key] = m
     return m
 
 
@@ -194,12 +201,33 @@ def eval_type(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
     return bool(type_mask(ctx, phi, tau, y) >> x & 1)
 
 
+def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
+              items: Iterable[int]) -> list[int]:
+    """The entry's witness mask at each of ``items``: every x whose type
+    over ``phi`` at y lies in ``entry``.
+
+    The memo for (phi, entry) is looked up once per call and then indexed
+    by y, so a row over a sequence hashes the pattern entry only once.
+    """
+    key = (phi, entry)
+    memo = ctx._entry_masks.get(key)
+    if memo is None:
+        memo = ctx._entry_masks[key] = {}
+    row = []
+    for y in items:
+        m = memo.get(y)
+        if m is None:
+            m = 0
+            for tau in entry:
+                m |= type_mask(ctx, phi, tau, y)
+            memo[y] = m
+        row.append(m)
+    return row
+
+
 def entry_mask(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
                y: int) -> int:
-    m = 0
-    for tau in entry:
-        m |= type_mask(ctx, phi, tau, y)
-    return m
+    return entry_row(ctx, phi, entry, (y,))[0]
 
 
 def eval_gamma(ctx: EvalContext, phi: tuple[Atom, ...], pattern: Pattern,

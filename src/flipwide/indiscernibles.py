@@ -17,15 +17,22 @@ ruled out, by witness branching: each level places one entry where it
 removes a still-alive witness, so the search tree is at most k levels
 deep, and two O(k*s) prechecks settle most constant patterns without
 branching. Neither search has a node budget or an enumeration fallback.
+
+Deciding constancy and building a counterexample are separate. The
+extraction pipeline (``extract_indiscernible``, the Ramsey refinement and
+``em_type``) only decides: it asks whether a tuple with the other truth
+exists and stops there. Only ``is_delta_indiscernible`` goes on to build
+the counterexample, the lexicographically smallest false tuple, which
+costs up to k*s further searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence as Seq
+from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
-from .formulas import Atom, EvalContext, Pattern, entry_mask
+from .formulas import Atom, EvalContext, Pattern, entry_mask, entry_row
 
 
 @dataclass(frozen=True)
@@ -72,18 +79,24 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     for e in entries:
         row = rows.get(e)
         if row is None:
-            row = rows[e] = ([entry_mask(ctx, phi, e, y) for y in items], {})
+            row = rows[e] = (entry_row(ctx, phi, e, items), {})
         out.append(row)
     return out
 
 
-def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | None:
-    """Smallest-witness search for one increasing tuple with truth True.
+def _first_truth(masks: list[list[int]], alive0: int) -> bool:
+    """Truth of the first increasing tuple, positions 0..k-1."""
+    first = alive0
+    for j, row in enumerate(masks):
+        first &= row[j]
+    return bool(first)
 
-    One bitset sweep finds every witness z that some increasing tuple
-    keeps: reach[i] holds the witnesses for which the entries so far fit
-    into positions below i. The lowest such z then takes the greedy
-    lowest-position walk, which is the tuple returned.
+
+def _kept_witnesses(masks: list[list[int]], alive0: int) -> int:
+    """Every alive witness z that some increasing tuple keeps.
+
+    One bitset sweep: reach[i] holds the witnesses for which the entries
+    so far fit into positions below i.
     """
     s = len(masks[0])
     reach = [alive0] * (s + 1)
@@ -94,7 +107,16 @@ def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | N
             acc |= prev & m
             nxt.append(acc)
         reach = nxt
-    final = reach[s]
+    return reach[s]
+
+
+def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | None:
+    """Smallest-witness search for one increasing tuple with truth True.
+
+    The lowest witness that ``_kept_witnesses`` finds takes the greedy
+    lowest-position walk, which is the tuple returned.
+    """
+    final = _kept_witnesses(masks, alive0)
     if not final:
         return None
     z = (final & -final).bit_length() - 1
@@ -108,12 +130,13 @@ def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | N
     return tuple(picks)
 
 
-def _find_false_tuple(masks: list[list[int]], alive0: int,
-                      kill_caches: list[dict[int, int]],
-                      ) -> tuple[int, ...] | None:
-    """Lexicographically smallest increasing tuple whose witness
-    intersection is empty, or None when every increasing tuple keeps a
-    witness.
+def _false_search(masks: list[list[int]], alive0: int,
+                  kill_caches: list[dict[int, int]],
+                  ) -> tuple[Callable[..., bool], list[int]] | None:
+    """Decide whether some increasing tuple has an empty witness
+    intersection: None when every increasing tuple keeps a witness,
+    otherwise the search's ``completes`` and per-entry kill bounds, which
+    ``_find_false_tuple`` reuses to build the smallest such tuple.
 
     Witness branching, the bounded search tree for hitting sets: some
     unplaced entry must remove the lowest alive witness z at a position
@@ -125,11 +148,9 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
     alive witnesses than the entries can remove between them. Kill
     positions are computed per (entry, witness) the first time that
     witness is branched on, into ``kill_caches``: one dict per entry,
-    which callers share across searches over the same rows. The
-    smallest tuple is found by fixing positions left to right, asking the
-    search for a completion of each candidate prefix. The search keeps
-    O(k) state and the caches at most one int per (entry, witness); there
-    is no node budget and no enumeration.
+    which callers share across searches over the same rows. The search
+    keeps O(k) state and the caches at most one int per (entry, witness);
+    there is no node budget and no enumeration.
     """
     depth = len(masks)
     s = len(masks[0])
@@ -208,9 +229,31 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
         banned[:] = saved
         return found
 
-    budget = sum(maxkill)
-    if not completes(0, -1, alive0, budget):
+    if not completes(0, -1, alive0, sum(maxkill)):
         return None
+    return completes, maxkill
+
+
+def _find_false_tuple(masks: list[list[int]], alive0: int,
+                      kill_caches: list[dict[int, int]],
+                      ) -> tuple[int, ...] | None:
+    """Lexicographically smallest increasing tuple whose witness
+    intersection is empty, or None when every increasing tuple keeps a
+    witness.
+
+    ``_false_search`` decides; only when it finds that such a tuple
+    exists are positions fixed left to right, asking its ``completes``
+    for a completion of each candidate prefix, over the same kill caches.
+    The extraction pipeline never builds this tuple: only
+    ``is_delta_indiscernible`` does, for its counterexample.
+    """
+    search = _false_search(masks, alive0, kill_caches)
+    if search is None:
+        return None
+    completes, maxkill = search
+    depth = len(masks)
+    s = len(masks[0])
+    budget = sum(maxkill)
     fixed: list[int] = []
     alive = alive0
     prev = -1
@@ -239,13 +282,9 @@ def _scan(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     items, not positions. ``rows`` is the per-entry cache of
     ``_entry_rows`` for these items.
     """
-    depth = len(entries)
     got = _entry_rows(ctx, phi, entries, items, rows)
     masks = [m for m, _ in got]
-    first = alive0
-    for j in range(depth):
-        first &= masks[j][j]
-    t0 = bool(first)
+    t0 = _first_truth(masks, alive0)
     if t0:
         bad = _find_false_tuple(masks, alive0, [c for _, c in got])
     else:
@@ -253,6 +292,20 @@ def _scan(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     if bad is None:
         return t0, None
     return t0, tuple(items[idx] for idx in bad)
+
+
+def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
+            items: Seq[int], alive0: int, rows: dict) -> tuple[bool, bool]:
+    """Truth of the first tuple, and whether every increasing tuple has
+    that truth: the decision half of ``_scan``, which builds no tuple.
+
+    Same requirements and ``rows`` cache as ``_scan``.
+    """
+    got = _entry_rows(ctx, phi, entries, items, rows)
+    masks = [m for m, _ in got]
+    if _first_truth(masks, alive0):
+        return True, _false_search(masks, alive0, [c for _, c in got]) is None
+    return False, not _kept_witnesses(masks, alive0)
 
 
 def is_delta_indiscernible(
@@ -297,8 +350,8 @@ def em_type(ctx: EvalContext, phi: tuple[Atom, ...], patterns: Seq[Pattern],
         if len(items) < len(pattern):
             out.append(pattern)
             continue
-        t0, other = _scan(ctx, phi, pattern.entries, items, full, rows)
-        if t0 and other is None:
+        t0, constant = _decide(ctx, phi, pattern.entries, items, full, rows)
+        if t0 and constant:
             out.append(pattern)
     return out
 
@@ -323,8 +376,8 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     depth = len(entries)
     if len(items) < depth:
         return items, None
-    t0, other = _scan(ctx, phi, entries, items, alive0, {})
-    if other is None:
+    t0, constant = _decide(ctx, phi, entries, items, alive0, {})
+    if constant:
         return items, t0
 
     if depth == 1:
@@ -370,14 +423,15 @@ def extract_indiscernible(
         raise InputError(
             f"input length {len(items)} is below the target "
             f"{cfg.target_length}")
-    ok, _ = is_delta_indiscernible(ctx, phi, patterns, items)
-    if ok:
+    full = ctx.graph.full_mask()
+    rows: dict = {}
+    if all(_decide(ctx, phi, p.entries, items, full, rows)[1]
+           for p in patterns if len(p) <= len(items)):
         return list(items)
 
     survivors = list(items)
     if cfg.window is not None and len(survivors) > cfg.window:
         survivors = survivors[:cfg.window]
-    full = ctx.graph.full_mask()
     blocking: Pattern | None = None
     for pattern in sorted(patterns, key=len):
         before = len(survivors)

@@ -14,7 +14,8 @@ Each round works on one class table: for every surviving ball and sample,
 the sample over the ball, in O(|ball|) mask operations. Prefix and suffix
 intersections of that table yield every vertex's certificate at once,
 and saturating bitset counters pick the next sample. The center balls are
-computed once per build; survivors reuse them. ``decompose_exceptional``
+computed once per build; survivors reuse them, and so does each round's
+``EvalContext`` for its equivalence formulas. ``decompose_exceptional``
 and ``phi_equivalent_over`` stay the per-vertex definitions, and
 ``verify_sample_set`` uses only those, so the verifier does not depend on
 the kernel.
@@ -275,7 +276,8 @@ def build_sample_set(
     survivors = list(inp.centers)
     for _ in range(budget.max_rounds):
         if samples and len(survivors) >= cfg.target_length:
-            ctx = EvalContext(g, tuple(samples), inp.half_radius)
+            ctx = EvalContext(g, tuple(samples), inp.half_radius,
+                              balls=ball_of)
             phi = tuple(eq_atom(j) for j in range(len(samples)))
             patterns = enumerate_type_patterns(
                 len(samples), cfg.max_pattern_length, cfg.pattern_cap)

@@ -30,8 +30,11 @@ from flipwide.generators import (
 )
 from flipwide.indiscernibles import (
     ExtractionConfig,
+    _false_search,
     _find_false_tuple,
     _find_true_tuple,
+    _kept_witnesses,
+    _make_homogeneous,
 )
 
 EDGE = (edge_atom(),)
@@ -296,3 +299,78 @@ def test_constancy_past_the_enumeration_cliff():
     g = clique(120)
     res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), 1, 1))
     assert len(res.b_set) == 119
+
+
+def test_decisions_match_enumeration():
+    # the random masks of test_tuple_searches_match_enumeration (same
+    # seed and draws); the decisions run first on the shared kill caches,
+    # so the construction that follows starts from caches they filled
+    rng = random.Random(20221)
+    decided = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        s = rng.randint(1, 9)
+        k = rng.randint(1, min(4, s))
+        density = rng.choice((0.2, 0.5, 0.8, 0.9, 0.97))
+        pool = [([sum(1 << z for z in range(n) if rng.random() < density)
+                  for _ in range(s)], {}) for _ in range(rng.randint(1, k))]
+        picks = [rng.choice(pool) for _ in range(k)]
+        masks = [row for row, _ in picks]
+        caches = [cache for _, cache in picks]
+        for _ in range(2):
+            alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
+            want_false = _first_false_by_enumeration(masks, alive0)
+            want_true = _first_true_by_witness_walk(masks, alive0)
+            has_false = want_false is not None
+            fresh = [{} for _ in masks]
+            assert (_false_search(masks, alive0, fresh) is not None) == has_false
+            assert (_false_search(masks, alive0, caches) is not None) == has_false
+            assert _find_false_tuple(masks, alive0, caches) == want_false
+            assert bool(_kept_witnesses(masks, alive0)) == (want_true is not None)
+            decided["false" if has_false else "no_false"] += 1
+            decided["true" if want_true else "no_true"] += 1
+    assert min(decided.values()) > 100, decided
+
+
+def _random_ctx(seed, n, d, use_eq):
+    """A small random graph with edge atoms, or two eq atoms whose
+    constants sit at both ends and stay out of the item pool."""
+    g = random_bounded_degree(n, d, seed)
+    if use_eq:
+        return (EvalContext(g, (0, n - 1), ball_radius=1),
+                (eq_atom(0), eq_atom(1)), list(range(1, n - 1)))
+    return edge_ctx(g), EDGE, list(range(n))
+
+
+@given(st.integers(0, 10_000), st.integers(4, 9), st.integers(1, 4),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_em_type_matches_brute_force(seed, n, d, use_eq, data):
+    ctx, phi, pool = _random_ctx(seed, n, d, use_eq)
+    items = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                               max_size=len(pool)).map(sorted))
+    patterns = enumerate_type_patterns(len(phi), 3)
+    want = [p for p in patterns
+            if all(eval_gamma(ctx, phi, p, combo)[0]
+                   for combo in combinations(items, len(p)))]
+    assert em_type(ctx, phi, patterns, items) == want
+
+
+@given(st.integers(0, 10_000), st.integers(4, 9), st.integers(1, 4),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
+    ctx, phi, pool = _random_ctx(seed, n, d, use_eq)
+    items = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                               max_size=len(pool)).map(sorted))
+    full = ctx.graph.full_mask()
+    for pattern in enumerate_type_patterns(len(phi), 3):
+        out, value = _make_homogeneous(ctx, phi, pattern.entries, items, full)
+        it = iter(items)
+        assert all(v in it for v in out)
+        truths = {eval_gamma(ctx, phi, pattern, combo)[0]
+                  for combo in combinations(out, len(pattern))}
+        if value is None:
+            assert len(out) < len(pattern)
+        else:
+            assert truths == {value}
