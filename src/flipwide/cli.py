@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -42,20 +41,6 @@ class _Parser(argparse.ArgumentParser):
     # so usage problems land on exit code 1 like every other input fault.
     def error(self, message):
         raise InputError(message)
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("FLIPWIDE_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"FLIPWIDE_THREADS must be a positive integer, "
-                         f"got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"FLIPWIDE_THREADS must be a positive integer, "
-                         f"got {raw!r}")
 
 
 def _read_text(path: str) -> str:
@@ -161,8 +146,7 @@ def _cmd_flip_widen(args) -> int:
     g = _read_graph(args.graph)
     a_set = _read_vertices(args.a_set, g)
     budget = SampleBudget(max_samples=args.max_samples,
-                          max_rounds=args.max_rounds,
-                          min_surviving_length=args.min_surviving)
+                          max_rounds=args.max_rounds)
     ext = ExtractionConfig(target_length=1,
                            max_pattern_length=args.max_pattern_length,
                            window=args.window)
@@ -286,7 +270,6 @@ def _build_parser() -> _Parser:
     fw.add_argument("-m", "--target", type=int, required=True)
     fw.add_argument("--max-samples", type=int, default=8)
     fw.add_argument("--max-rounds", type=int, default=8)
-    fw.add_argument("--min-surviving", type=int, default=1)
     fw.add_argument("--max-pattern-length", type=int, default=4)
     fw.add_argument("--window", type=int, default=48)
     fw.add_argument("-o", "--output")
@@ -338,7 +321,6 @@ def main(argv=None) -> int:
     started = time.monotonic()
     parser = _build_parser()
     try:
-        _check_threads_env()
         args = parser.parse_args(argv)
         args.started = started
         return args.run(args)

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import InputError
-from .graphcore import Graph, ball_mask
+from .graphcore import Graph, ball_mask, iter_bits
 
 _MASK64 = (1 << 64) - 1
 
@@ -132,16 +132,19 @@ def shatter_gadget(k: int) -> Graph:
 def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     """Reproducible graph with maximum degree <= d.
 
-    Draws 30*n*d candidate pairs from splitmix64(seed) and keeps a pair
-    when it is not a self-loop, not already present, and both endpoints
-    have residual degree. The fixed attempt count keeps the edge list a
-    pure function of (n, d, seed).
+    Draws up to 30*n*d candidate pairs from splitmix64(seed) and keeps a
+    pair when it is not a self-loop, not already present, and both
+    endpoints have residual degree. The fixed attempt bound keeps the edge
+    list a pure function of (n, d, seed). Drawing stops early once the
+    vertices with residual degree are pairwise adjacent: no later pair
+    could be kept, so the edges are those of all 30*n*d draws.
     """
     _positive("n", n)
     _positive("d", d)
     rng = splitmix64(seed)
     rows = [0] * n
     deg = [0] * n
+    spare = (1 << n) - 1  # vertices below degree d
     for _ in range(30 * n * d):
         u = next(rng) % n
         v = next(rng) % n
@@ -153,6 +156,15 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
         rows[v] |= 1 << u
         deg[u] += 1
         deg[v] += 1
+        if deg[u] == d:
+            spare ^= 1 << u
+        if deg[v] == d:
+            spare ^= 1 << v
+        # spare vertices have fewer than d neighbours, so more than d of
+        # them always hold a non-adjacent pair
+        if spare.bit_count() <= d and all(
+                spare & ~rows[w] == 1 << w for w in iter_bits(spare)):
+            break
     return Graph(n, rows)
 
 

@@ -307,6 +307,10 @@ def apply_flips(g: Graph, flips: Iterable[Flip]) -> Graph:
 # Edge list text format: first line "n m", then one "u v" line per edge.
 # Blank lines and lines starting with '#' are ignored.
 
+# Largest header vertex count accepted, far above the few hundred vertices
+# the package targets; a larger header is rejected before any allocation.
+MAX_VERTICES = 10**6
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = []
@@ -324,6 +328,9 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InputError(f"header must be 'n m', got {lines[0]!r}") from None
+    if n > MAX_VERTICES:
+        raise InputError(f"header vertex count {n} exceeds the limit of "
+                         f"{MAX_VERTICES}")
     body = lines[1:]
     if len(body) != m:
         raise InputError(f"header promises {m} edges, found {len(body)}")

@@ -50,7 +50,6 @@ class ExtractionConfig:
     max_pattern_length: int = 4
     pattern_cap: int = 100_000
     window: int | None = 48
-    strategy: str = "greedy_ramsey"
 
     def __post_init__(self):
         if self.target_length < 1:
@@ -60,8 +59,6 @@ class ExtractionConfig:
                 f"max pattern length must be >= 1, got {self.max_pattern_length}")
         if self.window is not None and self.window < 1:
             raise InputError(f"window must be >= 1 or None, got {self.window}")
-        if self.strategy != "greedy_ramsey":
-            raise InputError(f"unknown extraction strategy {self.strategy!r}")
 
 
 def _check_items(items: Seq[int]) -> None:

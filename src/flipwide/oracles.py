@@ -1,9 +1,19 @@
 """Diagnostic measures and witness searches over vertex sequences.
 
-Rank functions read connection profiles directly. Witness searches are
-backtracking enumerations over candidate masks; each found witness is
-re-validated entry by entry before it is returned, and every report says
-whether the search ran to completion or stopped at its node budget.
+Rank functions read connection profiles directly. The order, pairing and
+bipartite searches share one matrix search: want(i, j) says whether row
+vertex i is adjacent to column vertex j. It fixes the columns left to
+right, each in ascending vertex order, narrowing one candidate bitmask per
+row, and returns the lexicographically first column tuple with each row on
+its lowest candidate. Before branching, every row and column gets a pool
+of the vertices with enough neighbours and non-neighbours on the opposite
+side for its want-vector; an empty pool is an exhaustive "none" at once.
+The shattering search extends a sorted prefix only while it is shattered
+and has a common neighbour, so it finds the lexicographically first
+shattered set. One node is one column candidate tried, or in the
+shattering search one vertex trace taken. After ``max_nodes`` nodes a
+search stops and reports ``budget`` instead of ``exhaustive``. Every
+witness found is re-validated entry by entry before it is returned.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalInvariantError
 from .formulas import Atom, EvalContext, PhiType, eval_atom
-from .graphcore import Graph
+from .graphcore import Graph, iter_bits, mask_of
 
 EXHAUSTIVE = "exhaustive"
 BUDGET = "budget"
@@ -101,11 +111,11 @@ def exception_rank(
     for b in range(g.n):
         prof = [g.adj(b, v) for v in seq]
         t = sum(prof)
-        minority = not (t * 2 > len(seq))
-        mins = tuple(i for i, p in enumerate(prof) if p == minority)
         if min(t, len(seq) - t) > best:
             best = min(t, len(seq) - t)
-            wit = ExceptionWitness(b, mins)
+            minority = not (t * 2 > len(seq))
+            wit = ExceptionWitness(
+                b, tuple([i for i, p in enumerate(prof) if p == minority]))
     return best, wit
 
 
@@ -160,97 +170,155 @@ def _validate_matrix(g: Graph, a_seq, b_seq, want) -> None:
         raise InternalInvariantError("witness has repeated vertices")
 
 
+def _want_rows(want, nrows: int, ncols: int) -> list[int]:
+    return [sum(1 << j for j in range(ncols) if want(i, j))
+            for i in range(nrows)]
+
+
+def _pools(g: Graph, side: int, other: int, needs) -> list[int]:
+    """Per (true count, false count) in needs, the vertices of side with at
+    least that many neighbours and non-neighbours in other."""
+    size = other.bit_count()
+    seen = [(v, (g.rows[v] & other).bit_count()) for v in iter_bits(side)]
+    return [mask_of(v for v, d in seen if t <= d <= size - f)
+            for t, f in needs]
+
+
+def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
+                   col_side: int, max_nodes: int):
+    """Rows in row_side and distinct columns in col_side with bit j of
+    want_rows[i] set exactly when row i is adjacent to column j.
+
+    Callers give every row a distinct want-vector, so rows fitting all the
+    columns land on distinct vertices. Then a row needs as many neighbours
+    in col_side as it has set bits, and as many non-neighbours as clear
+    ones; a column needs the same over row_side. The vertices that have
+    them are the pools. Returns ((row vertices, column vertices) or None,
+    nodes tried); the search hit its budget iff nodes > max_nodes.
+    """
+    col_true = [sum(w >> j & 1 for w in want_rows) for j in range(ncols)]
+    masks = _pools(g, row_side, col_side,
+                   [(w.bit_count(), ncols - w.bit_count()) for w in want_rows])
+    col_pools = [list(iter_bits(m)) for m in _pools(
+        g, col_side, row_side, [(t, len(want_rows) - t) for t in col_true])]
+    if not all(masks) or not all(col_pools):
+        return None, 0
+    cols: list[int] = []
+    nodes = 0
+
+    def extend(masks: list[int]) -> list[int] | None:
+        nonlocal nodes
+        j = len(cols)
+        if j == ncols:
+            return masks
+        bit = 1 << j
+        for b in col_pools[j]:
+            if b in cols:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                return None
+            nbr = g.rows[b]
+            nxt = []
+            for w, m in zip(want_rows, masks):
+                m &= nbr if w & bit else ~nbr
+                if not m:
+                    break
+                nxt.append(m)
+            else:
+                cols.append(b)
+                found = extend(nxt)
+                if found is not None:
+                    return found
+                cols.pop()
+        return None
+
+    found = extend(masks)
+    if found is None:
+        return None, nodes
+    return (tuple((m & -m).bit_length() - 1 for m in found), tuple(cols)), nodes
+
+
+def _witness_report(g: Graph, kind: str, want, nrows: int, ncols: int,
+                    max_nodes: int) -> OracleReport:
+    full = g.full_mask()
+    found, nodes = _matrix_search(g, _want_rows(want, nrows, ncols), ncols,
+                                  full, full, max_nodes)
+    if found is None:
+        return OracleReport(None, BUDGET if nodes > max_nodes else EXHAUSTIVE)
+    _validate_matrix(g, *found, want)
+    return OracleReport(Witness(kind, *found), EXHAUSTIVE)
+
+
 def order_property_witness(
     g: Graph, k: int, max_nodes: int = 200_000,
 ) -> OracleReport:
     """Half-graph of order k: E(a_i, b_j) exactly when i <= j.
 
-    Backtracks over the b side, narrowing one candidate mask per a-row;
-    the masks end up pairwise disjoint, so any leftover bits give
-    distinct a vertices for free.
+    The matrix search with rows a_1..a_k and columns b_1..b_k over all
+    vertices: b_seq is the lexicographically first column tuple, a_seq each
+    row's lowest fitting vertex.
     """
     if k < 1:
         raise InputError("k must be positive")
-    full = g.full_mask()
-    nodes = 0
-    capped = False
-
-    def dfs(j: int, rows: list[int]) -> Witness | None:
-        nonlocal nodes, capped
-        if j == k:
-            a_seq = tuple((m & -m).bit_length() - 1 for m in rows)
-            return Witness("order", a_seq, ())
-        for b in range(g.n):
-            nodes += 1
-            if nodes > max_nodes:
-                capped = True
-                return None
-            nbr = g.rows[b]
-            nxt = []
-            for i in range(k):
-                m = rows[i] & (nbr if i <= j else ~nbr & full)
-                if not m:
-                    break
-                nxt.append(m)
-            else:
-                found = dfs(j + 1, nxt)
-                if found is not None:
-                    return Witness(found.kind, found.a_seq,
-                                   (b,) + found.b_seq)
-            if capped:
-                return None
-        return None
-
-    wit = dfs(0, [full] * k)
-    if wit is not None:
-        _validate_matrix(g, wit.a_seq, wit.b_seq, lambda i, j: i <= j)
-        return OracleReport(wit, EXHAUSTIVE)
-    return OracleReport(None, BUDGET if capped else EXHAUSTIVE)
+    return _witness_report(g, "order", lambda i, j: i <= j, k, k, max_nodes)
 
 
 def shattering_witness(
     g: Graph, k: int, max_nodes: int = 5_000_000,
 ) -> OracleReport:
-    """A k-set whose every subset is some vertex's exact neighborhood trace.
+    """The lexicographically first k-set whose every subset is some vertex's
+    exact neighborhood trace.
 
-    b_seq lists the tracing vertices by subset value: entry t covers the
-    subset with bit i set iff a_seq[i] is in it.
+    Shattering is hereditary, so the search extends an ascending prefix
+    only while it stays shattered. The whole set must be some vertex's
+    trace, so it extends only by a neighbour of a vertex adjacent to the
+    whole prefix. A member lies in 2^(k-1) traces, so it needs that many
+    neighbours. Testing one
+    extended set takes n traces, n nodes. b_seq lists the lowest tracing
+    vertex of each subset by value: entry t covers the subset with bit i
+    set iff a_seq[i] is in it.
     """
     if k < 1:
         raise InputError("k must be positive")
-    want = 1 << k
+    rows = g.rows
+    pool = mask_of(v for v in range(g.n)
+                   if rows[v].bit_count() >= 1 << (k - 1))
     nodes = 0
-    for combo in combinations(range(g.n), k):
-        amask = 0
-        for v in combo:
-            amask |= 1 << v
-        seen: dict[int, int] = {}
-        for v in range(g.n):
-            nodes += 1
-            tr = g.rows[v] & amask
-            if tr not in seen:
-                seen[tr] = v
-        if nodes > max_nodes:
-            return OracleReport(None, BUDGET)
-        if len(seen) == want:
-            b_seq = []
-            for t in range(want):
-                sub = 0
-                for i, v in enumerate(combo):
-                    if t >> i & 1:
-                        sub |= 1 << v
-                b_seq.append(seen[sub])
-            wit = Witness("shattering", combo, tuple(b_seq))
-            for t, b in enumerate(wit.b_seq):
-                sub = 0
-                for i, v in enumerate(combo):
-                    if t >> i & 1:
-                        sub |= 1 << v
-                if g.rows[b] & amask != sub:
-                    raise InternalInvariantError(
-                        f"trace vertex {b} misses subset {t}")
-            return OracleReport(wit, EXHAUSTIVE)
-    return OracleReport(None, EXHAUSTIVE)
+
+    def extend(prefix: tuple[int, ...], amask: int,
+               common: int) -> tuple[int, ...] | None:
+        nonlocal nodes
+        if len(prefix) == k:
+            return prefix
+        reach = 0
+        for c in iter_bits(common):
+            reach |= rows[c]
+        if prefix:
+            reach = reach >> (prefix[-1] + 1) << (prefix[-1] + 1)
+        for x in iter_bits(reach & pool):
+            nodes += len(rows)
+            if nodes > max_nodes:
+                return None
+            m = amask | 1 << x
+            if len({r & m for r in rows}) != 2 << len(prefix):
+                continue
+            found = extend(prefix + (x,), m, common & rows[x])
+            if found is not None:
+                return found
+        return None
+
+    combo = extend((), 0, g.full_mask())
+    if combo is None:
+        return OracleReport(None, BUDGET if nodes > max_nodes else EXHAUSTIVE)
+    amask = mask_of(combo)
+    first: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        first.setdefault(r & amask, v)
+    b_seq = tuple(first[mask_of(x for i, x in enumerate(combo) if t >> i & 1)]
+                  for t in range(1 << k))
+    _validate_matrix(g, combo, b_seq, lambda i, t: bool(t >> i & 1))
+    return OracleReport(Witness("shattering", combo, b_seq), EXHAUSTIVE)
 
 
 def pairing_index_witness(
@@ -258,52 +326,14 @@ def pairing_index_witness(
 ) -> OracleReport:
     """Vertices a_ij adjacent among b_1..b_k to exactly b_i and b_j.
 
-    a_seq follows the lexicographic pair order of combinations(range(k), 2).
+    The matrix search with one row per pair, in the lexicographic order of
+    combinations(range(k), 2), and columns b_1..b_k over all vertices.
     """
     if k < 2:
         raise InputError("k must be at least 2")
     pairs = list(combinations(range(k), 2))
-    full = g.full_mask()
-    nodes = 0
-    capped = False
-
-    def dfs(pos: int, masks: list[int], used: set[int]) -> Witness | None:
-        nonlocal nodes, capped
-        if pos == k:
-            a_seq = tuple((m & -m).bit_length() - 1 for m in masks)
-            return Witness("pairing", a_seq, ())
-        for b in range(g.n):
-            if b in used:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                capped = True
-                return None
-            nbr = g.rows[b]
-            nxt = []
-            for (i, j), m in zip(pairs, masks):
-                m2 = m & (nbr if pos in (i, j) else ~nbr & full)
-                if not m2:
-                    break
-                nxt.append(m2)
-            else:
-                used.add(b)
-                found = dfs(pos + 1, nxt, used)
-                used.discard(b)
-                if found is not None:
-                    return Witness(found.kind, found.a_seq,
-                                   (b,) + found.b_seq)
-            if capped:
-                return None
-        return None
-
-    wit = dfs(0, [full] * len(pairs), set())
-    if wit is not None:
-        _validate_matrix(
-            g, wit.a_seq, wit.b_seq,
-            lambda p, l: l in pairs[p])
-        return OracleReport(wit, EXHAUSTIVE)
-    return OracleReport(None, BUDGET if capped else EXHAUSTIVE)
+    return _witness_report(g, "pairing", lambda p, l: l in pairs[p],
+                           len(pairs), k, max_nodes)
 
 
 @dataclass(frozen=True)
@@ -325,10 +355,11 @@ def bipartite_canonical_pattern(
 ) -> OracleReport:
     """First of matching, co-matching, ladder found across the two sides.
 
-    The left side must be twin-free with respect to the right side.
-    Matching and co-matching searches fix the left vertices in ascending
-    order (the pattern is symmetric under position swaps); the ladder
-    search is positional and tries every left order.
+    The left side must be twin-free with respect to the right side. Each
+    kind runs the matrix search with the left side as rows and the right
+    side as columns: right_seq is the lexicographically first tuple of
+    right vertex ids carrying the pattern, left_seq each position's lowest
+    left vertex id. List order on either side plays no part.
     """
     left = list(left)
     right = list(right)
@@ -338,9 +369,7 @@ def bipartite_canonical_pattern(
         raise InputError("side sequences must be pairwise distinct")
     for v in left + right:
         g.check_vertex(v)
-    rmask = 0
-    for v in right:
-        rmask |= 1 << v
+    lmask, rmask = mask_of(left), mask_of(right)
     traces: dict[int, int] = {}
     for v in left:
         tr = g.rows[v] & rmask
@@ -351,50 +380,14 @@ def bipartite_canonical_pattern(
         traces[tr] = v
 
     nodes = 0
-    capped = False
-
-    def dfs(kind: str, ascending: bool, lefts: list[int],
-            rights: list[int]) -> BipartitePattern | None:
-        nonlocal nodes, capped
-        p = len(lefts)
-        if p == length:
-            return BipartitePattern(kind, tuple(lefts), tuple(rights))
-        test = _PATTERN_TESTS[kind]
-        lo = (left.index(lefts[-1]) + 1) if (ascending and lefts) else 0
-        for li in range(lo, len(left)):
-            l = left[li]
-            if not ascending and l in lefts:
-                continue
-            if any(g.adj(l, rights[q]) != test(p, q) for q in range(p)):
-                continue
-            for r in right:
-                if r in rights:
-                    continue
-                nodes += 1
-                if nodes > max_nodes:
-                    capped = True
-                    return None
-                if g.adj(l, r) != test(p, p):
-                    continue
-                if any(g.adj(lefts[q], r) != test(q, p) for q in range(p)):
-                    continue
-                found = dfs(kind, ascending, lefts + [l], rights + [r])
-                if found is not None:
-                    return found
-                if capped:
-                    return None
-        return None
-
-    for kind in ("matching", "co_matching", "ladder"):
-        found = dfs(kind, kind != "ladder", [], [])
+    for kind, test in _PATTERN_TESTS.items():
+        found, used = _matrix_search(
+            g, _want_rows(test, length, length), length, lmask, rmask,
+            max_nodes - nodes)
+        nodes += used
         if found is not None:
-            test = _PATTERN_TESTS[kind]
-            for p, l in enumerate(found.left_seq):
-                for q, r in enumerate(found.right_seq):
-                    if g.adj(l, r) != test(p, q):
-                        raise InternalInvariantError(
-                            f"{kind} witness fails at ({l}, {r})")
-            return OracleReport(found, EXHAUSTIVE)
-        if capped:
+            _validate_matrix(g, *found, test)
+            return OracleReport(BipartitePattern(kind, *found), EXHAUSTIVE)
+        if nodes > max_nodes:
             return OracleReport(None, BUDGET)
     return OracleReport(None, EXHAUSTIVE)

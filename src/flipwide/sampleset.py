@@ -60,10 +60,9 @@ class DisjointFamilyInput:
 class SampleBudget:
     max_samples: int = 8
     max_rounds: int = 8
-    min_surviving_length: int = 1
 
     def __post_init__(self):
-        for name in ("max_samples", "max_rounds", "min_surviving_length"):
+        for name in ("max_samples", "max_rounds"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
 
@@ -269,7 +268,7 @@ def build_sample_set(
         return SampleSetResult((), (), (0,) * n, (None,) * n, (None,) * n,
                                inp.mode)
     if cfg is None:
-        cfg = ExtractionConfig(target_length=budget.min_surviving_length)
+        cfg = ExtractionConfig(target_length=1)
 
     full = g.full_mask()
     samples: list[int] = []

@@ -361,16 +361,12 @@ def test_apply_flips_rejects_repeated_edge(tmp_path, capsys):
     assert err.startswith("error:") and "repeats an edge" in err
 
 
-# ------------------------------------------------------------ environment
-
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("FLIPWIDE_THREADS", "2")
-    code, _, _ = run(["generate", "clique", "3"], capsys)
-    assert code == 0
-    for bad in ("zero", "0", "-1"):
-        monkeypatch.setenv("FLIPWIDE_THREADS", bad)
-        code, _, err = run(["generate", "clique", "3"], capsys)
-        assert code == 1 and "FLIPWIDE_THREADS" in err
+def test_absurd_vertex_count_rejected(tmp_path, capsys):
+    gf = tmp_path / "g.edges"
+    gf.write_text("1000000000 0\n")
+    code, out, err = run(["diagnose", "-g", str(gf), "--order", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "exceeds the limit" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -121,6 +121,31 @@ def test_random_bounded_degree_respects_bound(n, d, seed):
     assert max(g.degree(v) for v in range(n)) <= d
 
 
+def _all_draws(n, d, seed):
+    # random_bounded_degree without its early stop: all 30*n*d draws
+    rng = splitmix64(seed)
+    rows, deg = [0] * n, [0] * n
+    for _ in range(30 * n * d):
+        u, v = next(rng) % n, next(rng) % n
+        if u == v or rows[u] >> v & 1 or deg[u] >= d or deg[v] >= d:
+            continue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if rows[u] >> v & 1]
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4),
+                                 (9, 8), (12, 5), (25, 1), (30, 3), (40, 5),
+                                 (80, 2), (150, 3)])
+def test_random_bounded_degree_early_stop_keeps_edges(n, d):
+    for seed in (0, 1, 7, 123):
+        assert list(random_bounded_degree(n, d, seed).edges()) == \
+            _all_draws(n, d, seed)
+
+
 def test_complement():
     g = complement(path(4))
     assert sorted(g.edges()) == [(0, 2), (0, 3), (1, 3)]

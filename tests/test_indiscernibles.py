@@ -166,8 +166,6 @@ def test_input_validation():
         ExtractionConfig(target_length=0)
     with pytest.raises(InputError):
         ExtractionConfig(target_length=1, window=0)
-    with pytest.raises(InputError):
-        ExtractionConfig(target_length=1, strategy="anneal")
 
 
 @given(st.integers(0, 400), st.data())

@@ -4,7 +4,8 @@ Each frozen witness is re-validated here against the raw adjacency
 matrix, independently of the internal validation the searches do.
 """
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -29,9 +30,11 @@ from flipwide.generators import (
     complement,
     half_graph,
     matching,
+    random_bounded_degree,
     shatter_gadget,
     subdivided_clique,
 )
+from flipwide.graphcore import Graph
 
 
 # ------------------------------------------------------------------ ranks
@@ -254,3 +257,111 @@ def test_bipartite_validation_and_budget():
         bipartite_canonical_pattern(g, (0, 0), right, 1)
     rep = bipartite_canonical_pattern(g, left, right, 4, max_nodes=2)
     assert rep.witness is None and rep.search == "budget"
+
+
+# ------------------------------------------- brute-force differential check
+
+def _first_matrix(g, want, nrows, ncols):
+    """Lexicographically first tuple of distinct columns that every row
+    fits, with each row's lowest fitting vertex."""
+    for cols in permutations(range(g.n), ncols):
+        rows = []
+        for i in range(nrows):
+            fits = [a for a in range(g.n)
+                    if all(g.adj(a, b) == want(i, j)
+                           for j, b in enumerate(cols))]
+            if not fits:
+                break
+            rows.append(fits[0])
+        else:
+            return tuple(rows), cols
+    return None
+
+
+def _first_shattered(g, k):
+    for combo in combinations(range(g.n), k):
+        first = {}
+        for v in range(g.n):
+            first.setdefault(frozenset(a for a in combo if g.adj(v, a)), v)
+        if len(first) == 1 << k:
+            return combo, tuple(
+                first[frozenset(a for i, a in enumerate(combo) if t >> i & 1)]
+                for t in range(1 << k))
+    return None
+
+
+_KIND_TESTS = {"matching": lambda p, q: p == q,
+               "co_matching": lambda p, q: p != q,
+               "ladder": lambda p, q: p <= q}
+
+
+def _first_kind(g, left, right, length):
+    for kind, test in _KIND_TESTS.items():
+        for ls in permutations(left, length):
+            for rs in permutations(right, length):
+                if all(g.adj(l, r) == test(p, q)
+                       for p, l in enumerate(ls) for q, r in enumerate(rs)):
+                    return kind
+    return None
+
+
+def _pair(rep):
+    w = rep.witness
+    return None if w is None else (w.a_seq, w.b_seq)
+
+
+def test_searches_match_brute_force():
+    rng = random.Random(2024)
+    for _ in range(120):
+        n, k = rng.randint(1, 12), rng.randint(1, 4)
+        p = rng.choice((0.3, 0.5, 0.7))
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < p])
+        rep = order_property_witness(g, k)
+        assert rep.search == "exhaustive"
+        assert _pair(rep) == _first_matrix(g, lambda i, j: i <= j, k, k)
+        rep = shattering_witness(g, k)
+        assert rep.search == "exhaustive"
+        assert _pair(rep) == _first_shattered(g, k)
+        if k >= 2:
+            pairs = list(combinations(range(k), 2))
+            rep = pairing_index_witness(g, k)
+            assert rep.search == "exhaustive"
+            assert _pair(rep) == _first_matrix(
+                g, lambda i, j: j in pairs[i], len(pairs), k)
+
+        verts = rng.sample(range(n), n)
+        cut = rng.randint(0, n)
+        right = verts[cut:]
+        traces, left = set(), []
+        for v in verts[:cut]:  # keep the left side twin-free
+            tr = frozenset(r for r in right if g.adj(v, r))
+            if tr not in traces:
+                traces.add(tr)
+                left.append(v)
+        length = rng.randint(1, 3)
+        rep = bipartite_canonical_pattern(g, left, right, length)
+        assert rep.search == "exhaustive"
+        kind = _first_kind(g, left, right, length)
+        if kind is None:
+            assert rep.witness is None
+            continue
+        w = rep.witness
+        assert w.kind == kind
+        assert len(set(w.left_seq)) == len(set(w.right_seq)) == length
+        assert set(w.left_seq) <= set(left) and set(w.right_seq) <= set(right)
+        for p, l in enumerate(w.left_seq):
+            for q, r in enumerate(w.right_seq):
+                assert g.adj(l, r) == _KIND_TESTS[kind](p, q)
+
+
+def test_pools_answer_former_budget_cases():
+    g = half_graph(16)
+    rep = order_property_witness(g, 16)
+    assert rep.search == "exhaustive"
+    for i, a in enumerate(rep.witness.a_seq):
+        for j, b in enumerate(rep.witness.b_seq):
+            assert g.adj(a, b) == (i <= j)
+    for seed in (1, 2, 3):
+        rep = shattering_witness(random_bounded_degree(200, 3, seed), 4)
+        assert rep.witness is None and rep.search == "exhaustive"
