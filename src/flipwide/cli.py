@@ -146,11 +146,9 @@ def _cmd_flip_widen(args) -> int:
     g = _read_graph(args.graph)
     a_set = _read_vertices(args.a_set, g)
     budget = SampleBudget(max_samples=args.max_samples,
-                          max_rounds=args.max_rounds)
-    ext = ExtractionConfig(target_length=1,
-                           max_pattern_length=args.max_pattern_length,
-                           window=args.window)
-    req = FlipWideRequest(g, a_set, args.radius, args.target, budget, ext)
+                          max_pattern_length=args.max_pattern_length,
+                          window=args.window)
+    req = FlipWideRequest(g, a_set, args.radius, args.target, budget)
     res = flip_widen(req)
     _emit(_dump(_result_json(res)), args.output, args.started)
     if res.shortfall:
@@ -173,9 +171,7 @@ def _cmd_extract(args) -> int:
         phi = tuple(eq_atom(i) for i in range(len(constants)))
     ctx = EvalContext(g, constants, args.alpha)
     patterns = enumerate_type_patterns(len(phi), args.k)
-    cfg = ExtractionConfig(target_length=args.target,
-                           max_pattern_length=args.k,
-                           window=args.window)
+    cfg = ExtractionConfig(target_length=args.target, window=args.window)
     out = extract_indiscernible(ctx, phi, patterns, seq, cfg)
     ok, _ = is_delta_indiscernible(ctx, phi, patterns, out)
     _emit(_dump({"sequence": list(out), "length": len(out), "verified": ok}),
@@ -268,10 +264,11 @@ def _build_parser() -> _Parser:
                     help="vertex list file, or 'all'")
     fw.add_argument("-r", "--radius", type=int, required=True)
     fw.add_argument("-m", "--target", type=int, required=True)
-    fw.add_argument("--max-samples", type=int, default=8)
-    fw.add_argument("--max-rounds", type=int, default=8)
-    fw.add_argument("--max-pattern-length", type=int, default=4)
-    fw.add_argument("--window", type=int, default=48)
+    fw.add_argument("--max-samples", type=int,
+                    default=SampleBudget.max_samples)
+    fw.add_argument("--max-pattern-length", type=int,
+                    default=SampleBudget.max_pattern_length)
+    fw.add_argument("--window", type=int, default=SampleBudget.window)
     fw.add_argument("-o", "--output")
     fw.set_defaults(run=_cmd_flip_widen)
 
@@ -287,7 +284,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("-m", "--target", type=int, required=True)
     ex.add_argument("--seq", required=True,
                     help="vertex list file, or 'all'")
-    ex.add_argument("--window", type=int, default=48)
+    ex.add_argument("--window", type=int, default=ExtractionConfig.window)
     ex.add_argument("-o", "--output")
     ex.set_defaults(run=_cmd_extract)
 

@@ -44,19 +44,21 @@ class Counterexample:
     false_tuple: tuple[int, ...]
 
 
+DEFAULT_WINDOW = 48
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
+    """The settings of ``extract_indiscernible``: the shortest result
+    accepted, and how many leading items a refinement may keep (None for
+    all of them)."""
+
     target_length: int
-    max_pattern_length: int = 4
-    pattern_cap: int = 100_000
-    window: int | None = 48
+    window: int | None = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.target_length < 1:
             raise InputError(f"target length must be >= 1, got {self.target_length}")
-        if self.max_pattern_length < 1:
-            raise InputError(
-                f"max pattern length must be >= 1, got {self.max_pattern_length}")
         if self.window is not None and self.window < 1:
             raise InputError(f"window must be >= 1 or None, got {self.window}")
 
@@ -270,33 +272,13 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
         prev = p
 
 
-def _scan(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-          items: Seq[int], alive0: int, rows: dict,
-          ) -> tuple[bool, tuple[int, ...] | None]:
-    """Truth of the first tuple, plus one tuple with the other truth if any.
-
-    Requires len(items) >= len(entries). Returned tuples contain sequence
-    items, not positions. ``rows`` is the per-entry cache of
-    ``_entry_rows`` for these items.
-    """
-    got = _entry_rows(ctx, phi, entries, items, rows)
-    masks = [m for m, _ in got]
-    t0 = _first_truth(masks, alive0)
-    if t0:
-        bad = _find_false_tuple(masks, alive0, [c for _, c in got])
-    else:
-        bad = _find_true_tuple(masks, alive0)
-    if bad is None:
-        return t0, None
-    return t0, tuple(items[idx] for idx in bad)
-
-
 def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
             items: Seq[int], alive0: int, rows: dict) -> tuple[bool, bool]:
     """Truth of the first tuple, and whether every increasing tuple has
-    that truth: the decision half of ``_scan``, which builds no tuple.
+    that truth, without building a tuple.
 
-    Same requirements and ``rows`` cache as ``_scan``.
+    Requires len(items) >= len(entries). ``rows`` is the per-entry cache
+    of ``_entry_rows`` for these items.
     """
     got = _entry_rows(ctx, phi, entries, items, rows)
     masks = [m for m, _ in got]
@@ -322,9 +304,16 @@ def is_delta_indiscernible(
         depth = len(pattern)
         if len(items) < depth:
             continue
-        t0, other = _scan(ctx, phi, pattern.entries, items, full, rows)
-        if other is None:
+        t0, constant = _decide(ctx, phi, pattern.entries, items, full, rows)
+        if constant:
             continue
+        got = _entry_rows(ctx, phi, pattern.entries, items, rows)
+        masks = [m for m, _ in got]
+        if t0:
+            bad = _find_false_tuple(masks, full, [c for _, c in got])
+        else:
+            bad = _find_true_tuple(masks, full)
+        other = tuple(items[idx] for idx in bad)
         head = tuple(items[:depth])
         if t0:
             return False, Counterexample(pattern, head, other)

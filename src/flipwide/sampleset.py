@@ -35,7 +35,7 @@ from .graphcore import (
     mask_of,
     phi_equivalent_over,
 )
-from .indiscernibles import ExtractionConfig, extract_indiscernible
+from .indiscernibles import DEFAULT_WINDOW, ExtractionConfig, extract_indiscernible
 
 _NOT_NIP = "class likely not monadically NIP at these budgets"
 
@@ -58,13 +58,21 @@ class DisjointFamilyInput:
 
 @dataclass(frozen=True)
 class SampleBudget:
+    """The settings of ``build_sample_set``: at most ``max_samples``
+    samples, type patterns of length 1..``max_pattern_length`` for the
+    indiscernibility check, and the extraction ``window`` (None for no
+    crop)."""
+
     max_samples: int = 8
-    max_rounds: int = 8
+    max_pattern_length: int = 4
+    window: int | None = DEFAULT_WINDOW
 
     def __post_init__(self):
-        for name in ("max_samples", "max_rounds"):
+        for name in ("max_samples", "max_pattern_length"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
+        if self.window is not None and self.window < 1:
+            raise InputError(f"window must be >= 1 or None, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -245,19 +253,23 @@ def build_sample_set(
     g: Graph,
     inp: DisjointFamilyInput,
     budget: SampleBudget = SampleBudget(),
-    cfg: ExtractionConfig | None = None,
 ) -> SampleSetResult:
     """The construction loop: mark samples, re-extract, test, grow.
 
     Each round marks the current samples as constants, extracts an
     indiscernible subsequence of the survivors under the equivalence
-    formulas, and stops once every vertex of the graph decomposes. A
-    failing round adds the lowest unmarked vertex that is inequivalent
-    to every sample over all but at most two surviving balls, then drops
-    those outlier balls plus the ball holding the new sample.
+    formulas (extraction target 1, ``budget.window`` crop, type patterns
+    up to ``budget.max_pattern_length``), and stops once every vertex of
+    the graph decomposes. A failing round adds the lowest unmarked vertex
+    that is inequivalent to every sample over all but at most two
+    surviving balls, then drops those outlier balls plus the ball holding
+    the new sample. Every round returns, raises or adds a sample, so
+    ``budget.max_samples`` bounds the rounds.
 
     Budget exhaustion raises with the partial (samples, survivors) state;
-    at that point the input sequence behaves like a non-NIP family.
+    at that point the input sequence behaves like a non-NIP family. So
+    does a pattern count above ``enumerate_type_patterns``' cap, which
+    with the default pattern length 4 stops a build at its 5th sample.
     """
     for c in inp.centers:
         g.check_vertex(c)
@@ -267,19 +279,18 @@ def build_sample_set(
     if not inp.centers:
         return SampleSetResult((), (), (0,) * n, (None,) * n, (None,) * n,
                                inp.mode)
-    if cfg is None:
-        cfg = ExtractionConfig(target_length=1)
+    cfg = ExtractionConfig(target_length=1, window=budget.window)
 
     full = g.full_mask()
     samples: list[int] = []
     survivors = list(inp.centers)
-    for _ in range(budget.max_rounds):
-        if samples and len(survivors) >= cfg.target_length:
+    while True:
+        if samples and survivors:
             ctx = EvalContext(g, tuple(samples), inp.half_radius,
                               balls=ball_of)
             phi = tuple(eq_atom(j) for j in range(len(samples)))
-            patterns = enumerate_type_patterns(
-                len(samples), cfg.max_pattern_length, cfg.pattern_cap)
+            patterns = enumerate_type_patterns(len(samples),
+                                               budget.max_pattern_length)
             try:
                 survivors = extract_indiscernible(ctx, phi, patterns,
                                                   survivors, cfg)
@@ -314,9 +325,6 @@ def build_sample_set(
         drop.update(i for i, ball in enumerate(balls) if ball >> pick & 1)
         survivors = [c for i, c in enumerate(survivors) if i not in drop]
         samples.append(pick)
-    raise BudgetExceeded(
-        f"round budget of {budget.max_rounds} exhausted",
-        partial=(tuple(samples), tuple(survivors)), diagnostic=_NOT_NIP)
 
 
 def _assemble(g, inp, samples, survivors, balls, certs) -> SampleSetResult:

@@ -13,9 +13,9 @@ at two levels disappears from the final set without changing the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, InputError, InternalInvariantError
+from .errors import BudgetExceeded, InputError, InternalInvariantError, ModeError
 from .graphcore import (
     Flip,
     FlipSet,
@@ -27,7 +27,6 @@ from .graphcore import (
     is_distance_r_independent,
     iter_bits,
 )
-from .indiscernibles import ExtractionConfig
 from .sampleset import DisjointFamilyInput, SampleBudget, build_sample_set
 
 
@@ -47,7 +46,6 @@ class FlipWideRequest:
     radius: int
     target_size: int
     budget: SampleBudget = field(default_factory=SampleBudget)
-    extraction: ExtractionConfig | None = None
 
     def __post_init__(self):
         if self.radius < 0:
@@ -152,32 +150,31 @@ def _xor_accumulate(acc: list[Flip], fresh: list[Flip]) -> None:
 def flip_widen(req: FlipWideRequest) -> FlipWideResult:
     """Grow flips level by level until a_set spreads to distance > radius.
 
-    The per-level sample sets are built in stable mode with extraction
-    target 1, so the construction never depends on the requested target
-    size; a final set smaller than it only raises the shortfall flag.
-    Every level re-checks independence of the survivors in the flipped
-    graph before moving on.
+    The per-level sample sets are built in stable mode under
+    ``req.budget``, whose extraction target is always 1, so the
+    construction never depends on the requested target size; a final set
+    smaller than it only raises the shortfall flag. Every level re-checks
+    independence of the survivors in the flipped graph before moving on.
+    Budget and mode errors name the level they came from.
     """
     g_cur = req.graph
     current = tuple(req.a_set)
     acc: list[Flip] = []
     trace: list[LevelTrace] = [LevelTrace(0, "base", (), (), current)]
-    if req.extraction is None:
-        ext = ExtractionConfig(target_length=1)
-    else:
-        ext = replace(req.extraction, target_length=1)
 
     for level in range(req.radius):
         i = level // 2
         inp = DisjointFamilyInput(current, i, "stable")
         try:
-            built = build_sample_set(g_cur, inp, req.budget, ext)
+            built = build_sample_set(g_cur, inp, req.budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 f"level {level}: {exc}",
                 partial={"level": level, "flips": tuple(acc),
                          "trace": tuple(trace), "build": exc.partial},
                 diagnostic=exc.diagnostic) from exc
+        except ModeError as exc:
+            raise ModeError(f"level {level}: {exc}") from exc
         nxt = built.subseq
         if level % 2 == 0:
             fresh = _even_level_flips(g_cur, nxt, built.samples, built.s_lt, i)

@@ -139,7 +139,7 @@ def test_criterion_02_extraction_soundness():
                 ctx = EvalContext(g, (0, 1), 1)
                 phi = (eq_atom(0), eq_atom(1))
             patterns = enumerate_type_patterns(len(phi), 3)
-            cfg = ExtractionConfig(target_length=12, max_pattern_length=3)
+            cfg = ExtractionConfig(target_length=12)
             try:
                 out = extract_indiscernible(
                     ctx, phi, patterns, tuple(range(g.n)), cfg)
@@ -203,14 +203,14 @@ def test_criterion_04_stable_neighborhoods_and_decomposition():
 
 
 def test_criterion_05_sample_set_certification():
-    # three disjoint families build within max 8 samples / 8 rounds,
+    # three disjoint families build within max 8 samples,
     # verify cleanly, and obey the containment rule at every vertex
     cases = [
         (star_forest(10, 8), tuple(range(10)), 1),
         (edgeless(50), tuple(range(50)), 0),
         (clique(30), tuple(range(30)), 0),
     ]
-    budget = SampleBudget(max_samples=8, max_rounds=8)
+    budget = SampleBudget(max_samples=8)
     for g, centers, hr in cases:
         inp = DisjointFamilyInput(centers, hr)
         res = build_sample_set(g, inp, budget)

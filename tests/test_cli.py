@@ -17,10 +17,17 @@ from pathlib import Path
 import pytest
 
 import flipwide
-from flipwide import apply_flips
-from flipwide.cli import main
+from flipwide import (
+    BudgetExceeded,
+    FlipWideRequest,
+    SampleBudget,
+    apply_flips,
+    flip_widen,
+)
+from flipwide.cli import _result_json, main
 from flipwide.generators import (
     clique,
+    complement,
     half_graph,
     matching,
     path,
@@ -137,6 +144,51 @@ def test_flip_widen_a_set_file(graph_file, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc["b_set"]) <= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("g,r,flag,budget", [
+    (complement(path(40)), 3, ["--max-pattern-length", "2"],
+     SampleBudget(max_pattern_length=2)),
+    (matching(40), 1, ["--window", "10"], SampleBudget(window=10)),
+], ids=["max-pattern-length", "window"])
+def test_flip_widen_budget_flags(graph_file, capsys, g, r, flag, budget):
+    argv = ["flip-widen", "-g", graph_file(g), "-A", "all", "-r", str(r),
+            "-m", "1"]
+    code, out, _ = run(argv + flag, capsys)
+    assert code == 0
+    res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1, budget))
+    assert json.loads(out) == _result_json(res)
+    assert out != run(argv, capsys)[1]
+
+
+def test_flip_widen_max_samples_flag(graph_file, capsys):
+    g = clique(50)
+    argv = ["flip-widen", "-g", graph_file(g), "-A", "all", "-r", "2",
+            "-m", "1"]
+    assert run(argv, capsys)[0] == 0
+    code, out, err = run(argv + ["--max-samples", "1"], capsys)
+    with pytest.raises(BudgetExceeded) as exc:
+        flip_widen(FlipWideRequest(g, tuple(range(g.n)), 2, 1,
+                                   SampleBudget(max_samples=1)))
+    assert code == 3 and out == ""
+    assert err.splitlines()[0] == f"budget: {exc.value}"
+    assert str(exc.value) == "level 1: sample budget of 1 exhausted"
+
+
+def test_flip_widen_max_rounds_is_gone(graph_file, capsys):
+    code, out, err = run(
+        ["flip-widen", "-g", graph_file(clique(10)), "-A", "all", "-r", "1",
+         "-m", "1", "--max-rounds", "8"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--max-rounds" in err
+
+
+def test_flip_widen_mode_error_names_level(graph_file, capsys):
+    code, out, err = run(
+        ["flip-widen", "-g", graph_file(half_graph(20)), "-A", "all",
+         "-r", "1", "-m", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("verification: level 0:")
 
 
 # ----------------------------------------------------------------- verify

@@ -160,7 +160,7 @@ def test_single_type_patterns_generate_all_combinations(g, constants, k):
     ctx = EvalContext(g, constants, 1)
     phi = (edge_atom(),) + tuple(eq_atom(i) for i in range(len(constants)))
     gens = enumerate_type_patterns(len(phi), k)
-    cfg = ExtractionConfig(target_length=3, max_pattern_length=k, window=None)
+    cfg = ExtractionConfig(target_length=3, window=None)
     seq = extract_indiscernible(ctx, phi, gens, list(range(g.n)), cfg)
     ok, _ = is_delta_indiscernible(ctx, phi, gens, seq)
     assert ok
@@ -181,7 +181,7 @@ def test_generation_claim_on_random_graphs(bits, radius):
     ctx = EvalContext(g, (0,), radius)
     phi = (edge_atom(), eq_atom(0))
     gens = enumerate_type_patterns(2, 2)
-    cfg = ExtractionConfig(target_length=1, max_pattern_length=2, window=None)
+    cfg = ExtractionConfig(target_length=1, window=None)
     seq = extract_indiscernible(ctx, phi, gens, list(range(6)), cfg)
     entries = _nonempty_entry_sets(all_phi_types(2))
     for combo in product(entries, repeat=2):

@@ -57,7 +57,7 @@ def test_matching_whole_vertex_set_is_indiscernible():
     ctx = edge_ctx(matching(40))
     out = extract_indiscernible(
         ctx, EDGE, PATS3, list(range(80)),
-        ExtractionConfig(target_length=8, max_pattern_length=3))
+        ExtractionConfig(target_length=8))
     assert out == list(range(80))
 
 
@@ -83,7 +83,7 @@ def test_half_graph_extraction_keeps_one_side():
     ctx = edge_ctx(half_graph(10))
     out = extract_indiscernible(
         ctx, EDGE, PATS3, list(range(20)),
-        ExtractionConfig(target_length=4, max_pattern_length=3))
+        ExtractionConfig(target_length=4))
     assert out == list(range(10, 20))
     ok, _ = is_delta_indiscernible(ctx, EDGE, PATS3, out)
     assert ok
@@ -93,7 +93,7 @@ def test_path_extraction_frozen():
     ctx = edge_ctx(path(20))
     out = extract_indiscernible(
         ctx, EDGE, PATS3, list(range(20)),
-        ExtractionConfig(target_length=4, max_pattern_length=3))
+        ExtractionConfig(target_length=4))
     assert out == [0, 1, 4, 5, 8, 9, 12, 13, 16, 19]
     ok, _ = is_delta_indiscernible(ctx, EDGE, PATS3, out)
     assert ok
@@ -105,7 +105,7 @@ def test_shortfall_payload():
     with pytest.raises(ExtractionShortfall) as info:
         extract_indiscernible(
             ctx, EDGE, PATS3, list(range(g.n)),
-            ExtractionConfig(target_length=30, max_pattern_length=3))
+            ExtractionConfig(target_length=30))
     err = info.value
     assert len(err.achieved) == 18
     assert err.blocking_pattern == type_pattern([(True,), (True,)])
@@ -121,7 +121,7 @@ def test_extraction_output_is_ordered_subsequence():
     try:
         out = extract_indiscernible(
             ctx, EDGE, PATS3, items,
-            ExtractionConfig(target_length=2, max_pattern_length=3))
+            ExtractionConfig(target_length=2))
     except ExtractionShortfall as err:
         out = err.achieved
     it = iter(items)
@@ -133,7 +133,7 @@ def test_extraction_output_is_ordered_subsequence():
 def test_extraction_is_deterministic():
     g = random_bounded_degree(36, 3, 2)
     ctx = edge_ctx(g)
-    cfg = ExtractionConfig(target_length=2, max_pattern_length=3)
+    cfg = ExtractionConfig(target_length=2)
     a = extract_indiscernible(ctx, EDGE, PATS3, list(range(36)), cfg)
     b = extract_indiscernible(ctx, EDGE, PATS3, list(range(36)), cfg)
     assert a == b
@@ -143,7 +143,7 @@ def test_window_crops_before_refining():
     # refinement may only ever touch the first `window` items
     g = path(30)
     ctx = edge_ctx(g)
-    cfg = ExtractionConfig(target_length=2, max_pattern_length=3, window=10)
+    cfg = ExtractionConfig(target_length=2, window=10)
     out = extract_indiscernible(ctx, EDGE, PATS3, list(range(30)), cfg)
     assert set(out) <= set(range(10))
 
@@ -223,7 +223,8 @@ def _first_true_by_witness_walk(masks, alive0):
 
 def test_tuple_searches_match_enumeration():
     # rows come from a small pool, so one row may sit at several entries,
-    # and each row's kill cache is shared by two searches, as in _scan
+    # and each row's kill cache is shared by two searches, as in
+    # is_delta_indiscernible
     rng = random.Random(20221)
     outcomes = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
     for _ in range(3000):

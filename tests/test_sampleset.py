@@ -257,8 +257,10 @@ def test_input_validation():
         build_sample_set(g, DisjointFamilyInput((0, 99), 0))
     with pytest.raises(InputError, match="max_samples"):
         SampleBudget(max_samples=0)
-    with pytest.raises(InputError, match="max_rounds"):
-        SampleBudget(max_rounds=-3)
+    with pytest.raises(InputError, match="max_pattern_length"):
+        SampleBudget(max_pattern_length=0)
+    with pytest.raises(InputError, match="window"):
+        SampleBudget(window=0)
 
 
 def test_budget_exhaustion_payloads():
@@ -270,11 +272,10 @@ def test_budget_exhaustion_payloads():
     assert exc.value.partial == ((0,), (1, 2, 3, 4, 5))
     assert "monadically NIP" in exc.value.diagnostic
 
-    with pytest.raises(BudgetExceeded) as exc:
-        build_sample_set(g, inp, SampleBudget(max_rounds=1))
-    assert "round budget of 1" in str(exc.value)
-    samples, survivors = exc.value.partial
-    assert samples == (0,) and survivors == tuple(range(1, 12))
+    # a budget of exactly the samples used changes nothing
+    res = build_sample_set(g, inp)
+    assert len(res.samples) == 2
+    assert build_sample_set(g, inp, SampleBudget(max_samples=2)) == res
 
 
 # ---------------------------------------------------------- verification

@@ -10,9 +10,9 @@ import pytest
 
 from flipwide import (
     BudgetExceeded,
-    ExtractionConfig,
     FlipWideRequest,
     InputError,
+    ModeError,
     SampleBudget,
     flip_widen,
     verify_flip_wide,
@@ -97,14 +97,6 @@ def test_flip_count_plateau():
             assert flips[4] == flips[8] == flips[16]
 
 
-def test_extraction_target_is_overridden():
-    g = complement(path(40))
-    base = widen(g, 2)
-    tuned = widen(g, 2, extraction=ExtractionConfig(target_length=30))
-    assert tuned.flip_set == base.flip_set
-    assert tuned.b_set == base.b_set
-
-
 def test_trace_shape():
     g = complement(path(40))
     res = widen(g, 4)
@@ -173,6 +165,12 @@ def test_budget_error_carries_level_state():
     partial = exc.value.partial
     assert partial["level"] == 0 and partial["flips"] == ()
     assert partial["build"] == ((0,), (1, 2, 3, 4, 5))
+
+
+def test_mode_error_names_level():
+    g = half_graph(20)
+    with pytest.raises(ModeError, match="^level 0: vertex 22 has no single"):
+        flip_widen(FlipWideRequest(g, tuple(range(g.n)), 1, 4))
 
 
 def test_xor_accumulate():
