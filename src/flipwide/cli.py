@@ -145,8 +145,7 @@ def _cmd_generate(args) -> int:
 def _cmd_flip_widen(args) -> int:
     g = _read_graph(args.graph)
     a_set = _read_vertices(args.a_set, g)
-    budget = SampleBudget(max_samples=args.max_samples,
-                          max_pattern_length=args.max_pattern_length,
+    budget = SampleBudget(max_pattern_length=args.max_pattern_length,
                           window=args.window)
     req = FlipWideRequest(g, a_set, args.radius, args.target, budget)
     res = flip_widen(req)
@@ -167,7 +166,10 @@ def _cmd_extract(args) -> int:
     else:
         if not args.constants:
             raise InputError("--phi eq requires --constants")
-        constants = tuple(int(c) for c in args.constants.split(","))
+        try:
+            constants = tuple(int(c) for c in args.constants.split(","))
+        except ValueError as exc:
+            raise InputError(f"--constants: {exc}") from None
         phi = tuple(eq_atom(i) for i in range(len(constants)))
     ctx = EvalContext(g, constants, args.alpha)
     patterns = enumerate_type_patterns(len(phi), args.k)
@@ -264,8 +266,6 @@ def _build_parser() -> _Parser:
                     help="vertex list file, or 'all'")
     fw.add_argument("-r", "--radius", type=int, required=True)
     fw.add_argument("-m", "--target", type=int, required=True)
-    fw.add_argument("--max-samples", type=int,
-                    default=SampleBudget.max_samples)
     fw.add_argument("--max-pattern-length", type=int,
                     default=SampleBudget.max_pattern_length)
     fw.add_argument("--window", type=int, default=SampleBudget.window)

@@ -249,24 +249,28 @@ def eval_gamma(ctx: EvalContext, phi: tuple[Atom, ...], pattern: Pattern,
     return True, (m & -m).bit_length() - 1
 
 
-def enumerate_type_patterns(phi_count: int, k: int,
-                            cap: int = 100_000) -> list[Pattern]:
+PATTERN_CAP = 100_000
+
+
+def enumerate_type_patterns(phi_count: int, k: int) -> list[Pattern]:
     """All patterns of length 1..k with single-type entries.
 
     These generate indiscernibility for arbitrary boolean-combination
     patterns: types partition witnesses, so the existential over a
     combination entry is the OR over its type choices. Count is
-    sum over l of (2^phi_count)^l; exceeding ``cap`` raises.
+    sum over l of (2^phi_count)^l; a count above ``PATTERN_CAP`` raises
+    before any type or pattern is built (at k = 4: from phi_count 5 on).
     """
     if k < 1:
         raise InputError(f"max pattern length must be >= 1, got {k}")
+    total = 0
+    for length in range(1, k + 1):
+        total += 2 ** (phi_count * length)
+        if total > PATTERN_CAP:
+            raise BudgetExceeded(
+                f"type patterns over {phi_count} formulas up to length {k} "
+                f"exceed the cap of {PATTERN_CAP}; lower k or |phi|")
     types = all_phi_types(phi_count)
-    t = len(types)
-    total = sum(t ** length for length in range(1, k + 1))
-    if total > cap:
-        raise BudgetExceeded(
-            f"{total} type patterns exceed the cap of {cap}; "
-            f"lower k or |phi|")
     out = []
     for length in range(1, k + 1):
         for combo in product(types, repeat=length):

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, ExtractionShortfall, InputError, ModeError
-from .formulas import EvalContext, enumerate_type_patterns, eq_atom
+from .errors import BudgetExceeded, InputError, ModeError
+from .formulas import PATTERN_CAP, EvalContext, enumerate_type_patterns, eq_atom
 from .graphcore import (
     Graph,
     ball_mask,
@@ -58,19 +58,17 @@ class DisjointFamilyInput:
 
 @dataclass(frozen=True)
 class SampleBudget:
-    """The settings of ``build_sample_set``: at most ``max_samples``
-    samples, type patterns of length 1..``max_pattern_length`` for the
-    indiscernibility check, and the extraction ``window`` (None for no
-    crop)."""
+    """The settings of ``build_sample_set``: type patterns of length
+    1..``max_pattern_length`` for the indiscernibility check, and the
+    extraction ``window`` (None for no crop). ``PATTERN_CAP`` bounds the
+    number of samples: at most 4 when the pattern length is 4."""
 
-    max_samples: int = 8
     max_pattern_length: int = 4
     window: int | None = DEFAULT_WINDOW
 
     def __post_init__(self):
-        for name in ("max_samples", "max_pattern_length"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be positive")
+        if self.max_pattern_length < 1:
+            raise InputError("max_pattern_length must be positive")
         if self.window is not None and self.window < 1:
             raise InputError(f"window must be >= 1 or None, got {self.window}")
 
@@ -263,13 +261,13 @@ def build_sample_set(
     the graph decomposes. A failing round adds the lowest unmarked vertex
     that is inequivalent to every sample over all but at most two
     surviving balls, then drops those outlier balls plus the ball holding
-    the new sample. Every round returns, raises or adds a sample, so
-    ``budget.max_samples`` bounds the rounds.
+    the new sample. Every round returns, raises or adds a sample, and
+    the samples are the formulas of the patterns, so ``PATTERN_CAP``
+    bounds the rounds: at pattern length 4 a build stops at its 5th sample.
 
-    Budget exhaustion raises with the partial (samples, survivors) state;
-    at that point the input sequence behaves like a non-NIP family. So
-    does a pattern count above ``enumerate_type_patterns``' cap, which
-    with the default pattern length 4 stops a build at its 5th sample.
+    Both stops, no candidate sample and too many patterns, raise with the
+    partial (samples, survivors) state; at that point the input sequence
+    behaves like a non-NIP family.
     """
     for c in inp.centers:
         g.check_vertex(c)
@@ -289,16 +287,18 @@ def build_sample_set(
             ctx = EvalContext(g, tuple(samples), inp.half_radius,
                               balls=ball_of)
             phi = tuple(eq_atom(j) for j in range(len(samples)))
-            patterns = enumerate_type_patterns(len(samples),
-                                               budget.max_pattern_length)
             try:
-                survivors = extract_indiscernible(ctx, phi, patterns,
-                                                  survivors, cfg)
-            except ExtractionShortfall as exc:
+                patterns = enumerate_type_patterns(len(samples),
+                                                   budget.max_pattern_length)
+            except BudgetExceeded as exc:
                 raise BudgetExceeded(
-                    f"extraction stalled at length {len(exc.achieved)}",
-                    partial=(tuple(samples), tuple(exc.achieved)),
+                    f"type patterns over {len(samples)} samples up to length "
+                    f"{budget.max_pattern_length} exceed the cap of "
+                    f"{PATTERN_CAP}",
+                    partial=(tuple(samples), tuple(survivors)),
                     diagnostic=_NOT_NIP) from exc
+            survivors = extract_indiscernible(ctx, phi, patterns, survivors,
+                                              cfg)
 
         # Termination is tested before any length floor: with zero or one
         # surviving ball every vertex decomposes, so a heavily pruned
@@ -315,11 +315,6 @@ def build_sample_set(
             raise BudgetExceeded(
                 "no vertex is inequivalent to the samples over all but two "
                 "balls", partial=(tuple(samples), tuple(survivors)),
-                diagnostic=_NOT_NIP)
-        if len(samples) + 1 > budget.max_samples:
-            raise BudgetExceeded(
-                f"sample budget of {budget.max_samples} exhausted",
-                partial=(tuple(samples), tuple(survivors)),
                 diagnostic=_NOT_NIP)
         drop = set(outliers)
         drop.update(i for i, ball in enumerate(balls) if ball >> pick & 1)

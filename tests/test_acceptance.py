@@ -210,10 +210,11 @@ def test_criterion_05_sample_set_certification():
         (edgeless(50), tuple(range(50)), 0),
         (clique(30), tuple(range(30)), 0),
     ]
-    budget = SampleBudget(max_samples=8)
+    budget = SampleBudget()
     for g, centers, hr in cases:
         inp = DisjointFamilyInput(centers, hr)
         res = build_sample_set(g, inp, budget)
+        assert len(res.samples) <= 8
         ok, why = verify_sample_set(g, inp, res)
         assert ok, why
         balls = [ball_mask(g, c, hr) for c in res.subseq]

@@ -161,26 +161,51 @@ def test_flip_widen_budget_flags(graph_file, capsys, g, r, flag, budget):
     assert out != run(argv, capsys)[1]
 
 
-def test_flip_widen_max_samples_flag(graph_file, capsys):
-    g = clique(50)
+def test_flip_widen_pattern_cap_stop(graph_file, capsys):
+    g = complement(path(40))
     argv = ["flip-widen", "-g", graph_file(g), "-A", "all", "-r", "2",
-            "-m", "1"]
-    assert run(argv, capsys)[0] == 0
-    code, out, err = run(argv + ["--max-samples", "1"], capsys)
+            "-m", "1", "--max-pattern-length", "9"]
+    code, out, err = run(argv, capsys)
     with pytest.raises(BudgetExceeded) as exc:
         flip_widen(FlipWideRequest(g, tuple(range(g.n)), 2, 1,
-                                   SampleBudget(max_samples=1)))
+                                   SampleBudget(max_pattern_length=9)))
     assert code == 3 and out == ""
-    assert err.splitlines()[0] == f"budget: {exc.value}"
-    assert str(exc.value) == "level 1: sample budget of 1 exhausted"
+    lines = err.splitlines()
+    assert lines[0] == f"budget: {exc.value}"
+    assert lines[0].startswith("budget: level 1: ")
+    assert lines[1] == f"diagnostic: {exc.value.diagnostic}"
 
 
 def test_flip_widen_max_rounds_is_gone(graph_file, capsys):
+    for flag in ("--max-rounds", "--max-samples"):
+        code, out, err = run(
+            ["flip-widen", "-g", graph_file(clique(10)), "-A", "all",
+             "-r", "1", "-m", "1", flag, "8"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("constants", ["a,b", "1,,2"])
+def test_extract_malformed_constants(graph_file, capsys, constants):
     code, out, err = run(
-        ["flip-widen", "-g", graph_file(clique(10)), "-A", "all", "-r", "1",
-         "-m", "1", "--max-rounds", "8"], capsys)
+        ["extract", "-g", graph_file(path(6)), "--phi", "eq",
+         "--constants", constants, "-m", "1", "--seq", "all"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "--max-rounds" in err
+    assert err.startswith("error:") and "--constants" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--k", "100000"],
+                                   ["--phi", "eq", "--constants",
+                                    ",".join(["1"] * 40)]],
+                         ids=["k", "constants"])
+def test_extract_pattern_cap_stop(graph_file, capsys, flags):
+    code, out, err = run(
+        ["extract", "-g", graph_file(path(6)), "-m", "1", "--seq", "all"]
+        + flags, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("budget: type patterns over")
+    assert "Traceback" not in err
 
 
 def test_flip_widen_mode_error_names_level(graph_file, capsys):

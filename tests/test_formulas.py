@@ -138,7 +138,15 @@ def test_enumerate_type_patterns_counts_and_cap():
     assert all(len(e) == 1 for p in pats for e in p.entries)
     assert len(enumerate_type_patterns(2, 2)) == 4 + 16
     with pytest.raises(BudgetExceeded):
-        enumerate_type_patterns(3, 4, cap=1000)
+        enumerate_type_patterns(5, 4)
+
+
+def test_pattern_cap_stops_before_counting_in_full():
+    # neither 2**100000-sized counts nor 2**40 types are ever built
+    for phi_count, k in ((1, 100_000), (40, 1), (100_000, 100_000)):
+        with pytest.raises(BudgetExceeded, match="exceed the cap of 100000"):
+            enumerate_type_patterns(phi_count, k)
+    assert len(enumerate_type_patterns(4, 4)) == 16 + 16**2 + 16**3 + 16**4
 
 
 def _nonempty_entry_sets(types):

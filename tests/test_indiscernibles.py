@@ -22,6 +22,7 @@ from flipwide import (
 )
 from flipwide.generators import (
     clique,
+    complement,
     half_graph,
     matching,
     path,
@@ -284,6 +285,31 @@ def test_indiscernibility_matches_brute_force(seed, n, d, use_eq, data):
         for tup, truth in ((cex.true_tuple, True), (cex.false_tuple, False)):
             assert list(tup) == [y for y in items if y in tup]
             assert eval_gamma(ctx, phi, blocking, tup)[0] is truth
+
+
+@given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 4),
+       st.booleans(), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_target_one_never_falls_short(seed, n, d, use_eq, k, data):
+    # every refinement keeps at least one item, so a target of 1 on a
+    # non-empty sequence always holds; the sample-set build relies on it
+    g = random_bounded_degree(n, d, seed)
+    if data.draw(st.booleans()):
+        g = complement(g)
+    if use_eq:
+        ctx = EvalContext(g, (0, n - 1), ball_radius=1)
+        phi = (eq_atom(0), eq_atom(1))
+    else:
+        ctx = edge_ctx(g)
+        phi = EDGE
+    items = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                               min_size=1, max_size=n))
+    window = data.draw(st.sampled_from([48, None]) | st.integers(1, n))
+    cfg = ExtractionConfig(target_length=1, window=window)
+    out = extract_indiscernible(ctx, phi, enumerate_type_patterns(len(phi), k),
+                                items, cfg)
+    assert len(out) >= 1
+    assert out == [y for y in items if y in out]
 
 
 def test_constancy_past_the_enumeration_cliff():

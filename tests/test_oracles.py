@@ -25,16 +25,22 @@ from flipwide import (
     pairing_index_witness,
     shattering_witness,
 )
+from flipwide.formulas import enumerate_type_patterns
 from flipwide.generators import (
     clique,
     complement,
+    edgeless,
+    grid,
     half_graph,
     matching,
+    path,
     random_bounded_degree,
     shatter_gadget,
+    star_forest,
     subdivided_clique,
 )
 from flipwide.graphcore import Graph
+from flipwide.indiscernibles import ExtractionConfig, extract_indiscernible
 
 
 # ------------------------------------------------------------------ ranks
@@ -78,6 +84,46 @@ def test_rank_edge_cases():
     assert exception_rank(g, ()) == (0, None)
     with pytest.raises(InputError):
         alternation_rank(g, (99,))
+
+
+def extracted(g, k):
+    """What the extraction keeps of the whole vertex order under the edge
+    formula, patterns up to length k, no window."""
+    return extract_indiscernible(
+        EvalContext(g), (edge_atom(),), enumerate_type_patterns(1, k),
+        list(range(g.n)), ExtractionConfig(target_length=1, window=None))
+
+
+STABLE_FAMILIES = {
+    "path60": lambda: path(60),
+    "grid8x8": lambda: grid(8, 8),
+    "rbd80": lambda: random_bounded_degree(80, 3, 1),
+    "clique40": lambda: clique(40),
+    "edgeless40": lambda: edgeless(40),
+    "matching30": lambda: matching(30),
+    "star8x4": lambda: star_forest(8, 4),
+    "co_path60": lambda: complement(path(60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_FAMILIES))
+def test_extracted_sequences_of_stable_families(name):
+    # first theorem: an indiscernible sequence in a monadically NIP class
+    # has alternation rank at most 2; in a stable class every vertex is
+    # adjacent to all but at most one element, or to at most one
+    g = STABLE_FAMILIES[name]()
+    for k in (2, 3, 4):
+        seq = extracted(g, k)
+        assert alternation_rank(g, seq)[0] <= 2, (name, k)
+        assert exception_rank(g, seq)[0] <= 1, (name, k)
+
+
+def test_extracted_half_graph_sequence_is_nip_not_stable():
+    g = half_graph(30)
+    for k in (2, 3, 4):
+        seq = extracted(g, k)
+        assert alternation_rank(g, seq)[0] <= 2
+        assert exception_rank(g, seq)[0] > 1
 
 
 # --------------------------------------------------------- decompositions

@@ -255,8 +255,6 @@ def test_input_validation():
         DisjointFamilyInput((0,), -1)
     with pytest.raises(InputError):
         build_sample_set(g, DisjointFamilyInput((0, 99), 0))
-    with pytest.raises(InputError, match="max_samples"):
-        SampleBudget(max_samples=0)
     with pytest.raises(InputError, match="max_pattern_length"):
         SampleBudget(max_pattern_length=0)
     with pytest.raises(InputError, match="window"):
@@ -266,16 +264,13 @@ def test_input_validation():
 def test_budget_exhaustion_payloads():
     g = half_graph(6)
     inp = DisjointFamilyInput(tuple(range(12)), 0, "nip")
+    # the pattern cap stops the build with the state it reached
     with pytest.raises(BudgetExceeded) as exc:
-        build_sample_set(g, inp, SampleBudget(max_samples=1))
-    assert "sample budget of 1" in str(exc.value)
-    assert exc.value.partial == ((0,), (1, 2, 3, 4, 5))
+        build_sample_set(g, inp, SampleBudget(max_pattern_length=9))
+    assert str(exc.value) == ("type patterns over 2 samples up to length 9 "
+                              "exceed the cap of 100000")
+    assert exc.value.partial == ((0, 9), (1, 2, 3))
     assert "monadically NIP" in exc.value.diagnostic
-
-    # a budget of exactly the samples used changes nothing
-    res = build_sample_set(g, inp)
-    assert len(res.samples) == 2
-    assert build_sample_set(g, inp, SampleBudget(max_samples=2)) == res
 
 
 # ---------------------------------------------------------- verification

@@ -156,15 +156,17 @@ def test_request_validation():
 
 
 def test_budget_error_carries_level_state():
-    g = half_graph(6)
-    req = FlipWideRequest(g, tuple(range(12)), 1, 4,
-                          budget=SampleBudget(max_samples=1))
+    g = complement(path(40))
+    req = FlipWideRequest(g, tuple(range(g.n)), 2, 1,
+                          budget=SampleBudget(max_pattern_length=9))
     with pytest.raises(BudgetExceeded) as exc:
         flip_widen(req)
-    assert str(exc.value).startswith("level 0:")
+    assert str(exc.value).startswith("level 1:")
     partial = exc.value.partial
-    assert partial["level"] == 0 and partial["flips"] == ()
-    assert partial["build"] == ((0,), (1, 2, 3, 4, 5))
+    assert partial["level"] == 1 and len(partial["trace"]) == 2
+    assert partial["build"] == ((0, 4), (7, 10, 13, 16, 19, 22, 25, 28,
+                                         31, 36))
+    assert "monadically NIP" in exc.value.diagnostic
 
 
 def test_mode_error_names_level():
