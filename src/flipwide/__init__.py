@@ -20,7 +20,6 @@ from .formulas import (
     entry_mask,
     eq_atom,
     eval_atom,
-    eval_eq_nbhd,
     eval_gamma,
     eval_type,
     type_pattern,

@@ -43,11 +43,29 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _source(path: str) -> str:
+    return "stdin" if path == "-" else path
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            # under a C locale stdin decodes with surrogateescape, which
+            # turns bytes that are not UTF-8 into lone surrogates
+            text.encode("utf-8")
+            return text
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeError:
+        raise InputError(f"{_source(path)} is not UTF-8 text") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError:
+        raise InputError(f"{_source(path)}: JSON nested too deeply") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -183,7 +201,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    doc = json.loads(_read_text(args.result))
+    doc = _read_json(args.result)
     if not isinstance(doc, dict) or "b_set" not in doc:
         raise InputError("result JSON must hold b_set and flips")
     flips = _parse_flips(doc)
@@ -243,7 +261,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_apply_flips(args) -> int:
     g = _read_graph(args.graph)
-    flips = _parse_flips(json.loads(_read_text(args.flips)))
+    flips = _parse_flips(_read_json(args.flips))
     _emit(format_edge_list(apply_flips(g, flips)), args.output, args.started)
     return 0
 

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InputError
-from .graphcore import Graph, ball_mask, eq_class_mask, phi_equivalent_over
+from .graphcore import Graph, ball_mask, eq_class_mask
 
 EDGE = "edge"
 DIST_LEQ = "dist_leq"
@@ -29,7 +29,7 @@ class Atom:
 
     kind "edge": adjacency. kind "dist_leq": dist(x, y) <= the context's
     ball radius. kind "eq_nbhd": x is edge-equivalent to constant
-    ``const`` over the ball of y (see eval_eq_nbhd).
+    ``const`` over the ball of y (see graphcore.phi_equivalent_over).
     """
 
     kind: str
@@ -139,18 +139,6 @@ class EvalContext:
         return got
 
 
-def eval_eq_nbhd(ctx: EvalContext, const_index: int, x: int, y: int) -> bool:
-    """x and the constant agree over the ball of y.
-
-    True iff x and constants[const_index] have the same membership status
-    in ball(y, ball_radius) and identical edge-neighborhoods inside it.
-    Row masks make each call O(n/wordsize).
-    """
-    c = ctx.constant(const_index)
-    ctx.graph.check_vertex(x)
-    return phi_equivalent_over(ctx.graph, x, c, ctx.ball(y))
-
-
 def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
     """Bitmask of all x with atom(x, y), cached per (atom, y).
 
@@ -172,8 +160,8 @@ def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
 
 
 def eval_atom(ctx: EvalContext, atom: Atom, x: int, y: int) -> bool:
-    if atom.kind == EQ_NBHD:
-        return eval_eq_nbhd(ctx, atom.const, x, y)
+    ctx.graph.check_vertex(x)
+    ctx.graph.check_vertex(y)
     return bool(atom_mask(ctx, atom, y) >> x & 1)
 
 

@@ -63,9 +63,12 @@ class ExtractionConfig:
             raise InputError(f"window must be >= 1 or None, got {self.window}")
 
 
-def _check_items(items: Seq[int]) -> None:
+def _check_items(ctx: EvalContext, items: Seq[int]) -> None:
     if len(set(items)) != len(items):
         raise InputError("sequence items must be pairwise distinct")
+    if items:
+        ctx.graph.check_vertex(min(items))
+        ctx.graph.check_vertex(max(items))
 
 
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
@@ -297,7 +300,7 @@ def is_delta_indiscernible(
     returned counterexample carries one true and one false tuple for the
     offending pattern.
     """
-    _check_items(items)
+    _check_items(ctx, items)
     full = ctx.graph.full_mask()
     rows: dict = {}
     for pattern in patterns:
@@ -328,7 +331,7 @@ def em_type(ctx: EvalContext, phi: tuple[Atom, ...], patterns: Seq[Pattern],
     Taking a subsequence never removes a pattern from the result, because
     the subsequence's tuples are a subset of the original's.
     """
-    _check_items(items)
+    _check_items(ctx, items)
     full = ctx.graph.full_mask()
     rows: dict = {}
     out = []
@@ -404,7 +407,7 @@ def extract_indiscernible(
     it falls short, the raised error carries the result and the pattern
     that first pushed it under the target.
     """
-    _check_items(items)
+    _check_items(ctx, items)
     if len(items) < cfg.target_length:
         raise InputError(
             f"input length {len(items)} is below the target "

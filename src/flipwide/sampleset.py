@@ -9,16 +9,18 @@ additionally requires a single sample covering both sides.
 Index convention: the exceptional index is 0-based; the sentinel value
 len(I) means no position is exceptional and one sample covers every ball.
 
-Each round works on one class table: for every surviving ball and sample,
-``graphcore.eq_class_mask`` gives the mask of all vertices equivalent to
-the sample over the ball, in O(|ball|) mask operations. Prefix and suffix
-intersections of that table yield every vertex's certificate at once,
-and saturating bitset counters pick the next sample. The center balls are
-computed once per build; survivors reuse them, and so does each round's
-``EvalContext`` for its equivalence formulas. ``decompose_exceptional``
-and ``phi_equivalent_over`` stay the per-vertex definitions, and
-``verify_sample_set`` uses only those, so the verifier does not depend on
-the kernel.
+Each round works on one class table: for every surviving ball and
+sample, the mask of all vertices equivalent to the sample over the ball.
+These are the eq-atom masks of the round's ``EvalContext``, which the
+extraction has already memoised; ``graphcore.eq_class_mask`` computes
+each in O(|ball|) mask operations. Prefix and suffix intersections of
+that table yield every vertex's certificate at once, in either mode, and
+saturating bitset counters pick the next sample. The center balls are
+computed once per build and handed to each round's context.
+``decompose_exceptional`` is the per-vertex definition of a nip
+certificate that the tests compare the kernel against.
+``verify_sample_set`` re-checks a result with ``phi_equivalent_over``
+alone, so the verifier does not depend on the kernel.
 """
 
 from __future__ import annotations
@@ -26,15 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError, ModeError
-from .formulas import PATTERN_CAP, EvalContext, enumerate_type_patterns, eq_atom
-from .graphcore import (
-    Graph,
-    ball_mask,
-    eq_class_mask,
-    iter_bits,
-    mask_of,
-    phi_equivalent_over,
+from .formulas import (
+    PATTERN_CAP,
+    EvalContext,
+    atom_mask,
+    enumerate_type_patterns,
+    eq_atom,
 )
+from .graphcore import Graph, ball_mask, iter_bits, mask_of, phi_equivalent_over
 from .indiscernibles import DEFAULT_WINDOW, ExtractionConfig, extract_indiscernible
 
 _NOT_NIP = "class likely not monadically NIP at these budgets"
@@ -134,35 +135,20 @@ def decompose_exceptional(
     return None
 
 
-def _stable_certificate(
-    g: Graph, samples: tuple[int, ...], balls: list[int], a: int,
-) -> tuple[int, int, int] | None:
-    """Single-sample certificate: equivalent over all balls but at most one."""
-    for p, s in enumerate(samples):
-        bad = [i for i, ball in enumerate(balls)
-               if not phi_equivalent_over(g, a, s, ball)]
-        if not bad:
-            return len(balls), p, p
-        if len(bad) == 1:
-            return bad[0], p, p
-    return None
-
-
-def _class_table(g: Graph, samples: tuple[int, ...],
-                 balls: list[int]) -> list[list[int]]:
-    """table[i][p]: every vertex equivalent to samples[p] over balls[i]."""
-    return [[eq_class_mask(g, s, ball) for s in samples] for ball in balls]
-
-
 def _certificates(full: int, table: list[list[int]], nsamples: int,
-                  ) -> list[tuple[int, int, int]] | None:
-    """Every vertex's decompose_exceptional certificate, for all at once.
+                  mode: str) -> list[tuple[int, int, int]] | None:
+    """Every vertex's certificate in ``mode``, for all vertices at once.
 
     Prefix and suffix intersections of the class table give, per sample,
     the vertices equivalent to it over every ball before (after) each
-    position. A vertex takes the sentinel from the lowest sample covering
-    all balls, else the smallest split position with the lowest samples
-    on both sides. None as soon as some vertex has no certificate.
+    position. Nip mode matches ``decompose_exceptional``: the sentinel
+    from the lowest sample covering all balls, else the smallest split
+    position with the lowest samples on both sides. None as soon as some
+    vertex has no nip certificate. Stable mode keeps the sentinel, else
+    takes the lowest sample p with exactly one bad ball e, the vertex
+    lying in prefix[e][p] & suffix[e+1][p], as (e, p, p); when nip
+    certificates cover every vertex but some vertex has no stable one,
+    ``ModeError`` names the lowest such vertex.
     """
     count = len(table)
     prefix = [[full] * nsamples]
@@ -179,8 +165,9 @@ def _certificates(full: int, table: list[list[int]], nsamples: int,
             out |= m
         return out
 
+    uniform = union(prefix[count])
     splits = []
-    covered = union(prefix[count])
+    covered = uniform
     for e in range(count):
         both = union(prefix[e]) & union(suffix[e + 1]) & ~covered
         splits.append(both)
@@ -198,7 +185,22 @@ def _certificates(full: int, table: list[list[int]], nsamples: int,
     n = full.bit_length()
     e_of = [count] * n
     p_of = [0] * n
-    lowest(union(prefix[count]), prefix[count], p_of)
+    lowest(uniform, prefix[count], p_of)
+    if mode == "stable":
+        left = full & ~uniform
+        for p in range(nsamples):
+            for e in range(count):
+                hit = left & prefix[e][p] & suffix[e + 1][p]
+                for v in iter_bits(hit):
+                    e_of[v] = e
+                    p_of[v] = p
+                left ^= hit
+        if left:
+            raise ModeError(
+                f"vertex {(left & -left).bit_length() - 1} has no "
+                f"single-sample certificate; the sequence is not stable "
+                f"within these budgets")
+        return list(zip(e_of, p_of, p_of))
     q_of = p_of[:]
     for e, both in enumerate(splits):
         if both:
@@ -283,6 +285,10 @@ def build_sample_set(
     samples: list[int] = []
     survivors = list(inp.centers)
     while True:
+        # The class table: table[i][p] holds every vertex equivalent to
+        # samples[p] over the ball of survivors[i], the eq-atom masks the
+        # round's extraction has already memoised.
+        table: list[list[int]] = [[] for _ in survivors]
         if samples and survivors:
             ctx = EvalContext(g, tuple(samples), inp.half_radius,
                               balls=ball_of)
@@ -299,16 +305,16 @@ def build_sample_set(
                     diagnostic=_NOT_NIP) from exc
             survivors = extract_indiscernible(ctx, phi, patterns, survivors,
                                               cfg)
+            table = [[atom_mask(ctx, a, c) for a in phi] for c in survivors]
 
         # Termination is tested before any length floor: with zero or one
         # surviving ball every vertex decomposes, so a heavily pruned
         # sequence ends the loop with a short honest result, not an error.
-        balls = [ball_of[c] for c in survivors]
-        sample_tuple = tuple(samples)
-        table = _class_table(g, sample_tuple, balls)
-        certs = _certificates(full, table, len(samples))
+        certs = _certificates(full, table, len(samples), inp.mode)
         if certs is not None:
-            return _assemble(g, inp, sample_tuple, survivors, balls, certs)
+            ex, s_lt, s_gt = zip(*certs)
+            return SampleSetResult(tuple(samples), tuple(survivors), ex,
+                                   s_lt, s_gt, inp.mode)
 
         pick, outliers = _pick_sample(full, table, mask_of(samples))
         if pick is None:
@@ -317,29 +323,10 @@ def build_sample_set(
                 "balls", partial=(tuple(samples), tuple(survivors)),
                 diagnostic=_NOT_NIP)
         drop = set(outliers)
-        drop.update(i for i, ball in enumerate(balls) if ball >> pick & 1)
+        drop.update(i for i, c in enumerate(survivors)
+                    if ball_of[c] >> pick & 1)
         survivors = [c for i, c in enumerate(survivors) if i not in drop]
         samples.append(pick)
-
-
-def _assemble(g, inp, samples, survivors, balls, certs) -> SampleSetResult:
-    ex = []
-    s_lt = []
-    s_gt = []
-    for a in range(g.n):
-        e, p, q = certs[a]
-        if inp.mode == "stable" and p != q:
-            redo = _stable_certificate(g, samples, balls, a)
-            if redo is None:
-                raise ModeError(
-                    f"vertex {a} has no single-sample certificate; the "
-                    f"sequence is not stable within these budgets")
-            e, p, q = redo
-        ex.append(e)
-        s_lt.append(p)
-        s_gt.append(q)
-    return SampleSetResult(samples, tuple(survivors), tuple(ex),
-                           tuple(s_lt), tuple(s_gt), inp.mode)
 
 
 def verify_sample_set(

@@ -208,6 +208,19 @@ def test_extract_pattern_cap_stop(graph_file, capsys, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["-1", "10"])
+def test_extract_rejects_out_of_range_items(graph_file, tmp_path, capsys,
+                                            bad):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(f"3 {bad} 5\n")
+    code, out, err = run(
+        ["extract", "-g", graph_file(path(10)), "--seq", str(seq),
+         "-m", "1", "--k", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: vertex {bad} out of range")
+    assert "Traceback" not in err
+
+
 def test_flip_widen_mode_error_names_level(graph_file, capsys):
     code, out, err = run(
         ["flip-widen", "-g", graph_file(half_graph(20)), "-A", "all",
@@ -436,6 +449,48 @@ def test_apply_flips_rejects_repeated_edge(tmp_path, capsys):
         ["apply-flips", "-g", str(gf), "--flips", str(fl)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "repeats an edge" in err
+
+
+NOT_UTF8 = b"3 1\n0 \xff\n"
+
+
+@pytest.mark.parametrize("where", ["graph", "result", "flips"])
+def test_non_utf8_file_is_an_input_error(graph_file, tmp_path, capsys, where):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    gf = str(bad) if where == "graph" else graph_file(clique(4))
+    if where == "flips":
+        argv = ["apply-flips", "-g", gf, "--flips", str(bad)]
+    else:
+        res = str(bad) if where == "result" else small_result(tmp_path)
+        argv = ["verify", "-g", gf, "--result", res]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_non_utf8_stdin_is_an_input_error(monkeypatch, capsys, errors):
+    # a C locale decodes stdin with surrogateescape, a UTF-8 locale strictly
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8",
+                             errors=errors)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(["flip-widen", "-A", "all", "-r", "1", "-m", "2"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err == "error: stdin is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command,flag", [("verify", "--result"),
+                                          ("apply-flips", "--flips")])
+def test_deeply_nested_json_is_an_input_error(graph_file, tmp_path, capsys,
+                                              command, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(
+        [command, "-g", graph_file(clique(4)), flag, str(deep)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {deep}: JSON nested too deeply\n"
 
 
 def test_absurd_vertex_count_rejected(tmp_path, capsys):

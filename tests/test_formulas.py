@@ -16,6 +16,7 @@ from flipwide import (
     Pattern,
     all_pairs_distance,
     all_phi_types,
+    ball_mask,
     dist_atom,
     edge_atom,
     enumerate_type_patterns,
@@ -25,6 +26,7 @@ from flipwide import (
     eval_type,
     extract_indiscernible,
     is_delta_indiscernible,
+    phi_equivalent_over,
     type_pattern,
 )
 from flipwide.formulas import atom_mask, entry_mask, type_mask
@@ -61,6 +63,34 @@ def test_atoms_match_definition(g, constants, radius):
         for x in range(g.n):
             for y in range(g.n):
                 assert eval_atom(ctx, atom, x, y) == brute_eval(ctx, atom, x, y)
+
+
+@pytest.mark.parametrize("atom", [edge_atom(), dist_atom(), eq_atom(0)],
+                         ids=["edge", "dist", "eq"])
+@pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (5, 0), (0, 5)])
+def test_eval_atom_rejects_out_of_range_vertices(atom, x, y):
+    ctx = EvalContext(path(5), (0,), 1)
+    with pytest.raises(InputError, match="out of range"):
+        eval_atom(ctx, atom, x, y)
+
+
+@given(st.data())
+def test_eq_atoms_match_phi_equivalent_over(data):
+    n = data.draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs),
+                                                unique=True))
+                         if pairs else [])
+    constants = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=3))
+    radius = data.draw(st.integers(0, 2))
+    ctx = EvalContext(g, constants, radius)
+    for i, c in enumerate(constants):
+        for y in range(n):
+            ball = ball_mask(g, y, radius)
+            for x in range(n):
+                assert eval_atom(ctx, eq_atom(i), x, y) == \
+                    phi_equivalent_over(g, x, c, ball)
 
 
 @pytest.mark.parametrize("g,constants,radius", FIXED)

@@ -169,6 +169,20 @@ def test_input_validation():
         ExtractionConfig(target_length=1, window=0)
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_items_out_of_range_rejected(bad):
+    # -1 must not index the last vertex; n must not raise IndexError
+    ctx = edge_ctx(path(5))
+    items = (3, bad, 1)
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        extract_indiscernible(ctx, EDGE, PATS3, items,
+                              ExtractionConfig(target_length=1))
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        is_delta_indiscernible(ctx, EDGE, PATS3, items)
+    with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+        em_type(ctx, EDGE, PATS3, items)
+
+
 @given(st.integers(0, 400), st.data())
 @settings(max_examples=30, deadline=None)
 def test_em_type_grows_under_subsequences(seed, data):

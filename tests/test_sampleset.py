@@ -8,7 +8,7 @@ builder and the independent verifier.
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flipwide import (
@@ -23,13 +23,8 @@ from flipwide import (
     verify_sample_set,
 )
 from flipwide.generators import clique, edgeless, half_graph, path, star_forest
-from flipwide.graphcore import Graph, ball_mask
-from flipwide.sampleset import (
-    _certificates,
-    _class_table,
-    _pick_sample,
-    _stable_certificate,
-)
+from flipwide.graphcore import Graph, ball_mask, eq_class_mask
+from flipwide.sampleset import _certificates, _pick_sample
 
 
 def build_and_verify(g, centers, hr, mode, budget=None):
@@ -163,6 +158,24 @@ def test_decompose_degenerate():
     assert decompose_exceptional(g, (1,), [], 0) == (0, 0, 0)
 
 
+def class_table(g, samples, balls):
+    # table[i][p]: every vertex equivalent to samples[p] over balls[i]
+    return [[eq_class_mask(g, s, ball) for s in samples] for ball in balls]
+
+
+def stable_certificate(g, samples, balls, a):
+    # the per-vertex single-sample certificate: equivalent to one sample
+    # over all balls but at most one
+    for p, s in enumerate(samples):
+        bad = [i for i, ball in enumerate(balls)
+               if not phi_equivalent_over(g, a, s, ball)]
+        if not bad:
+            return len(balls), p, p
+        if len(bad) == 1:
+            return bad[0], p, p
+    return None
+
+
 def test_decompose_split_needs_two_samples():
     # 0 agrees with 1 on the first two balls and with 2 on the last two;
     # the earliest workable exception absorbs ball 1
@@ -170,14 +183,14 @@ def test_decompose_split_needs_two_samples():
     balls = singleton_balls(3, 4, 5, 6)
     assert decompose_exceptional(g, (1, 2), balls, 0) == (1, 0, 1)
     # ... but no single sample covers all-but-one ball
-    assert _stable_certificate(g, (1, 2), balls, 0) is None
+    assert stable_certificate(g, (1, 2), balls, 0) is None
 
 
 def test_stable_certificate_one_bad_ball():
     g = Graph.from_edges(5, [(0, 3)])
-    assert _stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (1, 0, 0)
+    assert stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (1, 0, 0)
     g = edgeless(5)
-    assert _stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (3, 0, 0)
+    assert stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (3, 0, 0)
 
 
 # ------------------------------------------- vertex-parallel differentials
@@ -227,17 +240,46 @@ def pick_by_vertex(g, samples, balls):
 @given(graph_samples_balls())
 def test_certificates_match_per_vertex_decomposition(case):
     g, samples, balls = case
-    table = _class_table(g, samples, balls)
+    table = class_table(g, samples, balls)
     want = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
-    got = _certificates(g.full_mask(), table, len(samples))
+    got = _certificates(g.full_mask(), table, len(samples), "nip")
     assert got == (None if None in want else want)
+
+
+@given(graph_samples_balls())
+@example((Graph.from_edges(10, [(0, 4), (1, 4), (1, 9)]), (0, 1, 2, 4),
+          singleton_balls(0, 1)))
+@example((Graph.from_edges(10, [(0, 3), (0, 6), (1, 6), (3, 4)]), (1, 3, 4),
+          singleton_balls(0, 1, 2, 3)))
+def test_stable_certificates_match_per_vertex_reference(case):
+    # the reference: the nip certificate where one sample covers both
+    # sides, else the per-vertex single-sample certificate. In the first
+    # example vertex 9's nip certificate splits, and samples 1 and 3 each
+    # miss it on one ball (1 and 0): the lower sample wins. In the second
+    # every vertex has a nip certificate, vertices 2 and 6 no stable one.
+    g, samples, balls = case
+    table = class_table(g, samples, balls)
+    nip = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
+    if None in nip:
+        assert _certificates(g.full_mask(), table, len(samples),
+                             "stable") is None
+        return
+    want = [c if c[1] == c[2] else stable_certificate(g, samples, balls, a)
+            for a, c in enumerate(nip)]
+    if None in want:
+        with pytest.raises(ModeError, match=f"^vertex {want.index(None)} "
+                           "has no single-sample certificate"):
+            _certificates(g.full_mask(), table, len(samples), "stable")
+    else:
+        assert _certificates(g.full_mask(), table, len(samples),
+                             "stable") == want
 
 
 @given(graph_samples_balls())
 def test_sample_pick_matches_per_vertex_loop(case):
     g, samples, balls = case
     marked = sum(1 << s for s in samples)
-    got = _pick_sample(g.full_mask(), _class_table(g, samples, balls), marked)
+    got = _pick_sample(g.full_mask(), class_table(g, samples, balls), marked)
     assert got == pick_by_vertex(g, samples, balls)
 
 
