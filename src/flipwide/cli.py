@@ -9,6 +9,7 @@ timings and output digests go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -266,7 +267,9 @@ def _cmd_apply_flips(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process; parsing leaves no state in the parser
     p = _Parser(prog="flipwide",
                 description="flip-wideness toolkit for graph sequences")
     sub = p.add_subparsers(dest="command", required=True)

@@ -14,9 +14,15 @@ round of the extractor.
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by witness branching: each level places one entry where it
-removes a still-alive witness, so the search tree is at most k levels
-deep, and two O(k*s) prechecks settle most constant patterns without
-branching. Neither search has a node budget or an enumeration fallback.
+removes the lowest alive witness, so the search tree is at most k levels
+deep. A node tries its children fewest witnesses left first, ties by
+entry, then by position. A child that failed is banned for its later
+siblings, and a child that leaves one witness is decided in place: it
+succeeds exactly when another free entry removes that witness inside its
+window. Two O(k*s) prechecks settle most constant patterns without
+branching. Neither search has a node budget or an enumeration fallback,
+and the false-tuple search is still exponential in k in the worst case,
+which dense random masks reach.
 
 Deciding constancy and building a counterexample are separate. The
 extraction pipeline (``extract_indiscernible``, the Ramsey refinement and
@@ -29,6 +35,9 @@ costs up to k*s further searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import and_, or_
 from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
@@ -100,16 +109,12 @@ def _kept_witnesses(masks: list[list[int]], alive0: int) -> int:
     One bitset sweep: reach[i] holds the witnesses for which the entries
     so far fit into positions below i.
     """
-    s = len(masks[0])
-    reach = [alive0] * (s + 1)
+    reach = [alive0] * len(masks[0])
     for row in masks:
-        acc = 0
-        nxt = [0]
-        for prev, m in zip(reach, row):
-            acc |= prev & m
-            nxt.append(acc)
-        reach = nxt
-    return reach[s]
+        reach = [0, *accumulate(map(and_, reach, row), or_)]
+        if not reach[-1]:
+            return 0
+    return reach[-1]
 
 
 def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | None:
@@ -142,28 +147,43 @@ def _false_search(masks: list[list[int]], alive0: int,
 
     Witness branching, the bounded search tree for hitting sets: some
     unplaced entry must remove the lowest alive witness z at a position
-    that still fits the increasing order, so the search branches over
-    exactly those (entry, position) pairs and places at most one entry
-    per level, k levels deep. A branch that failed is excluded from its
-    later siblings. Two O(k*s) prechecks settle most constant patterns
-    at once: a witness that no position of any entry removes, and more
-    alive witnesses than the entries can remove between them. Kill
-    positions are computed per (entry, witness) the first time that
-    witness is branched on, into ``kill_caches``: one dict per entry,
-    which callers share across searches over the same rows. The search
-    keeps O(k) state and the caches at most one int per (entry, witness);
-    there is no node budget and no enumeration.
+    that still fits the increasing order. A node's children are exactly
+    those (entry, position) pairs, each places one entry, and so the tree
+    is at most k levels deep. A node collects its children first and
+    succeeds at once if one of them leaves no witness. It then tries the
+    rest in ascending order of witnesses left, ties by entry, then by
+    position. Two rules prune, and neither changes an answer:
+
+    - Ban: a child that failed is excluded from its later siblings and
+      their subtrees, since a completion through it there would have
+      completed it. A child that leaves more witnesses than the other
+      free entries can remove between them fails on entry, and is banned
+      while collecting. On a clique the children that leave one witness
+      thus fail and are banned before the large subtrees run.
+    - Single witness: a child that leaves one witness w succeeds exactly
+      when another free entry removes w at a position that is not banned
+      and lies in that entry's window, narrowed by the child's placement.
+      It is decided in place, without a recursive call.
+
+    Two O(k*s) prechecks settle most constant patterns before any
+    branching: a witness that no position of any entry removes, and more
+    alive witnesses than the entries can remove between them. The worst
+    case is still exponential in k: on dense random masks most children
+    keep many witnesses and little is pruned. Kill positions are computed
+    per (entry, witness) the first time that witness is branched on, into
+    ``kill_caches``: one dict per entry, which callers share across
+    searches over the same rows. There is no node budget and no
+    enumeration.
     """
     depth = len(masks)
     s = len(masks[0])
-    maxkill = []
+    total = alive0.bit_count()
     surviving = alive0
+    maxkill = []
     for row in masks:
-        kill = 0
-        for m in row:
-            surviving &= m
-            kill = max(kill, (alive0 & ~m).bit_count())
-        maxkill.append(kill)
+        surviving &= reduce(and_, row)
+        kept = min(map(int.bit_count, map(alive0.__and__, row)))
+        maxkill.append(total - kept)
     if surviving:
         return None
 
@@ -191,45 +211,66 @@ def _false_search(masks: list[list[int]], alive0: int,
         if alive.bit_count() > budget:
             return False
         z = (alive & -alive).bit_length() - 1
+        # each free entry's window [lo, hi] of positions
         his = [0] * depth
-        nxt_j, nxt_p = depth, s
+        top = s
         for j in range(depth - 1, first - 1, -1):
-            if pos[j] >= 0:
-                nxt_j, nxt_p = j, pos[j]
-            else:
-                his[j] = nxt_p - (nxt_j - j)
-        saved = banned[:]
-        found = False
-        last_j, last_p = first - 1, prev
+            top = pos[j] if pos[j] >= 0 else top - 1
+            his[j] = top
+        free = []
+        lo = prev
         for j in range(first, depth):
             if pos[j] >= 0:
-                last_j, last_p = j, pos[j]
-                continue
-            lo = last_p + (j - last_j)
-            window = (1 << (his[j] + 1)) - (1 << lo)
-            opts = kills(j, z) & window & ~banned[j]
+                lo = pos[j]
+            else:
+                lo += 1
+                free.append((j, lo, his[j]))
+        saved = banned[:]
+        children = []
+        for j, lo, hi in free:
+            rest = budget - maxkill[j]
+            row = masks[j]
+            opts = kills(j, z) & ((1 << (hi + 1)) - (1 << lo)) & ~banned[j]
             while opts:
                 low = opts & -opts
-                i = low.bit_length() - 1
-                new = alive & masks[j][i]
-                if not new:
-                    found = True
-                    break
-                rest = budget - maxkill[j]
-                # a child with more alive witnesses than it can remove
-                # fails on entry, so it is not entered at all
-                if new.bit_count() <= rest:
-                    pos[j] = i
-                    found = completes(first, prev, new, rest)
-                    pos[j] = -1
-                    if found:
-                        break
-                banned[j] |= low
                 opts ^= low
+                i = low.bit_length() - 1
+                new = alive & row[i]
+                if not new:
+                    banned[:] = saved
+                    return True
+                left = new.bit_count()
+                if left > rest:
+                    banned[j] |= low
+                else:
+                    children.append((left, j, i, new))
+        children.sort()
+        found = False
+        for left, j, i, new in children:
+            if left == 1:
+                found = single(free, j, i, new.bit_length() - 1)
+            else:
+                pos[j] = i
+                found = completes(first, prev, new, budget - maxkill[j])
+                pos[j] = -1
             if found:
                 break
+            banned[j] |= 1 << i
         banned[:] = saved
         return found
+
+    def single(free, j: int, i: int, w: int) -> bool:
+        """With entry j placed at i, can another free entry remove w?"""
+        for j2, lo, hi in free:
+            if j2 < j:
+                hi = min(hi, i - (j - j2))
+            elif j2 > j:
+                lo = max(lo, i + (j2 - j))
+            else:
+                continue
+            if kills(j2, w) & ((1 << (hi + 1)) - (1 << lo)) & ~banned[j2]:
+                return True
+        return False
 
     if not completes(0, -1, alive0, sum(maxkill)):
         return None

@@ -1,14 +1,16 @@
 """Command line behavior: exit codes, JSON shapes, byte stability.
 
 Most tests drive main(argv) in process and read files from tmp_path;
-two subprocess tests check the entry point and real shell pipes. They use
-an installed `flipwide` when one is on PATH, and otherwise a launcher
-built from the `[project.scripts]` entry of pyproject.toml.
+three subprocess tests check the entry point, real shell pipes, and that
+repeated in-process calls match fresh processes. They use an installed
+`flipwide` when one is on PATH, and otherwise a launcher built from the
+`[project.scripts]` entry of pyproject.toml.
 """
 
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -563,3 +565,25 @@ def test_installed_diagnose_pipe(script_env):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["order"]["witness"]["a_seq"] == [
         11, 10, 9, 8, 7, 6]
+
+
+def test_repeated_main_calls_match_fresh_processes(script_env, capsys):
+    # main builds its parser once per process; a usage error in one call
+    # must leave nothing behind for the calls after it
+    calls = [["generate", "path", "5"],
+             ["flip-widen", "-A", "all"],
+             ["generate", "torus", "5"],
+             ["generate", "clique", "4", "--seed", "3"],
+             [],
+             ["generate", "path", "5"]]
+
+    def timeless(err):
+        return re.sub(r"elapsed \S+ ", "elapsed ", err)
+
+    for argv in calls:
+        code, out, err = run(argv, capsys)
+        fresh = subprocess.run(["flipwide", *argv], capture_output=True,
+                               text=True, env=script_env)
+        assert code == fresh.returncode
+        assert out == fresh.stdout
+        assert timeless(err) == timeless(fresh.stderr)

@@ -29,7 +29,7 @@ from flipwide import (
     phi_equivalent_over,
     type_pattern,
 )
-from flipwide.formulas import atom_mask, entry_mask, type_mask
+from flipwide.formulas import entry_mask, type_mask
 from flipwide.generators import half_graph, path, random_bounded_degree
 from flipwide.indiscernibles import ExtractionConfig
 
@@ -91,16 +91,6 @@ def test_eq_atoms_match_phi_equivalent_over(data):
             for x in range(n):
                 assert eval_atom(ctx, eq_atom(i), x, y) == \
                     phi_equivalent_over(g, x, c, ball)
-
-
-@pytest.mark.parametrize("g,constants,radius", FIXED)
-def test_atom_masks_agree_with_pointwise(g, constants, radius):
-    ctx = EvalContext(g, constants, radius)
-    for atom in (edge_atom(), dist_atom(), eq_atom(0)):
-        for y in range(g.n):
-            m = atom_mask(ctx, atom, y)
-            for x in range(g.n):
-                assert bool(m >> x & 1) == eval_atom(ctx, atom, x, y)
 
 
 def test_types_partition_every_pair():

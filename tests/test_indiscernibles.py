@@ -236,12 +236,19 @@ def _first_true_by_witness_walk(masks, alive0):
     return None
 
 
-def test_tuple_searches_match_enumeration():
-    # rows come from a small pool, so one row may sit at several entries,
-    # and each row's kill cache is shared by two searches, as in
-    # is_delta_indiscernible
+def _random_mask_cases():
+    """Random witness masks with their kill caches, and alive sets.
+
+    Rows come from a small pool, so one row may sit at several entries,
+    and each row's kill cache is shared by every search over it, as in
+    is_delta_indiscernible. Each draw comes twice: as drawn, and with
+    some entries' rows swapped for one-hot rows {y_p} or co-one-hot rows
+    (every witness but y_p) over one random position-to-witness map, the
+    two classes of a clique. One density per draw never puts those two
+    shapes side by side.
+    """
     rng = random.Random(20221)
-    outcomes = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
+    shapes = random.Random(20222)
     for _ in range(3000):
         n = rng.randint(1, 10)
         s = rng.randint(1, 9)
@@ -250,18 +257,27 @@ def test_tuple_searches_match_enumeration():
         pool = [([sum(1 << z for z in range(n) if rng.random() < density)
                   for _ in range(s)], {}) for _ in range(rng.randint(1, k))]
         picks = [rng.choice(pool) for _ in range(k)]
-        masks = [row for row, _ in picks]
-        caches = [cache for _, cache in picks]
+        ys = [shapes.randrange(n) for _ in range(s)]
+        one_hot = ([1 << y for y in ys], {})
+        co_one_hot = ([((1 << n) - 1) ^ (1 << y) for y in ys], {})
+        mixed = [shapes.choice((one_hot, co_one_hot, pick)) for pick in picks]
         for _ in range(2):
             alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
-            want_false = _first_false_by_enumeration(masks, alive0)
-            want_true = _first_true_by_witness_walk(masks, alive0)
-            fresh = [{} for _ in masks]
-            assert _find_false_tuple(masks, alive0, fresh) == want_false
-            assert _find_false_tuple(masks, alive0, caches) == want_false
-            assert _find_true_tuple(masks, alive0) == want_true
-            outcomes["false" if want_false else "no_false"] += 1
-            outcomes["true" if want_true else "no_true"] += 1
+            for rows in (picks, mixed):
+                yield [row for row, _ in rows], [c for _, c in rows], alive0
+
+
+def test_tuple_searches_match_enumeration():
+    outcomes = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
+    for masks, caches, alive0 in _random_mask_cases():
+        want_false = _first_false_by_enumeration(masks, alive0)
+        want_true = _first_true_by_witness_walk(masks, alive0)
+        fresh = [{} for _ in masks]
+        assert _find_false_tuple(masks, alive0, fresh) == want_false
+        assert _find_false_tuple(masks, alive0, caches) == want_false
+        assert _find_true_tuple(masks, alive0) == want_true
+        outcomes["false" if want_false else "no_false"] += 1
+        outcomes["true" if want_true else "no_true"] += 1
     assert min(outcomes.values()) > 100, outcomes
 
 
@@ -341,33 +357,20 @@ def test_constancy_past_the_enumeration_cliff():
 
 
 def test_decisions_match_enumeration():
-    # the random masks of test_tuple_searches_match_enumeration (same
-    # seed and draws); the decisions run first on the shared kill caches,
-    # so the construction that follows starts from caches they filled
-    rng = random.Random(20221)
+    # the decisions run first on the shared kill caches, so the
+    # construction that follows starts from caches they filled
     decided = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
-    for _ in range(3000):
-        n = rng.randint(1, 10)
-        s = rng.randint(1, 9)
-        k = rng.randint(1, min(4, s))
-        density = rng.choice((0.2, 0.5, 0.8, 0.9, 0.97))
-        pool = [([sum(1 << z for z in range(n) if rng.random() < density)
-                  for _ in range(s)], {}) for _ in range(rng.randint(1, k))]
-        picks = [rng.choice(pool) for _ in range(k)]
-        masks = [row for row, _ in picks]
-        caches = [cache for _, cache in picks]
-        for _ in range(2):
-            alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
-            want_false = _first_false_by_enumeration(masks, alive0)
-            want_true = _first_true_by_witness_walk(masks, alive0)
-            has_false = want_false is not None
-            fresh = [{} for _ in masks]
-            assert (_false_search(masks, alive0, fresh) is not None) == has_false
-            assert (_false_search(masks, alive0, caches) is not None) == has_false
-            assert _find_false_tuple(masks, alive0, caches) == want_false
-            assert bool(_kept_witnesses(masks, alive0)) == (want_true is not None)
-            decided["false" if has_false else "no_false"] += 1
-            decided["true" if want_true else "no_true"] += 1
+    for masks, caches, alive0 in _random_mask_cases():
+        want_false = _first_false_by_enumeration(masks, alive0)
+        want_true = _first_true_by_witness_walk(masks, alive0)
+        has_false = want_false is not None
+        fresh = [{} for _ in masks]
+        assert (_false_search(masks, alive0, fresh) is not None) == has_false
+        assert (_false_search(masks, alive0, caches) is not None) == has_false
+        assert _find_false_tuple(masks, alive0, caches) == want_false
+        assert bool(_kept_witnesses(masks, alive0)) == (want_true is not None)
+        decided["false" if has_false else "no_false"] += 1
+        decided["true" if want_true else "no_true"] += 1
     assert min(decided.values()) > 100, decided
 
 
