@@ -19,10 +19,11 @@ deep. A node tries its children fewest witnesses left first, ties by
 entry, then by position. A child that failed is banned for its later
 siblings, and a child that leaves one witness is decided in place: it
 succeeds exactly when another free entry removes that witness inside its
-window. Two O(k*s) prechecks settle most constant patterns without
-branching. Neither search has a node budget or an enumeration fallback,
-and the false-tuple search is still exponential in k in the worst case,
-which dense random masks reach.
+window. Three O(k*s) prechecks settle most constant patterns without
+branching; one of them is the one-exception cover that the paper's first
+theorem gives over an indiscernible sequence. Neither search has a node
+budget or an enumeration fallback, and the false-tuple search is still
+exponential in k in the worst case, which dense random masks reach.
 
 Deciding constancy and building a counterexample are separate. The
 extraction pipeline (``extract_indiscernible``, the Ramsey refinement and
@@ -82,15 +83,15 @@ def _check_items(ctx: EvalContext, items: Seq[int]) -> None:
 
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
                 items: Seq[int], rows: dict,
-                ) -> list[tuple[list[int], dict[int, int]]]:
+                ) -> list[tuple[list[int], dict[int, int], list[int]]]:
     """Each entry's witness masks over ``items`` with its kill-position
-    cache. ``rows`` keeps both per entry, so every pattern scanned over
-    the same items shares them."""
+    cache and its all-but-one cache. ``rows`` keeps all three per entry,
+    so every pattern scanned over the same items shares them."""
     out = []
     for e in entries:
         row = rows.get(e)
         if row is None:
-            row = rows[e] = (entry_row(ctx, phi, e, items), {})
+            row = rows[e] = (entry_row(ctx, phi, e, items), {}, [])
         out.append(row)
     return out
 
@@ -137,8 +138,57 @@ def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | N
     return tuple(picks)
 
 
+def _all_but_one(row: list[int]) -> list[int]:
+    """Per position i, the AND of ``row`` over every position but i, from
+    one prefix and one suffix intersection (-1, every bit, when the row
+    has a single position)."""
+    pre = list(accumulate(row, and_, initial=-1))
+    suf = list(accumulate(reversed(row), and_, initial=-1))
+    suf.reverse()
+    return list(map(and_, pre, suf[1:]))
+
+
+def _one_exception_cover(masks: list[list[int]], alive0: int,
+                         excl_caches: list[list[int]]) -> bool:
+    """True when every increasing tuple keeps a witness because one of
+    its entries sits on a good position.
+
+    Position i is good for entry j when some alive witness lies in
+    masks[j][i] and, for every other entry j', in masks[j'] at every
+    position but i. Such a witness is kept by any tuple that puts j at i,
+    since the other entries sit on positions other than i. A greedy
+    leftmost placement looks for a tuple with every entry on a bad
+    position; when there is none, the cover holds.
+
+    ``excl_caches`` holds one list per entry, filled here with
+    ``_all_but_one`` of its row on first use. Callers share them across
+    searches with different alive sets, so they are never restricted to
+    ``alive0``.
+    """
+    for row, excl in zip(masks, excl_caches):
+        if not excl:
+            excl += _all_but_one(row)
+    s = len(masks[0])
+    prev = -1
+    for j, row in enumerate(masks):
+        others = excl_caches[:j] + excl_caches[j + 1:]
+        i = prev + 1
+        while i < s:
+            w = alive0 & row[i]
+            for col in others:
+                w &= col[i]
+            if not w:
+                break
+            i += 1
+        else:
+            return True
+        prev = i
+    return False
+
+
 def _false_search(masks: list[list[int]], alive0: int,
                   kill_caches: list[dict[int, int]],
+                  excl_caches: list[list[int]] | None = None,
                   ) -> tuple[Callable[..., bool], list[int]] | None:
     """Decide whether some increasing tuple has an empty witness
     intersection: None when every increasing tuple keeps a witness,
@@ -165,27 +215,39 @@ def _false_search(masks: list[list[int]], alive0: int,
       and lies in that entry's window, narrowed by the child's placement.
       It is decided in place, without a recursive call.
 
-    Two O(k*s) prechecks settle most constant patterns before any
-    branching: a witness that no position of any entry removes, and more
-    alive witnesses than the entries can remove between them. The worst
-    case is still exponential in k: on dense random masks most children
-    keep many witnesses and little is pruned. Kill positions are computed
-    per (entry, witness) the first time that witness is branched on, into
-    ``kill_caches``: one dict per entry, which callers share across
-    searches over the same rows. There is no node budget and no
-    enumeration.
+    Three O(k*s) prechecks settle most constant patterns before any
+    branching, in this order: a witness that no position of any entry
+    removes; the one-exception cover of ``_one_exception_cover``; and
+    more alive witnesses than the entries can remove between them. The
+    cover is sound because a witness that satisfies entry j at position i
+    and every other entry at every position but i is kept by any tuple
+    that puts j at i: the other entries sit on positions other than i. On
+    an indiscernible sequence in a stable class every witness differs
+    from its majority at no more than one position, which is why the
+    cover settles most of the patterns that the first precheck leaves.
+
+    The worst case is still exponential in k: on dense random masks most
+    children keep many witnesses and little is pruned. Kill positions are
+    computed per (entry, witness) the first time that witness is branched
+    on, into ``kill_caches``: one dict per entry, which callers share
+    across searches over the same rows. ``excl_caches`` are the cover's
+    per-entry caches, shared the same way (fresh ones when None). There
+    is no node budget and no enumeration.
     """
+    surviving = alive0
+    for row in masks:
+        surviving &= reduce(and_, row)
+    if surviving:
+        return None
+    if excl_caches is None:
+        excl_caches = [[] for _ in masks]
+    if _one_exception_cover(masks, alive0, excl_caches):
+        return None
     depth = len(masks)
     s = len(masks[0])
     total = alive0.bit_count()
-    surviving = alive0
-    maxkill = []
-    for row in masks:
-        surviving &= reduce(and_, row)
-        kept = min(map(int.bit_count, map(alive0.__and__, row)))
-        maxkill.append(total - kept)
-    if surviving:
-        return None
+    maxkill = [total - min(map(int.bit_count, map(alive0.__and__, row)))
+               for row in masks]
 
     def kills(j: int, z: int) -> int:
         cache = kill_caches[j]
@@ -325,9 +387,10 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     of ``_entry_rows`` for these items.
     """
     got = _entry_rows(ctx, phi, entries, items, rows)
-    masks = [m for m, _ in got]
+    masks, kill_caches, excl_caches = map(list, zip(*got))
     if _first_truth(masks, alive0):
-        return True, _false_search(masks, alive0, [c for _, c in got]) is None
+        return True, _false_search(masks, alive0, kill_caches,
+                                   excl_caches) is None
     return False, not _kept_witnesses(masks, alive0)
 
 
@@ -352,9 +415,9 @@ def is_delta_indiscernible(
         if constant:
             continue
         got = _entry_rows(ctx, phi, pattern.entries, items, rows)
-        masks = [m for m, _ in got]
+        masks = [m for m, _, _ in got]
         if t0:
-            bad = _find_false_tuple(masks, full, [c for _, c in got])
+            bad = _find_false_tuple(masks, full, [c for _, c, _ in got])
         else:
             bad = _find_true_tuple(masks, full)
         other = tuple(items[idx] for idx in bad)

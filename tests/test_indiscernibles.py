@@ -36,6 +36,7 @@ from flipwide.indiscernibles import (
     _find_true_tuple,
     _kept_witnesses,
     _make_homogeneous,
+    _one_exception_cover,
 )
 
 EDGE = (edge_atom(),)
@@ -279,6 +280,63 @@ def test_tuple_searches_match_enumeration():
         outcomes["false" if want_false else "no_false"] += 1
         outcomes["true" if want_true else "no_true"] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+def _cover_by_definition(masks, alive0):
+    """Every increasing tuple puts some entry j on a position i where an
+    alive witness satisfies j at i and every other entry at every
+    position but i."""
+    k, s = len(masks), len(masks[0])
+
+    def good(j, i):
+        w = alive0 & masks[j][i]
+        for j2 in range(k):
+            for i2 in range(s):
+                if j2 != j and i2 != i:
+                    w &= masks[j2][i2]
+        return bool(w)
+
+    return all(any(good(j, i) for j, i in enumerate(combo))
+               for combo in combinations(range(s), k))
+
+
+def _no_universal_witness(masks, alive0):
+    for row in masks:
+        for m in row:
+            alive0 &= m
+    return not alive0
+
+
+def test_one_exception_cover_matches_enumeration():
+    outcomes = {"cover": 0, "cover_beyond_universal": 0, "no_cover": 0}
+    for masks, _, alive0 in _random_mask_cases():
+        held = _one_exception_cover(masks, alive0, [[] for _ in masks])
+        assert held == _cover_by_definition(masks, alive0)
+        if held:
+            assert _first_false_by_enumeration(masks, alive0) is None
+            outcomes["cover"] += 1
+            if _no_universal_witness(masks, alive0):
+                outcomes["cover_beyond_universal"] += 1
+        else:
+            outcomes["no_cover"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_cover_caches_shared_across_alive_sets():
+    # the all-but-one caches sit in _decide's rows next to the kill
+    # caches and hold no alive set, so searches under different alive
+    # sets may share them: here a search under a small alive set fills
+    # the caches that one under a larger set reads, one list per row
+    wide = (1 << 10) - 1
+    for masks, caches, alive0 in _random_mask_cases():
+        by_row = {id(c): [] for c in caches}
+        shared = [by_row[id(c)] for c in caches]
+        for alive in (alive0, wide, alive0):
+            no_false = _first_false_by_enumeration(masks, alive) is None
+            assert (_false_search(masks, alive, caches, shared)
+                    is None) == no_false
+            assert (_one_exception_cover(masks, alive, shared)
+                    == _cover_by_definition(masks, alive))
 
 
 def _brute_indiscernible(ctx, phi, patterns, items):

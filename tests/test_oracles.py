@@ -21,6 +21,7 @@ from flipwide import (
     decompose_sequence_types,
     edge_atom,
     exception_rank,
+    is_delta_indiscernible,
     order_property_witness,
     pairing_index_witness,
     shattering_witness,
@@ -124,6 +125,23 @@ def test_extracted_half_graph_sequence_is_nip_not_stable():
         seq = extracted(g, k)
         assert alternation_rank(g, seq)[0] <= 2
         assert exception_rank(g, seq)[0] > 1
+
+
+def test_subdivided_clique_principal_sequence_is_not_nip():
+    # the principal vertices are edge-indiscernible, yet the subdivision
+    # vertex of edge {1, 3} alternates four times along them, past the
+    # NIP bound of 2, and each subdivision vertex is adjacent to two of
+    # them, past the stable bound of 1; the extraction over the whole
+    # vertex order keeps subdivision vertices instead
+    g = subdivided_clique(10)
+    assert extracted(g, 4) == [40, 41, 42, 43, 44]
+    seq = list(range(10))
+    assert is_delta_indiscernible(
+        EvalContext(g), (edge_atom(),), enumerate_type_patterns(1, 4),
+        seq) == (True, None)
+    assert alternation_rank(g, seq) == (
+        4, AlternationWitness(20, (0, 1, 2, 3, 4)))
+    assert exception_rank(g, seq) == (2, ExceptionWitness(10, (0, 1)))
 
 
 # --------------------------------------------------------- decompositions
