@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -313,45 +314,112 @@ MAX_VERTICES = 10**6
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    if not lines:
-        raise InputError("empty edge list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"header must be 'n m', got {lines[0]!r}")
+    """Parse the edge list text format into a Graph.
+
+    Grammar, per line of ``text.splitlines()`` after ``str.strip``: blank
+    lines and lines starting with '#' are skipped. The first remaining
+    line is the header ``n m`` and exactly ``m`` edge lines ``u v`` follow,
+    each two integers in the sense of ``int()`` separated by whitespace,
+    with ``0 <= u, v < n`` and ``u != v``. No unordered pair may appear
+    twice, and ``n`` may not exceed ``MAX_VERTICES``.
+
+    Canonical text, where each edge line is two decimal ids without sign
+    or leading zeros separated by one space (as ``format_edge_list``
+    writes it), is read in bulk. Any other text, valid or not, is read
+    line by line; that pass accepts the same inputs and raises the first
+    ``InputError``, prefixed with the 1-based line of ``text`` it concerns.
+    The bulk read only returns what that pass would, so the two never
+    disagree.
+    """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of canonical, valid text, else None."""
+    lines = [s for s in map(str.strip, text.splitlines())
+             if s and s[0] != "#"]
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise InputError(f"header must be 'n m', got {lines[0]!r}") from None
-    if n > MAX_VERTICES:
-        raise InputError(f"header vertex count {n} exceeds the limit of "
-                         f"{MAX_VERTICES}")
+        n, m = map(int, lines[0].split())
+    except (IndexError, ValueError):
+        return None
     body = lines[1:]
+    if not (0 <= n <= MAX_VERTICES and m == len(body)):
+        return None
+    # Keys are the canonical spellings of the ids a body of m lines can
+    # name without exceeding its own token count, so the table grows with
+    # the text, not with n; a larger id misses and goes line by line.
+    k = min(n, 2 * m)
+    index = dict(zip(map(str, range(k)), range(k)))
+    rows = [0] * n
+    try:
+        # A line without a space leaves b empty, and a line with two
+        # leaves a space in b; neither is a key.
+        for a, _, b in map(str.partition, body, repeat(" ")):
+            u = index[a]
+            v = index[b]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    except KeyError:
+        return None
+    g = Graph._trusted(n, tuple(rows))
+    # A repeated edge adds no bits and a self-loop adds one where an edge
+    # adds two, so either leaves fewer than m edges.
+    return g if g.edge_count() == m else None
+
+
+def _parse_lines(text: str) -> Graph:
+    """Line-by-line parse of any text, raising the first error it meets."""
+    stripped = enumerate(map(str.strip, text.splitlines()), 1)
+    numbered = [(i, s) for i, s in stripped if s and s[0] != "#"]
+    if not numbered:
+        raise InputError("empty edge list input")
+    (at, header), body = numbered[0], numbered[1:]
+    try:
+        n, m = map(int, header.split())
+    except ValueError:
+        raise InputError(f"line {at}: header must be 'n m', got "
+                         f"{header!r}") from None
+    if n > MAX_VERTICES:
+        raise InputError(f"line {at}: header vertex count {n} exceeds the "
+                         f"limit of {MAX_VERTICES}")
     if len(body) != m:
-        raise InputError(f"header promises {m} edges, found {len(body)}")
+        raise InputError(f"line {at}: header promises {m} edges, found "
+                         f"{len(body)}")
     edges = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"edge line must be 'u v', got {line!r}")
+    for at, line in body:
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, line.split())
         except ValueError:
-            raise InputError(f"edge line must be 'u v', got {line!r}") from None
-        edges.append((u, v))
-    g = Graph.from_edges(n, edges)
-    if g.edge_count() != m:
-        raise InputError(f"edge list repeats an edge: header promises {m} "
-                         f"edges, found {g.edge_count()} distinct")
+            raise InputError(f"line {at}: edge line must be 'u v', got "
+                             f"{line!r}") from None
+        edges.append((at, u, v))
+    rows = [0] * n
+    repeat_at = None
+    for at, u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"line {at}: edge ({u}, {v}) out of range for "
+                             f"n={n}")
+        if u == v:
+            raise InputError(f"line {at}: self-loop at vertex {u} is not "
+                             "allowed")
+        if repeat_at is None and rows[u] >> v & 1:
+            repeat_at = (at, u, v)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = Graph(n, rows)
+    if repeat_at is not None:
+        at, u, v = repeat_at
+        raise InputError(f"line {at}: edge ({u}, {v}) repeats an edge: "
+                         f"header promises {m} edges, found "
+                         f"{g.edge_count()} distinct")
     return g
 
 
 def format_edge_list(g: Graph) -> str:
+    """Write ``g`` as canonical edge list text: the header ``n m``, then
+    one ``u v`` line per edge with ``u < v`` in lexicographic order, each
+    line ending in a newline. ``parse_edge_list`` reads it back in bulk."""
     out = [f"{g.n} {g.edge_count()}"]
     for u, v in g.edges():
         out.append(f"{u} {v}")

@@ -4,7 +4,8 @@ Most tests drive main(argv) in process and read files from tmp_path;
 three subprocess tests check the entry point, real shell pipes, and that
 repeated in-process calls match fresh processes. They use an installed
 `flipwide` when one is on PATH, and otherwise a launcher built from the
-`[project.scripts]` entry of pyproject.toml.
+`[project.scripts]` entry of pyproject.toml. One more runs
+`python -m flipwide` with the package's source directory on PYTHONPATH.
 """
 
 import io
@@ -453,6 +454,17 @@ def test_apply_flips_rejects_repeated_edge(tmp_path, capsys):
     assert err.startswith("error:") and "repeats an edge" in err
 
 
+def test_edge_list_error_names_its_line(tmp_path, capsys):
+    gf = tmp_path / "g.edges"
+    gf.write_text("# two edges\n3 2\n0 1\n1 2 0\n")
+    fl = tmp_path / "f.json"
+    fl.write_text("[]")
+    code, out, err = run(
+        ["apply-flips", "-g", str(gf), "--flips", str(fl)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: line 4: edge line must be 'u v', got '1 2 0'\n"
+
+
 NOT_UTF8 = b"3 1\n0 \xff\n"
 
 
@@ -565,6 +577,18 @@ def test_installed_diagnose_pipe(script_env):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["order"]["witness"]["a_seq"] == [
         11, 10, 9, 8, 7, 6]
+
+
+def test_python_dash_m_runs_uninstalled():
+    env = dict(os.environ)
+    src = str(Path(flipwide.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "flipwide", "generate", "path", "3"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == format_edge_list(path(3))
 
 
 def test_repeated_main_calls_match_fresh_processes(script_env, capsys):

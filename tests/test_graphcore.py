@@ -6,6 +6,7 @@ Floyd-Warshall instead of BFS.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,8 @@ from flipwide import (
     parse_edge_list,
     phi_equivalent_over,
 )
+from flipwide import graphcore
+from flipwide.graphcore import MAX_VERTICES
 
 
 def brute_flip(g: Graph, f: Flip) -> Graph:
@@ -267,3 +270,205 @@ def test_edge_list_parsing_rejects_junk():
     for bad in ("", "3\n", "2 1\n0 1\n0 1\n", "2 1\nx y\n", "2 2\n0 1\n"):
         with pytest.raises(InputError):
             parse_edge_list(bad)
+
+
+# ------------------------------------------------------------ edge lists
+
+def reference_parse(text: str) -> Graph:
+    """The line-by-line parser, one int() per token, kept as the reference
+    for the bulk read of canonical text."""
+    lines = []
+    for i, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            lines.append((i, line))
+    if not lines:
+        raise InputError("empty edge list input")
+    (at, header), body = lines[0], lines[1:]
+    head = header.split()
+    try:
+        if len(head) != 2:
+            raise ValueError
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise InputError(
+            f"line {at}: header must be 'n m', got {header!r}") from None
+    if n > MAX_VERTICES:
+        raise InputError(f"line {at}: header vertex count {n} exceeds the "
+                         f"limit of {MAX_VERTICES}")
+    if len(body) != m:
+        raise InputError(
+            f"line {at}: header promises {m} edges, found {len(body)}")
+    edges = []
+    for at, line in body:
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            edges.append((at, int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise InputError(
+                f"line {at}: edge line must be 'u v', got {line!r}") from None
+    seen = set()
+    first_repeat = None
+    for at, u, v in edges:
+        try:
+            Graph.from_edges(n, [(u, v)])
+        except InputError as exc:
+            raise InputError(f"line {at}: {exc}") from None
+        if first_repeat is None and frozenset((u, v)) in seen:
+            first_repeat = (at, u, v)
+        seen.add(frozenset((u, v)))
+    g = Graph.from_edges(n, [(u, v) for _, u, v in edges])
+    if first_repeat is not None:
+        at, u, v = first_repeat
+        raise InputError(f"line {at}: edge ({u}, {v}) repeats an edge: "
+                         f"header promises {m} edges, found {len(seen)} "
+                         "distinct")
+    return g
+
+
+FULLWIDTH = {ord("0") + d: 0xFF10 + d for d in range(10)}
+ARABIC_INDIC = {ord("0") + d: 0x660 + d for d in range(10)}
+SPELLINGS = [
+    str,
+    lambda v: "0" + str(v),
+    lambda v: "+" + str(v) if v >= 0 else str(v),
+    lambda v: str(v).translate(FULLWIDTH),
+    lambda v: str(v).translate(ARABIC_INDIC),
+]
+SEPARATORS = [" ", "  ", "\t", " \t", "\u2003", "\xa0"]
+PADDING = ["", " ", "\t", "\u3000"]
+ENDINGS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
+FAULTS = ["repeat", "range", "negative", "self-loop", "junk", "malformed",
+          "count"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge list texts of a random graph: canonical or oddly spelled,
+    valid or with one fault, and with or without comments and blank
+    lines."""
+    n = draw(st.integers(-1, 12))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)),
+                     st.integers(0, max(n - 1, 0))).filter(
+                         lambda e: e[0] != e[1])
+    pairs = draw(st.lists(pair, unique_by=frozenset, min_size=1, max_size=12)
+                 if n >= 2 else st.just([]))
+    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
+    at = draw(st.integers(0, len(pairs)))
+    u = draw(st.integers(0, 9))
+    if fault == "repeat" and pairs:
+        a, b = pairs[at - 1]
+        pairs.insert(draw(st.integers(at, len(pairs))),
+                     (b, a) if draw(st.booleans()) else (a, b))
+    elif fault == "range":
+        pairs.insert(at, (u, max(n, 0) + draw(st.integers(0, 2))))
+    elif fault == "negative":
+        pairs.insert(at, (-1 - u, u))
+    elif fault == "self-loop":
+        pairs.insert(at, (u, u))
+    odd = draw(st.booleans())
+    pick = (lambda options: draw(st.sampled_from(options))) if odd else (
+        lambda options: options[0])
+    lines = [pick(PADDING) + pick(SPELLINGS)(a) + pick(SEPARATORS)
+             + pick(SPELLINGS)(b) + pick(PADDING) for a, b in pairs]
+    if fault == "junk":
+        lines.insert(at, draw(st.sampled_from(["x 1", "1 x", "x y", "1.0 2"])))
+    elif fault == "malformed":
+        lines.insert(at, draw(st.sampled_from(["1", "0 1 2", "1 2 3 4"])))
+    m = len(lines) + (draw(st.sampled_from([-1, 1])) if fault == "count"
+                      else 0)
+    lines.insert(0, f"{n} {m}")
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", "  ", "# comment",
+                                               "#3 1"])))
+    text = "".join(line + pick(ENDINGS) for line in lines)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+def same_outcome(text):
+    try:
+        want = reference_parse(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_edge_list(text) == want
+
+
+@given(edge_list_texts())
+@settings(max_examples=400)
+def test_edge_list_parse_matches_line_by_line_reference(text):
+    same_outcome(text)
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1 2\n1\n",           # 2+2 tokens, but one line holds three
+    "3 2\n0 1\n1 0\n",
+    "3 2\n0 1\n0 1\n",
+    "3 1\n1 1\n",
+    "3 1\n0 3\n",
+    "3 1\n-1 2\n",
+    "3 1\n0 x\n",
+    "3 1\n007 +2\n",
+    "3 1\n0\t2\n",
+    "3 1\r\n0 2\r\n",
+    "3 1\n\uff11 \uff12\n",
+    "-1 0\n",
+    "-1 1\n0 1\n",
+    "4 2\n0 1\n0 3 \n",
+    "1000000 1\n0 999999\n",
+    "1000001 0\n",
+    "", "# only a comment\n", "3\n", "3 1 1\n0 1\n", "2 2\n0 1\n",
+])
+def test_edge_list_parse_matches_reference_on_traps(text):
+    same_outcome(text)
+
+
+def test_canonical_text_is_read_in_bulk(monkeypatch):
+    def no_fallback(text):
+        raise AssertionError("canonical text went line by line")
+
+    monkeypatch.setattr(graphcore, "_parse_lines", no_fallback)
+    for g in (Graph(0), Graph(5), Graph.from_edges(4, [(3, 0), (1, 2)]),
+              Graph.from_edges(300, [(u, (7 * u + 1) % 300)
+                                     for u in range(300)
+                                     if (7 * u + 1) % 300 != u])):
+        assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list("# made by hand\n 3 2\n\n1 0  \n2 1\r\n") == (
+        Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# a graph\n3 2\n0 1\n\n1 2 0\n",
+     "line 5: edge line must be 'u v', got '1 2 0'"),
+    ("3 4\n0 1\n1 2\n2 1\n1 0\n",
+     "line 4: edge (2, 1) repeats an edge: header promises 4 edges, "
+     "found 2 distinct"),
+    ("\n3 2\n0 1\n",
+     "line 2: header promises 2 edges, found 1"),
+])
+def test_edge_list_errors_name_the_line(text, message):
+    with pytest.raises(InputError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,edge", [("1000000 0\n", None),
+                                       ("1000000 1\n0 999999\n", (0, 999999))])
+def test_huge_header_parses_in_bounded_memory(text, edge):
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**6
+    assert list(g.edges()) == ([edge] if edge else [])
+    # the rows list and the tuple made from it take 16 MB; a table with
+    # one entry per possible vertex id would take several times that
+    assert peak < 64 * 2**20
