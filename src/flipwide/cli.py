@@ -63,10 +63,16 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except RecursionError:
         raise InputError(f"{_source(path)}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(str(exc)) from None
+    except ValueError as exc:
+        # e.g. an integer with more digits than int() converts
+        raise InputError(f"{_source(path)}: {exc}") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -342,7 +348,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.started = started
         return args.run(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BudgetExceeded, ExtractionShortfall) as exc:

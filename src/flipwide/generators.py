@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import InputError
-from .graphcore import Graph, ball_mask, iter_bits
+from .graphcore import Graph, ball_mask, check_vertex_count, iter_bits
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,23 +41,27 @@ def _positive(name: str, value: int) -> None:
 
 def clique(n: int) -> Graph:
     _positive("n", n)
+    check_vertex_count(n)
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def edgeless(n: int) -> Graph:
     _positive("n", n)
+    check_vertex_count(n)
     return Graph(n)
 
 
 def matching(n: int) -> Graph:
     """n disjoint edges on 2n vertices; edge i joins 2i and 2i+1."""
     _positive("n", n)
+    check_vertex_count(2 * n)
     return Graph.from_edges(2 * n, ((2 * i, 2 * i + 1) for i in range(n)))
 
 
 def half_graph(n: int) -> Graph:
     """Sides a_i = i and b_j = n+j with a_i adjacent to b_j iff i <= j."""
     _positive("n", n)
+    check_vertex_count(2 * n)
     edges = [(i, n + j) for i in range(n) for j in range(n) if i <= j]
     return Graph.from_edges(2 * n, edges)
 
@@ -71,6 +75,7 @@ def star_forest(stars: int, leaves: int) -> Graph:
     leaves appended after all centers."""
     _positive("stars", stars)
     _positive("leaves", leaves)
+    check_vertex_count(stars * (1 + leaves))
     edges = []
     nxt = stars
     for c in range(stars):
@@ -82,6 +87,7 @@ def star_forest(stars: int, leaves: int) -> Graph:
 
 def path(n: int) -> Graph:
     _positive("n", n)
+    check_vertex_count(n)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
@@ -89,6 +95,7 @@ def grid(rows: int, cols: int) -> Graph:
     """rows x cols grid; vertex (i, j) has id i*cols + j."""
     _positive("rows", rows)
     _positive("cols", cols)
+    check_vertex_count(rows * cols)
     edges = []
     for i in range(rows):
         for j in range(cols):
@@ -107,6 +114,7 @@ def subdivided_clique(n: int) -> Graph:
     (i, j), i < j, follows at n + (lexicographic rank of the pair).
     """
     _positive("n", n)
+    check_vertex_count(n + n * (n - 1) // 2)
     edges = []
     sub = n
     for i, j in combinations(range(n), 2):
@@ -120,6 +128,8 @@ def shatter_gadget(k: int) -> Graph:
     """Left side 0..k-1; one right vertex per subset J of the left side
     (id k + J as a bitmask), adjacent to exactly the members of J."""
     _positive("k", k)
+    check_vertex_count(k)  # before 1 << k is taken
+    check_vertex_count(k + (1 << k))
     edges = []
     for j_mask in range(1 << k):
         right = k + j_mask
@@ -141,6 +151,7 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     """
     _positive("n", n)
     _positive("d", d)
+    check_vertex_count(n)
     rng = splitmix64(seed)
     rows = [0] * n
     deg = [0] * n

@@ -308,9 +308,16 @@ def apply_flips(g: Graph, flips: Iterable[Flip]) -> Graph:
 # Edge list text format: first line "n m", then one "u v" line per edge.
 # Blank lines and lines starting with '#' are ignored.
 
-# Largest header vertex count accepted, far above the few hundred vertices
-# the package targets; a larger header is rejected before any allocation.
+# Largest vertex count accepted, far above the few hundred vertices the
+# package targets; a larger header or generated graph is rejected before
+# any allocation.
 MAX_VERTICES = 10**6
+
+
+def check_vertex_count(n: int, what: str = "vertex count") -> None:
+    """Raise ``InputError`` when ``n`` exceeds ``MAX_VERTICES``."""
+    if n > MAX_VERTICES:
+        raise InputError(f"{what} {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -380,9 +387,7 @@ def _parse_lines(text: str) -> Graph:
     except ValueError:
         raise InputError(f"line {at}: header must be 'n m', got "
                          f"{header!r}") from None
-    if n > MAX_VERTICES:
-        raise InputError(f"line {at}: header vertex count {n} exceeds the "
-                         f"limit of {MAX_VERTICES}")
+    check_vertex_count(n, f"line {at}: header vertex count")
     if len(body) != m:
         raise InputError(f"line {at}: header promises {m} edges, found "
                          f"{len(body)}")

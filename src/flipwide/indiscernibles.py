@@ -15,15 +15,13 @@ For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by witness branching: each level places one entry where it
 removes the lowest alive witness, so the search tree is at most k levels
-deep. A node tries its children fewest witnesses left first, ties by
-entry, then by position. A child that failed is banned for its later
-siblings, and a child that leaves one witness is decided in place: it
-succeeds exactly when another free entry removes that witness inside its
-window. Three O(k*s) prechecks settle most constant patterns without
-branching; one of them is the one-exception cover that the paper's first
-theorem gives over an indiscernible sequence. Neither search has a node
-budget or an enumeration fallback, and the false-tuple search is still
-exponential in k in the worst case, which dense random masks reach.
+deep and a node has at most k*s children. Three O(k*s) prechecks settle
+most constant patterns without branching; one of them is the
+one-exception cover that the paper's first theorem gives over an
+indiscernible sequence. ``_false_search`` states the rules that prune
+the branching. Neither search has a node budget or an enumeration
+fallback, and the false-tuple search is still exponential in k in the
+worst case, which dense random masks reach.
 
 Deciding constancy and building a counterexample are separate. The
 extraction pipeline (``extract_indiscernible``, the Ramsey refinement and
@@ -189,50 +187,46 @@ def _one_exception_cover(masks: list[list[int]], alive0: int,
 def _false_search(masks: list[list[int]], alive0: int,
                   kill_caches: list[dict[int, int]],
                   excl_caches: list[list[int]] | None = None,
-                  ) -> tuple[Callable[..., bool], list[int]] | None:
+                  ) -> Callable[[int, int, int], bool] | None:
     """Decide whether some increasing tuple has an empty witness
     intersection: None when every increasing tuple keeps a witness,
-    otherwise the search's ``completes`` and per-entry kill bounds, which
-    ``_find_false_tuple`` reuses to build the smallest such tuple.
+    otherwise the search's ``completes``, which ``_find_false_tuple``
+    reuses to build the smallest such tuple.
 
-    Witness branching, the bounded search tree for hitting sets: some
+    Three prechecks run first, in this order; each proves that every
+    increasing tuple keeps a witness:
+
+    - Universal witness: an alive witness that no position of any entry
+      removes.
+    - One-exception cover (``_one_exception_cover``, which says why it
+      is sound). On an indiscernible sequence in a stable class every
+      witness differs from its majority at no more than one position,
+      which is why the cover settles most of the patterns that the
+      universal witness leaves.
+    - Root count: more alive witnesses than the entries can remove
+      between them, each at the position where it removes the most.
+
+    Then witness branching, the bounded search tree for hitting sets: some
     unplaced entry must remove the lowest alive witness z at a position
     that still fits the increasing order. A node's children are exactly
     those (entry, position) pairs, each places one entry, and so the tree
     is at most k levels deep. A node collects its children first and
-    succeeds at once if one of them leaves no witness. It then tries the
-    rest in ascending order of witnesses left, ties by entry, then by
-    position. Two rules prune, and neither changes an answer:
+    succeeds at once if one of them leaves no witness. Otherwise:
 
+    - Last entry: a node with one free entry fails without recursing.
+      Each of its children places that entry, the last one, and leaves
+      a witness that no entry remains to remove.
+    - Order: the children are tried fewest witnesses left first, ties by
+      entry, then by position, until one succeeds.
     - Ban: a child that failed is excluded from its later siblings and
       their subtrees, since a completion through it there would have
-      completed it. A child that leaves more witnesses than the other
-      free entries can remove between them fails on entry, and is banned
-      while collecting. On a clique the children that leave one witness
-      thus fail and are banned before the large subtrees run.
-    - Single witness: a child that leaves one witness w succeeds exactly
-      when another free entry removes w at a position that is not banned
-      and lies in that entry's window, narrowed by the child's placement.
-      It is decided in place, without a recursive call.
+      completed it.
 
-    Three O(k*s) prechecks settle most constant patterns before any
-    branching, in this order: a witness that no position of any entry
-    removes; the one-exception cover of ``_one_exception_cover``; and
-    more alive witnesses than the entries can remove between them. The
-    cover is sound because a witness that satisfies entry j at position i
-    and every other entry at every position but i is kept by any tuple
-    that puts j at i: the other entries sit on positions other than i. On
-    an indiscernible sequence in a stable class every witness differs
-    from its majority at no more than one position, which is why the
-    cover settles most of the patterns that the first precheck leaves.
-
-    The worst case is still exponential in k: on dense random masks most
-    children keep many witnesses and little is pruned. Kill positions are
-    computed per (entry, witness) the first time that witness is branched
-    on, into ``kill_caches``: one dict per entry, which callers share
-    across searches over the same rows. ``excl_caches`` are the cover's
-    per-entry caches, shared the same way (fresh ones when None). There
-    is no node budget and no enumeration.
+    Kill positions are computed per (entry, witness) the first time that
+    witness is branched on, into ``kill_caches``: one dict per entry,
+    which callers share across searches over the same rows.
+    ``excl_caches`` are the cover's per-entry caches, shared the same way
+    (fresh ones when None).
     """
     surviving = alive0
     for row in masks:
@@ -243,11 +237,12 @@ def _false_search(masks: list[list[int]], alive0: int,
         excl_caches = [[] for _ in masks]
     if _one_exception_cover(masks, alive0, excl_caches):
         return None
+    total = alive0.bit_count()
+    if total > sum(total - min(map(int.bit_count, map(alive0.__and__, row)))
+                   for row in masks):
+        return None
     depth = len(masks)
     s = len(masks[0])
-    total = alive0.bit_count()
-    maxkill = [total - min(map(int.bit_count, map(alive0.__and__, row)))
-               for row in masks]
 
     def kills(j: int, z: int) -> int:
         cache = kill_caches[j]
@@ -265,13 +260,11 @@ def _false_search(masks: list[list[int]], alive0: int,
     pos = [-1] * depth
     banned = [0] * depth
 
-    def completes(first: int, prev: int, alive: int, budget: int) -> bool:
+    def completes(first: int, prev: int, alive: int) -> bool:
         """Can entries first.. be placed after ``prev``, around the ones
         already in ``pos``, so that no alive witness is left?"""
         if not alive:
             return True
-        if alive.bit_count() > budget:
-            return False
         z = (alive & -alive).bit_length() - 1
         # each free entry's window [lo, hi] of positions
         his = [0] * depth
@@ -287,10 +280,8 @@ def _false_search(masks: list[list[int]], alive0: int,
             else:
                 lo += 1
                 free.append((j, lo, his[j]))
-        saved = banned[:]
         children = []
         for j, lo, hi in free:
-            rest = budget - maxkill[j]
             row = masks[j]
             opts = kills(j, z) & ((1 << (hi + 1)) - (1 << lo)) & ~banned[j]
             while opts:
@@ -299,44 +290,24 @@ def _false_search(masks: list[list[int]], alive0: int,
                 i = low.bit_length() - 1
                 new = alive & row[i]
                 if not new:
-                    banned[:] = saved
                     return True
-                left = new.bit_count()
-                if left > rest:
-                    banned[j] |= low
-                else:
-                    children.append((left, j, i, new))
+                children.append((new.bit_count(), j, i, new))
+        if len(free) == 1:
+            return False
         children.sort()
+        saved = banned[:]
         found = False
-        for left, j, i, new in children:
-            if left == 1:
-                found = single(free, j, i, new.bit_length() - 1)
-            else:
-                pos[j] = i
-                found = completes(first, prev, new, budget - maxkill[j])
-                pos[j] = -1
+        for _, j, i, new in children:
+            pos[j] = i
+            found = completes(first, prev, new)
+            pos[j] = -1
             if found:
                 break
             banned[j] |= 1 << i
         banned[:] = saved
         return found
 
-    def single(free, j: int, i: int, w: int) -> bool:
-        """With entry j placed at i, can another free entry remove w?"""
-        for j2, lo, hi in free:
-            if j2 < j:
-                hi = min(hi, i - (j - j2))
-            elif j2 > j:
-                lo = max(lo, i + (j2 - j))
-            else:
-                continue
-            if kills(j2, w) & ((1 << (hi + 1)) - (1 << lo)) & ~banned[j2]:
-                return True
-        return False
-
-    if not completes(0, -1, alive0, sum(maxkill)):
-        return None
-    return completes, maxkill
+    return completes if completes(0, -1, alive0) else None
 
 
 def _find_false_tuple(masks: list[list[int]], alive0: int,
@@ -346,29 +317,24 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
     intersection is empty, or None when every increasing tuple keeps a
     witness.
 
-    ``_false_search`` decides; only when it finds that such a tuple
-    exists are positions fixed left to right, asking its ``completes``
-    for a completion of each candidate prefix, over the same kill caches.
-    The extraction pipeline never builds this tuple: only
-    ``is_delta_indiscernible`` does, for its counterexample.
+    Once ``_false_search`` finds that such a tuple exists, positions are
+    fixed left to right: each candidate prefix is kept when its
+    ``completes`` finds a completion, over the same kill caches.
     """
-    search = _false_search(masks, alive0, kill_caches)
-    if search is None:
+    completes = _false_search(masks, alive0, kill_caches)
+    if completes is None:
         return None
-    completes, maxkill = search
     depth = len(masks)
     s = len(masks[0])
-    budget = sum(maxkill)
     fixed: list[int] = []
     alive = alive0
     prev = -1
     for j in range(depth):
-        budget -= maxkill[j]
         for p in range(prev + 1, s - (depth - 1 - j)):
             new = alive & masks[j][p]
             if not new:
                 return (*fixed, p, *range(p + 1, p + depth - j))
-            if j < depth - 1 and completes(j + 1, p, new, budget):
+            if j < depth - 1 and completes(j + 1, p, new):
                 break
         else:
             raise InternalInvariantError(

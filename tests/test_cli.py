@@ -507,12 +507,48 @@ def test_deeply_nested_json_is_an_input_error(graph_file, tmp_path, capsys,
     assert err == f"error: {deep}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("command,flag", [("verify", "--result"),
+                                          ("apply-flips", "--flips")])
+def test_overlong_json_integer_is_an_input_error(graph_file, tmp_path, capsys,
+                                                 command, flag):
+    # json.loads raises a plain ValueError past int()'s digit limit
+    long = tmp_path / "long.json"
+    long.write_text('{"b_set": [1], "flips": [{"a": [0], "b": [1]}], '
+                    '"radius": ' + "1" * 5000 + "}")
+    code, out, err = run(
+        [command, "-g", graph_file(clique(4)), flag, str(long)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {long}: ") and err.count("\n") == 1
+
+
 def test_absurd_vertex_count_rejected(tmp_path, capsys):
     gf = tmp_path / "g.edges"
     gf.write_text("1000000000 0\n")
     code, out, err = run(["diagnose", "-g", str(gf), "--order", "2"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("params", [
+    ["edgeless", str(10**12)],
+    ["shatter_gadget", "40"],
+    ["grid", "1000000", "1000000"],
+    ["subdivided_clique", "1414"],
+])
+def test_generate_rejects_absurd_vertex_count(capsys, params):
+    # each is rejected before the family allocates rows or loops over
+    # its vertices: shatter_gadget(40) would loop over 2**40 subsets
+    code, out, err = run(["generate", *params], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds the limit" in err
+
+
+def test_generate_at_the_vertex_limit(tmp_path, capsys):
+    out = tmp_path / "e.edges"
+    code, _, _ = run(["generate", "edgeless", "1000000", "-o", str(out)],
+                     capsys)
+    assert code == 0 and out.read_text() == "1000000 0\n"
 
 
 def test_usage_errors_exit_one(capsys):

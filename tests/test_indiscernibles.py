@@ -282,6 +282,39 @@ def test_tuple_searches_match_enumeration():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def _dense_mask_cases():
+    """Masks over 400 witnesses, 30 positions and 4 entries, far larger
+    than the random cases above. The densities 0.6, 0.9 and 0.95 keep a
+    witness on every tuple; the last case plants a false tuple in the
+    density-0.9 masks by clearing quarter j of the witnesses from entry
+    j's row at that tuple's position j. Density 0.6 reaches the witness
+    branching, 0.9 the root count and 0.95 the one-exception cover."""
+    n, s, k = 400, 30, 4
+    rng = random.Random(0)
+    drawn = {density: [[sum(1 << z for z in range(n)
+                            if rng.random() < density)
+                        for _ in range(s)] for _ in range(k)]
+             for density in (0.6, 0.9, 0.95)}
+    yield from drawn.values()
+    planted = [list(row) for row in drawn[0.9]]
+    quarter = (1 << n // k) - 1
+    for j, p in enumerate((3, 11, 12, 25)):
+        planted[j][p] &= ~(quarter << j * n // k)
+    yield planted
+
+
+def test_dense_mask_searches_match_enumeration():
+    alive0 = (1 << 400) - 1
+    found = []
+    for masks in _dense_mask_cases():
+        want = _first_false_by_enumeration(masks, alive0)
+        has_false = _false_search(masks, alive0, [{} for _ in masks])
+        assert (has_false is not None) == (want is not None)
+        assert _find_false_tuple(masks, alive0, [{} for _ in masks]) == want
+        found.append(want is not None)
+    assert found == [False, False, False, True]
+
+
 def _cover_by_definition(masks, alive0):
     """Every increasing tuple puts some entry j on a position i where an
     alive witness satisfies j at i and every other entry at every
