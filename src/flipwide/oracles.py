@@ -12,8 +12,11 @@ The shattering search extends a sorted prefix only while it is shattered
 and has a common neighbour, so it finds the lexicographically first
 shattered set. One node is one column candidate tried, or in the
 shattering search one vertex trace taken. After ``max_nodes`` nodes a
-search stops and reports ``budget`` instead of ``exhaustive``. Every
-witness found is re-validated entry by entry before it is returned.
+search stops and reports ``budget`` instead of ``exhaustive``. A witness
+whose rows, columns or traced subsets need more distinct vertices than
+the graph (or a bipartite side) has is an exhaustive "none" before any
+search starts. Every witness found is re-validated entry by entry before
+it is returned.
 """
 
 from __future__ import annotations
@@ -261,6 +264,8 @@ def order_property_witness(
     """
     if k < 1:
         raise InputError("k must be positive")
+    if k > g.n:
+        return OracleReport(None, EXHAUSTIVE)
     return _witness_report(g, "order", lambda i, j: i <= j, k, k, max_nodes)
 
 
@@ -274,13 +279,15 @@ def shattering_witness(
     only while it stays shattered. The whole set must be some vertex's
     trace, so it extends only by a neighbour of a vertex adjacent to the
     whole prefix. A member lies in 2^(k-1) traces, so it needs that many
-    neighbours. Testing one
-    extended set takes n traces, n nodes. b_seq lists the lowest tracing
-    vertex of each subset by value: entry t covers the subset with bit i
-    set iff a_seq[i] is in it.
+    neighbours. The 2^k subsets need 2^k distinct tracing vertices, so a
+    graph with fewer has none. Testing one extended set takes n traces,
+    n nodes. b_seq lists the lowest tracing vertex of each subset by
+    value: entry t covers the subset with bit i set iff a_seq[i] is in it.
     """
     if k < 1:
         raise InputError("k must be positive")
+    if k >= g.n.bit_length():  # 2^k > n, without building 2^k
+        return OracleReport(None, EXHAUSTIVE)
     rows = g.rows
     pool = mask_of(v for v in range(g.n)
                    if rows[v].bit_count() >= 1 << (k - 1))
@@ -331,6 +338,8 @@ def pairing_index_witness(
     """
     if k < 2:
         raise InputError("k must be at least 2")
+    if k > g.n or k * (k - 1) // 2 > g.n:
+        return OracleReport(None, EXHAUSTIVE)
     pairs = list(combinations(range(k), 2))
     return _witness_report(g, "pairing", lambda p, l: l in pairs[p],
                            len(pairs), k, max_nodes)
@@ -378,6 +387,8 @@ def bipartite_canonical_pattern(
                 f"left vertices {traces[tr]} and {v} are twins over the "
                 f"right side")
         traces[tr] = v
+    if length > min(len(left), len(right)):
+        return OracleReport(None, EXHAUSTIVE)
 
     nodes = 0
     for kind, test in _PATTERN_TESTS.items():

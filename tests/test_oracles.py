@@ -14,6 +14,7 @@ from flipwide import (
     EvalContext,
     ExceptionWitness,
     InputError,
+    OracleReport,
     TypeDecomposition,
     TypeFalsifier,
     alternation_rank,
@@ -26,6 +27,7 @@ from flipwide import (
     pairing_index_witness,
     shattering_witness,
 )
+from flipwide import oracles
 from flipwide.formulas import enumerate_type_patterns
 from flipwide.generators import (
     clique,
@@ -277,6 +279,30 @@ def test_search_validation():
         shattering_witness(g, 0)
     with pytest.raises(InputError):
         pairing_index_witness(g, 1)
+
+
+def test_witness_larger_than_the_graph_is_none_at_once(monkeypatch):
+    # each bound returns before the want-vectors or the shattering pool
+    # are built, so those steps are made to fail here
+    def unreachable(*args):
+        raise AssertionError("the search started")
+
+    none = OracleReport(None, "exhaustive")
+    g = path(10)
+    monkeypatch.setattr(oracles, "_want_rows", unreachable)
+    assert order_property_witness(g, 11) == none
+    assert pairing_index_witness(g, 11) == none
+    assert pairing_index_witness(g, 6) == none  # 15 rows, 10 vertices
+    # left traces over the right side: {1}, {1, 3}, {3}
+    assert bipartite_canonical_pattern(g, (0, 2, 4), (1, 3), 3) == none
+    assert bipartite_canonical_pattern(g, (0, 2), (1, 3, 5), 3) == none
+    monkeypatch.setattr(oracles, "mask_of", unreachable)
+    assert shattering_witness(g, 4) == none  # 16 subsets, 10 vertices
+    monkeypatch.undo()
+    # at the boundary the search still runs: 8 traces fit 11 vertices
+    assert shattering_witness(shatter_gadget(3), 3).witness is not None
+    assert shattering_witness(shatter_gadget(3), 4) == none
+    assert pairing_index_witness(g, 5).search == "exhaustive"
 
 
 # ------------------------------------------------------ bipartite pattern

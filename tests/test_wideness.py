@@ -7,17 +7,27 @@ directions.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flipwide import (
     BudgetExceeded,
     FlipWideRequest,
     InputError,
+    InternalInvariantError,
     ModeError,
     SampleBudget,
     flip_widen,
     verify_flip_wide,
 )
-from flipwide.graphcore import Flip, apply_flips
+from flipwide import wideness
+from flipwide.graphcore import (
+    Flip,
+    Graph,
+    apply_flips,
+    ball_mask,
+    exact_distance_layer,
+)
 from flipwide.generators import (
     clique,
     complement,
@@ -27,7 +37,7 @@ from flipwide.generators import (
     random_bounded_degree,
     star_forest,
 )
-from flipwide.wideness import _xor_accumulate
+from flipwide.wideness import _even_level_flips, _xor_accumulate
 
 
 def widen(g, r, m=8, **kw):
@@ -186,3 +196,109 @@ def test_xor_accumulate():
     # a mirror image is a different flip even though it acts identically
     _xor_accumulate(acc, [b.mirror()])
     assert acc == [b, b.mirror()]
+
+
+def test_dropped_even_level_flips_fail_the_level_check(monkeypatch):
+    monkeypatch.setattr(wideness, "_even_level_flips", lambda *args: [])
+    with pytest.raises(InternalInvariantError, match="level 0 left vertices"):
+        widen(clique(20), 1)
+
+
+def test_dropped_accumulated_flip_fails_the_final_check(monkeypatch):
+    def drop_last(acc, fresh):
+        _xor_accumulate(acc, fresh[:-1])
+
+    monkeypatch.setattr(wideness, "_xor_accumulate", drop_last)
+    with pytest.raises(InternalInvariantError,
+                       match="accumulated flips disagree"):
+        widen(clique(20), 1)
+
+
+# ------------------------------------- even-level flips against pair scan
+
+def _pairwise_even_level_flips(g, nxt, samples, s_of, i):
+    """The even-level construction as a scan over every pair of layer
+    vertices, with explicit anchors and colours."""
+    layer = sorted(exact_distance_layer(g, nxt, i))
+    if not layer or not samples:
+        return []
+    anchor = {}
+    for a in nxt:
+        reach = ball_mask(g, a, i)
+        for x in layer:
+            if reach >> x & 1:
+                if x in anchor:
+                    raise InternalInvariantError(f"{x} has two anchors")
+                anchor[x] = a
+    width = len(samples)
+
+    def related(c1, c2):
+        return bool(c2[1] >> (width - 1 - c1[0]) & 1)
+
+    colors = {x: (s_of[x], sum(1 << (width - 1 - j)
+                               for j, s in enumerate(samples)
+                               if g.adj(x, s)))
+              for x in layer}
+    groups = {}
+    for x in layer:
+        groups.setdefault(colors[x], []).append(x)
+    for idx, x in enumerate(layer):
+        for y in layer[idx + 1:]:
+            if not g.adj(x, y) or anchor[x] == anchor[y]:
+                continue
+            if not (related(colors[x], colors[y])
+                    and related(colors[y], colors[x])):
+                raise InternalInvariantError(f"{x}, {y} are asymmetric")
+    ordered = sorted(groups)
+    return [Flip(groups[c1], groups[c2])
+            for idx, c1 in enumerate(ordered) for c2 in ordered[idx:]
+            if related(c1, c2)]
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except InternalInvariantError:
+        return "invariant"
+
+
+@st.composite
+def even_level_inputs(draw):
+    n = draw(st.integers(2, 10))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex)
+                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    nxt = draw(st.lists(vertex, min_size=1, max_size=n // 2, unique=True))
+    samples = draw(st.lists(vertex, min_size=1, max_size=3, unique=True))
+    s_of = draw(st.lists(st.integers(0, len(samples) - 1),
+                         min_size=n, max_size=n))
+    # radius 2 leaves the layer empty on most graphs this small
+    i = draw(st.integers(0, 1))
+    return Graph.from_edges(n, edges), tuple(nxt), tuple(samples), s_of, i
+
+
+# a path 0-1-2-3 centred on 0 and 3; vertex 1's sample 4 sees vertex 2,
+# but vertex 2's sample 5 does not see vertex 1
+ASYMMETRIC = (Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+              (0, 3), (4, 5), [0, 0, 1, 0, 0, 0], 1)
+# the layer vertex 1 lies in the radius-1 balls of both 0 and 2
+OVERLAPPING = (Graph.from_edges(3, [(0, 1), (1, 2)]), (0, 2), (0,),
+               [0, 0, 0], 1)
+
+
+@given(even_level_inputs())
+@settings(max_examples=300)
+@example(ASYMMETRIC)
+@example(OVERLAPPING)
+def test_even_level_flips_match_pair_scan(args):
+    assert _outcome(_even_level_flips, *args) == _outcome(
+        _pairwise_even_level_flips, *args)
+
+
+@pytest.mark.parametrize("args, message", [
+    (ASYMMETRIC, "vertices 2, 1 with distinct anchors have asymmetric"),
+    (OVERLAPPING, "vertex 1 in the distance-1 layer has a second anchor 2"),
+])
+def test_even_level_flips_name_the_failure(args, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        _even_level_flips(*args)
