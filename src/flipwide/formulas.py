@@ -12,6 +12,7 @@ reduces to AND/OR over masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -240,7 +241,8 @@ def eval_gamma(ctx: EvalContext, phi: tuple[Atom, ...], pattern: Pattern,
 PATTERN_CAP = 100_000
 
 
-def enumerate_type_patterns(phi_count: int, k: int) -> list[Pattern]:
+@lru_cache(maxsize=8)
+def enumerate_type_patterns(phi_count: int, k: int) -> tuple[Pattern, ...]:
     """All patterns of length 1..k with single-type entries.
 
     These generate indiscernibility for arbitrary boolean-combination
@@ -248,6 +250,14 @@ def enumerate_type_patterns(phi_count: int, k: int) -> list[Pattern]:
     combination entry is the OR over its type choices. Count is
     sum over l of (2^phi_count)^l; a count above ``PATTERN_CAP`` raises
     before any type or pattern is built (at k = 4: from phi_count 5 on).
+
+    Each type's singleton entry is built once and shared by every pattern
+    that uses it, so entry-keyed caches hash and compare each entry by
+    identity. The result is memoised per (phi_count, k) and is immutable,
+    so every caller gets the same tuple; errors are not cached. The memo
+    holds at most 8 results. The largest under the cap, (4, 4), is 69,904
+    patterns in about 11 MB; a construction run asks for at most four
+    (phi_count 1..4 at one k).
     """
     if k < 1:
         raise InputError(f"max pattern length must be >= 1, got {k}")
@@ -258,9 +268,6 @@ def enumerate_type_patterns(phi_count: int, k: int) -> list[Pattern]:
             raise BudgetExceeded(
                 f"type patterns over {phi_count} formulas up to length {k} "
                 f"exceed the cap of {PATTERN_CAP}; lower k or |phi|")
-    types = all_phi_types(phi_count)
-    out = []
-    for length in range(1, k + 1):
-        for combo in product(types, repeat=length):
-            out.append(type_pattern(combo))
-    return out
+    entries = [frozenset((t,)) for t in all_phi_types(phi_count)]
+    return tuple(Pattern(combo) for length in range(1, k + 1)
+                 for combo in product(entries, repeat=length))

@@ -11,6 +11,15 @@ e(z, y); the truth of a tuple is "the AND of its entry masks is nonzero".
 Masks are keyed by vertex, so they are shared across every refinement
 round of the extractor.
 
+A round decides every type pattern up to length k on one sequence, and
+the patterns share work through one cache per item list (``_entry_rows``):
+each entry's row over the items and its search caches, and each pattern
+prefix's true-tuple sweep, so a pattern whose first tuple is false costs
+one row step past its longest decided prefix. The extractor decides an
+input longer than its window on the crop first; since constancy is closed
+under subsequences, a pattern that varies there refutes the whole input,
+which is then never scanned.
+
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by witness branching: each level places one entry where it
@@ -34,7 +43,6 @@ costs up to k*s further searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
 from typing import Callable, Sequence as Seq
@@ -83,8 +91,15 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
                 items: Seq[int], rows: dict,
                 ) -> list[tuple[list[int], dict[int, int], list[int]]]:
     """Each entry's witness masks over ``items`` with its kill-position
-    cache and its all-but-one cache. ``rows`` keeps all three per entry,
-    so every pattern scanned over the same items shares them."""
+    cache and its all-but-one cache.
+
+    ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
+    keeps all three per entry, so every pattern scanned over the same
+    items shares them. ``_decide`` keeps its prefix sweeps in the same
+    dict, keyed by (entries prefix, alive0). Everything in it is a
+    function of its key and of those items, so a caller may share it
+    across patterns and witness sets but must start a new one whenever
+    the items change."""
     out = []
     for e in entries:
         row = rows.get(e)
@@ -197,7 +212,9 @@ def _false_search(masks: list[list[int]], alive0: int,
     increasing tuple keeps a witness:
 
     - Universal witness: an alive witness that no position of any entry
-      removes.
+      removes. An entry's AND over every position is its all-but-one
+      cache at position 0 ANDed with position 0, so it is computed once
+      per entry, not once per pattern.
     - One-exception cover (``_one_exception_cover``, which says why it
       is sound). On an indiscernible sequence in a stable class every
       witness differs from its majority at no more than one position,
@@ -225,16 +242,19 @@ def _false_search(masks: list[list[int]], alive0: int,
     Kill positions are computed per (entry, witness) the first time that
     witness is branched on, into ``kill_caches``: one dict per entry,
     which callers share across searches over the same rows.
-    ``excl_caches`` are the cover's per-entry caches, shared the same way
-    (fresh ones when None).
+    ``excl_caches`` are the per-entry ``_all_but_one`` caches of the
+    universal witness and the cover, shared the same way (fresh ones
+    when None).
     """
-    surviving = alive0
-    for row in masks:
-        surviving &= reduce(and_, row)
-    if surviving:
-        return None
     if excl_caches is None:
         excl_caches = [[] for _ in masks]
+    surviving = alive0
+    for row, excl in zip(masks, excl_caches):
+        if not excl:
+            excl += _all_but_one(row)
+        surviving &= excl[0] & row[0]
+    if surviving:
+        return None
     if _one_exception_cover(masks, alive0, excl_caches):
         return None
     total = alive0.bit_count()
@@ -349,15 +369,34 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     """Truth of the first tuple, and whether every increasing tuple has
     that truth, without building a tuple.
 
-    Requires len(items) >= len(entries). ``rows`` is the per-entry cache
-    of ``_entry_rows`` for these items.
+    Requires len(items) >= len(entries). ``rows`` is the per-items cache
+    of ``_entry_rows``.
+
+    When the first tuple is false, the pattern is constant exactly when
+    no increasing tuple keeps a witness, which is the ``_kept_witnesses``
+    sweep. The sweep after entries e_1..e_j depends only on those entries
+    and alive0, so each prefix's reach list is stored in ``rows`` under
+    (entries[:j], alive0), and a sweep resumes from the longest prefix
+    already stored: with patterns enumerated shortest first, a length-k
+    pattern costs one row step instead of k. A prefix that keeps no
+    witness keeps none in any extension, so every extension is settled
+    as constant False without a step.
     """
     got = _entry_rows(ctx, phi, entries, items, rows)
     masks, kill_caches, excl_caches = map(list, zip(*got))
     if _first_truth(masks, alive0):
         return True, _false_search(masks, alive0, kill_caches,
                                    excl_caches) is None
-    return False, not _kept_witnesses(masks, alive0)
+    j = len(entries)
+    while j and (reach := rows.get((entries[:j], alive0))) is None:
+        j -= 1
+    if not j:
+        reach = [alive0] * len(items)
+    while j < len(entries) and reach[-1]:
+        reach = [0, *accumulate(map(and_, reach, masks[j]), or_)]
+        j += 1
+        rows[entries[:j], alive0] = reach
+    return False, not reach[-1]
 
 
 def is_delta_indiscernible(
@@ -424,18 +463,21 @@ def _majority(colors: list[bool]) -> bool:
 
 
 def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-                      items: list[int], alive0: int,
+                      items: list[int], alive0: int, rows: dict,
                       ) -> tuple[list[int], bool | None]:
     """Greedy Ramsey refinement for one pattern suffix.
 
     Returns a subsequence on which the pattern (with witnesses restricted
     to alive0) has constant truth, plus that truth, or None when the
-    result is too short to carry any tuple.
+    result is too short to carry any tuple. The subsequence is ``items``
+    itself when nothing was removed. ``rows`` is the ``_decide`` cache for
+    ``items``; each recursive call refines a different item list and so
+    starts its own.
     """
     depth = len(entries)
     if len(items) < depth:
         return items, None
-    t0, constant = _decide(ctx, phi, entries, items, alive0, {})
+    t0, constant = _decide(ctx, phi, entries, items, alive0, rows)
     if constant:
         return items, t0
 
@@ -451,7 +493,7 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         h = work[0]
         alive_h = alive0 & entry_mask(ctx, phi, entries[0], h)
         refined, value = _make_homogeneous(ctx, phi, entries[1:], work[1:],
-                                           alive_h)
+                                           alive_h, {})
         heads.append((h, value))
         work = refined
     colored = [c for _, c in heads if c is not None]
@@ -476,6 +518,13 @@ def extract_indiscernible(
     subsequence is returned, which may exceed ``cfg.target_length``; if
     it falls short, the raised error carries the result and the pattern
     that first pushed it under the target.
+
+    Input longer than the window is decided on the crop first. The crop
+    is a subsequence, so a pattern that is not constant there is not
+    constant on the whole input, and the whole input is decided only when
+    every pattern is constant on the crop. The crop's ``_decide`` cache
+    then serves the refinement's first patterns, and each pattern's
+    top-level refinement shares it until the survivors change.
     """
     _check_items(ctx, items)
     if len(items) < cfg.target_length:
@@ -483,20 +532,28 @@ def extract_indiscernible(
             f"input length {len(items)} is below the target "
             f"{cfg.target_length}")
     full = ctx.graph.full_mask()
-    rows: dict = {}
-    if all(_decide(ctx, phi, p.entries, items, full, rows)[1]
-           for p in patterns if len(p) <= len(items)):
-        return list(items)
+
+    def indiscernible(seq: Seq[int], rows: dict) -> bool:
+        return all(_decide(ctx, phi, p.entries, seq, full, rows)[1]
+                   for p in patterns if len(p) <= len(seq))
 
     survivors = list(items)
     if cfg.window is not None and len(survivors) > cfg.window:
         survivors = survivors[:cfg.window]
+    rows: dict = {}
+    if indiscernible(survivors, rows) and (
+            len(survivors) == len(items) or indiscernible(items, {})):
+        return list(items)
+
     blocking: Pattern | None = None
     for pattern in sorted(patterns, key=len):
-        before = len(survivors)
+        before = survivors
         survivors, _ = _make_homogeneous(ctx, phi, pattern.entries,
-                                         survivors, full)
-        if blocking is None and before >= cfg.target_length > len(survivors):
+                                         survivors, full, rows)
+        if survivors is not before:
+            rows = {}
+        if (blocking is None
+                and len(before) >= cfg.target_length > len(survivors)):
             blocking = pattern
     if len(survivors) < cfg.target_length:
         raise ExtractionShortfall(

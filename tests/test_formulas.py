@@ -169,6 +169,26 @@ def test_pattern_cap_stops_before_counting_in_full():
     assert len(enumerate_type_patterns(4, 4)) == 16 + 16**2 + 16**3 + 16**4
 
 
+def test_type_patterns_are_one_shared_immutable_list():
+    pats = enumerate_type_patterns(2, 3)
+    assert isinstance(pats, tuple)
+    assert enumerate_type_patterns(2, 3) is pats
+    # one entry object per type, shared by every pattern that uses it
+    entries = {id(e) for p in pats for e in p.entries}
+    assert len(entries) == len(all_phi_types(2))
+    assert len(enumerate_type_patterns(4, 4)) == 69_904
+
+
+def test_over_cap_type_patterns_raise_on_every_call():
+    # a raise is not memoised, so a repeat call raises again
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="exceed the cap"):
+            enumerate_type_patterns(5, 4)
+    for _ in range(2):
+        with pytest.raises(InputError, match="must be >= 1"):
+            enumerate_type_patterns(2, 0)
+
+
 def _nonempty_entry_sets(types):
     out = []
     for r in range(1, len(types) + 1):

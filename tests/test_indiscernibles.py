@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -20,24 +22,35 @@ from flipwide import (
     is_delta_indiscernible,
     type_pattern,
 )
+from flipwide import indiscernibles, sampleset
+from flipwide.formulas import entry_mask
 from flipwide.generators import (
     clique,
     complement,
+    edgeless,
     half_graph,
     matching,
     path,
     random_bounded_degree,
     star_forest,
 )
+from flipwide.graphcore import Graph, mask_of
 from flipwide.indiscernibles import (
+    DEFAULT_WINDOW,
     ExtractionConfig,
+    _check_items,
+    _decide,
+    _entry_rows,
     _false_search,
     _find_false_tuple,
     _find_true_tuple,
+    _first_truth,
     _kept_witnesses,
+    _majority,
     _make_homogeneous,
     _one_exception_cover,
 )
+from flipwide.sampleset import DisjointFamilyInput, build_sample_set
 
 EDGE = (edge_atom(),)
 PATS3 = enumerate_type_patterns(1, 3)
@@ -497,8 +510,11 @@ def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
     items = data.draw(st.lists(st.sampled_from(pool), unique=True,
                                max_size=len(pool)).map(sorted))
     full = ctx.graph.full_mask()
+    # every call refines the same items, so one cache serves them all
+    rows: dict = {}
     for pattern in enumerate_type_patterns(len(phi), 3):
-        out, value = _make_homogeneous(ctx, phi, pattern.entries, items, full)
+        out, value = _make_homogeneous(ctx, phi, pattern.entries, items, full,
+                                       rows)
         it = iter(items)
         assert all(v in it for v in out)
         truths = {eval_gamma(ctx, phi, pattern, combo)[0]
@@ -507,3 +523,206 @@ def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
             assert len(out) < len(pattern)
         else:
             assert truths == {value}
+
+
+def _truths_by_enumeration(ctx, phi, entries, items, alive0):
+    """Truth of every increasing tuple, in lexicographic order."""
+    return [bool(alive0 & reduce(and_, (entry_mask(ctx, phi, e, y)
+                                        for e, y in zip(entries, combo))))
+            for combo in combinations(items, len(entries))]
+
+
+@given(st.integers(0, 10_000), st.integers(4, 10), st.integers(1, 4),
+       st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_decide_shares_rows_across_patterns_and_witness_sets(
+        seed, n, d, use_eq, data):
+    # one cache for every pattern and both witness sets; patterns share
+    # prefixes, and in either order a sweep may resume from a stored one
+    ctx, phi, pool = _random_ctx(seed, n, d, use_eq)
+    items = data.draw(st.permutations(pool))[:data.draw(
+        st.integers(1, len(pool)))]
+    full = ctx.graph.full_mask()
+    alives = (full, data.draw(st.integers(0, full)))
+    patterns = [p for p in enumerate_type_patterns(len(phi), 3)
+                if len(p) <= len(items)]
+    if data.draw(st.booleans()):
+        patterns = data.draw(st.permutations(patterns))
+    rows: dict = {}
+    for pattern in patterns:
+        for alive0 in alives:
+            truths = _truths_by_enumeration(ctx, phi, pattern.entries,
+                                            items, alive0)
+            got = _decide(ctx, phi, pattern.entries, items, alive0, rows)
+            assert got == (truths[0], len(set(truths)) == 1)
+
+
+def test_decide_settles_extensions_of_a_prefix_without_witnesses():
+    # in a star only the center is adjacent to a leaf: with the center
+    # alive (True,) keeps a witness, with the leaves alone it keeps none
+    g = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
+    ctx = edge_ctx(g)
+    items = list(range(1, 6))
+    full = g.full_mask()
+    leaves = mask_of(items)
+    adj, non = frozenset([(True,)]), frozenset([(False,)])
+    rows: dict = {}
+    assert _decide(ctx, EDGE, (adj,), items, full, rows) == (True, True)
+    assert _decide(ctx, EDGE, (adj,), items, leaves, rows) == (False, True)
+    assert rows[(adj,), leaves][-1] == 0
+    for tail in ((adj,), (non,), (adj, non), (non, non)):
+        entries = (adj, *tail)
+        for alive0 in (full, leaves):
+            truths = _truths_by_enumeration(ctx, EDGE, entries, items, alive0)
+            got = _decide(ctx, EDGE, entries, items, alive0, rows)
+            assert got == (truths[0], len(set(truths)) == 1)
+        # settled from the stored prefix, with no sweep of its own
+        assert (entries, leaves) not in rows
+
+
+# The extraction as it stood before window-first refutation, prefix sweeps
+# and shared refinement caches: the whole input is decided first, and
+# every _make_homogeneous call starts a fresh cache.
+
+def _reference_decide(ctx, phi, entries, items, alive0, rows):
+    got = _entry_rows(ctx, phi, entries, items, rows)
+    masks, kill_caches, excl_caches = map(list, zip(*got))
+    if _first_truth(masks, alive0):
+        return True, _false_search(masks, alive0, kill_caches,
+                                   excl_caches) is None
+    return False, not _kept_witnesses(masks, alive0)
+
+
+def _reference_homogeneous(ctx, phi, entries, items, alive0):
+    depth = len(entries)
+    if len(items) < depth:
+        return items, None
+    t0, constant = _reference_decide(ctx, phi, entries, items, alive0, {})
+    if constant:
+        return items, t0
+    if depth == 1:
+        truths = [bool(alive0 & entry_mask(ctx, phi, entries[0], y))
+                  for y in items]
+        keep = _majority(truths)
+        return [y for y, t in zip(items, truths) if t is keep], keep
+    heads = []
+    work = list(items)
+    while work:
+        h = work[0]
+        alive_h = alive0 & entry_mask(ctx, phi, entries[0], h)
+        refined, value = _reference_homogeneous(ctx, phi, entries[1:],
+                                                work[1:], alive_h)
+        heads.append((h, value))
+        work = refined
+    colored = [c for _, c in heads if c is not None]
+    if not colored:
+        return [h for h, _ in heads], None
+    keep = _majority(colored)
+    return [h for h, c in heads if c is None or c is keep], keep
+
+
+def _reference_extract(ctx, phi, patterns, items, cfg):
+    _check_items(ctx, items)
+    if len(items) < cfg.target_length:
+        raise InputError("input below the target")
+    full = ctx.graph.full_mask()
+    rows: dict = {}
+    if all(_reference_decide(ctx, phi, p.entries, items, full, rows)[1]
+           for p in patterns if len(p) <= len(items)):
+        return list(items)
+    survivors = list(items)
+    if cfg.window is not None and len(survivors) > cfg.window:
+        survivors = survivors[:cfg.window]
+    blocking = None
+    for pattern in sorted(patterns, key=len):
+        before = len(survivors)
+        survivors, _ = _reference_homogeneous(ctx, phi, pattern.entries,
+                                              survivors, full)
+        if blocking is None and before >= cfg.target_length > len(survivors):
+            blocking = pattern
+    if len(survivors) < cfg.target_length:
+        raise ExtractionShortfall("short", achieved=survivors,
+                                  blocking_pattern=blocking)
+    return survivors
+
+
+def _extraction_outcome(extract, ctx, phi, patterns, items, cfg):
+    try:
+        return "ok", extract(ctx, phi, patterns, items, cfg)
+    except ExtractionShortfall as err:
+        return "short", err.achieved, err.blocking_pattern
+
+
+def _assert_extraction_matches_reference(ctx, phi, patterns, items, cfg):
+    got = _extraction_outcome(extract_indiscernible, ctx, phi, patterns,
+                              items, cfg)
+    want = _extraction_outcome(_reference_extract, ctx, phi, patterns,
+                               items, cfg)
+    assert got == want
+    return got
+
+
+@given(st.integers(0, 10_000), st.integers(4, 30), st.integers(1, 4),
+       st.booleans(), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_extraction_matches_reference(seed, n, d, use_eq, k, data):
+    ctx, phi, pool = _random_ctx(seed, n, d, use_eq)
+    if data.draw(st.booleans()):
+        ctx = EvalContext(complement(ctx.graph), ctx.constants, 1)
+    items = data.draw(st.permutations(pool))[:data.draw(
+        st.integers(1, len(pool)))]
+    window = data.draw(st.none() | st.integers(1, len(pool)))
+    target = data.draw(st.integers(1, min(3, len(items))))
+    _assert_extraction_matches_reference(
+        ctx, phi, enumerate_type_patterns(len(phi), k), items,
+        ExtractionConfig(target_length=target, window=window))
+
+
+@pytest.mark.parametrize("g", [
+    random_bounded_degree(90, 3, 5),
+    complement(random_bounded_degree(70, 3, 6)),
+    clique(60),
+    edgeless(60),
+], ids=["sparse", "dense", "clique", "edgeless"])
+@pytest.mark.parametrize("window", [DEFAULT_WINDOW, 60, None])
+def test_long_extraction_matches_reference(g, window):
+    ctx = edge_ctx(g)
+    cfg = ExtractionConfig(target_length=2, window=window)
+    _assert_extraction_matches_reference(ctx, EDGE, PATS3,
+                                         list(range(g.n)), cfg)
+
+
+def test_indiscernible_crop_of_a_discernible_sequence():
+    # the first ten vertices are isolated and the last two adjacent, so
+    # the crop is indiscernible and the whole sequence is not
+    g = Graph.from_edges(12, [(10, 11)])
+    ctx = edge_ctx(g)
+    items = list(range(12))
+    assert is_delta_indiscernible(ctx, EDGE, PATS3, items[:10])[0]
+    assert not is_delta_indiscernible(ctx, EDGE, PATS3, items)[0]
+    cfg = ExtractionConfig(target_length=2, window=10)
+    got = _assert_extraction_matches_reference(ctx, EDGE, PATS3, items, cfg)
+    assert got == ("ok", items[:10])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_crop_refutation_skips_the_full_check(monkeypatch, seed):
+    # a level-0 build over 400 vertices extracts from its 399 survivors;
+    # the crop refutes it, so no decision ever sees more than the window
+    seen: list[int] = []
+    extracted: list[int] = []
+
+    def recording_decide(ctx, phi, entries, items, alive0, rows):
+        seen.append(len(items))
+        return _decide(ctx, phi, entries, items, alive0, rows)
+
+    def recording_extract(ctx, phi, patterns, items, cfg):
+        extracted.append(len(items))
+        return extract_indiscernible(ctx, phi, patterns, items, cfg)
+
+    monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
+    monkeypatch.setattr(sampleset, "extract_indiscernible", recording_extract)
+    g = random_bounded_degree(400, 3, seed)
+    build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0, "stable"))
+    assert max(extracted) > DEFAULT_WINDOW
+    assert seen and max(seen) <= DEFAULT_WINDOW
