@@ -15,10 +15,11 @@ A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
 each entry's row over the items and its search caches, and each pattern
 prefix's true-tuple sweep, so a pattern whose first tuple is false costs
-one row step past its longest decided prefix. The extractor decides an
-input longer than its window on the crop first; since constancy is closed
-under subsequences, a pattern that varies there refutes the whole input,
-which is then never scanned.
+one row step past its longest decided prefix. The refinement and the
+counterexample read these instead of computing them again. The extractor
+decides an input longer than its window on the crop first; since
+constancy is closed under subsequences, a pattern that varies there
+refutes the whole input, which is then never scanned.
 
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
@@ -117,30 +118,14 @@ def _first_truth(masks: list[list[int]], alive0: int) -> bool:
     return bool(first)
 
 
-def _kept_witnesses(masks: list[list[int]], alive0: int) -> int:
-    """Every alive witness z that some increasing tuple keeps.
-
-    One bitset sweep: reach[i] holds the witnesses for which the entries
-    so far fit into positions below i.
-    """
-    reach = [alive0] * len(masks[0])
-    for row in masks:
-        reach = [0, *accumulate(map(and_, reach, row), or_)]
-        if not reach[-1]:
-            return 0
-    return reach[-1]
-
-
-def _find_true_tuple(masks: list[list[int]], alive0: int) -> tuple[int, ...] | None:
+def _find_true_tuple(masks: list[list[int]], kept: int) -> tuple[int, ...]:
     """Smallest-witness search for one increasing tuple with truth True.
 
-    The lowest witness that ``_kept_witnesses`` finds takes the greedy
-    lowest-position walk, which is the tuple returned.
+    ``kept`` is the nonzero set of witnesses that some increasing tuple
+    keeps, the last reach of ``_decide``'s sweep. Its lowest witness
+    takes the greedy lowest-position walk, which is the tuple returned.
     """
-    final = _kept_witnesses(masks, alive0)
-    if not final:
-        return None
-    z = (final & -final).bit_length() - 1
+    z = (kept & -kept).bit_length() - 1
     picks = []
     idx = -1
     for row in masks:
@@ -173,14 +158,9 @@ def _one_exception_cover(masks: list[list[int]], alive0: int,
     leftmost placement looks for a tuple with every entry on a bad
     position; when there is none, the cover holds.
 
-    ``excl_caches`` holds one list per entry, filled here with
-    ``_all_but_one`` of its row on first use. Callers share them across
-    searches with different alive sets, so they are never restricted to
-    ``alive0``.
+    ``excl_caches`` holds each entry's ``_all_but_one`` list, which
+    ``_false_search`` fills.
     """
-    for row, excl in zip(masks, excl_caches):
-        if not excl:
-            excl += _all_but_one(row)
     s = len(masks[0])
     prev = -1
     for j, row in enumerate(masks):
@@ -201,7 +181,7 @@ def _one_exception_cover(masks: list[list[int]], alive0: int,
 
 def _false_search(masks: list[list[int]], alive0: int,
                   kill_caches: list[dict[int, int]],
-                  excl_caches: list[list[int]] | None = None,
+                  excl_caches: list[list[int]],
                   ) -> Callable[[int, int, int], bool] | None:
     """Decide whether some increasing tuple has an empty witness
     intersection: None when every increasing tuple keeps a witness,
@@ -239,15 +219,13 @@ def _false_search(masks: list[list[int]], alive0: int,
       their subtrees, since a completion through it there would have
       completed it.
 
-    Kill positions are computed per (entry, witness) the first time that
-    witness is branched on, into ``kill_caches``: one dict per entry,
-    which callers share across searches over the same rows.
-    ``excl_caches`` are the per-entry ``_all_but_one`` caches of the
-    universal witness and the cover, shared the same way (fresh ones
-    when None).
+    Both caches hold one item per entry, which callers share across
+    searches over the same rows, whatever their alive sets:
+    ``kill_caches`` a dict of kill positions per witness, computed the
+    first time that witness is branched on, and ``excl_caches`` the
+    ``_all_but_one`` list that the universal witness and the cover read,
+    filled here and nowhere else on first use.
     """
-    if excl_caches is None:
-        excl_caches = [[] for _ in masks]
     surviving = alive0
     for row, excl in zip(masks, excl_caches):
         if not excl:
@@ -332,6 +310,7 @@ def _false_search(masks: list[list[int]], alive0: int,
 
 def _find_false_tuple(masks: list[list[int]], alive0: int,
                       kill_caches: list[dict[int, int]],
+                      excl_caches: list[list[int]],
                       ) -> tuple[int, ...] | None:
     """Lexicographically smallest increasing tuple whose witness
     intersection is empty, or None when every increasing tuple keeps a
@@ -339,9 +318,9 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
 
     Once ``_false_search`` finds that such a tuple exists, positions are
     fixed left to right: each candidate prefix is kept when its
-    ``completes`` finds a completion, over the same kill caches.
+    ``completes`` finds a completion, over the same caches.
     """
-    completes = _false_search(masks, alive0, kill_caches)
+    completes = _false_search(masks, alive0, kill_caches, excl_caches)
     if completes is None:
         return None
     depth = len(masks)
@@ -373,14 +352,17 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     of ``_entry_rows``.
 
     When the first tuple is false, the pattern is constant exactly when
-    no increasing tuple keeps a witness, which is the ``_kept_witnesses``
-    sweep. The sweep after entries e_1..e_j depends only on those entries
-    and alive0, so each prefix's reach list is stored in ``rows`` under
-    (entries[:j], alive0), and a sweep resumes from the longest prefix
-    already stored: with patterns enumerated shortest first, a length-k
-    pattern costs one row step instead of k. A prefix that keeps no
-    witness keeps none in any extension, so every extension is settled
-    as constant False without a step.
+    no increasing tuple keeps a witness. One bitset sweep decides that:
+    after entries e_1..e_j, reach[i] holds the witnesses for which those
+    entries fit into positions below i, and reach[-1] the witnesses that
+    some tuple keeps. It depends only on the entries and alive0, so each
+    prefix's reach list is stored in ``rows`` under (entries[:j], alive0),
+    where ``is_delta_indiscernible`` reads the kept witnesses, and a sweep
+    resumes from the longest prefix already stored: with patterns
+    enumerated shortest first, a length-k pattern costs one row step
+    instead of k. A prefix that keeps no witness keeps none in any
+    extension, so every extension is settled as constant False without a
+    step.
     """
     got = _entry_rows(ctx, phi, entries, items, rows)
     masks, kill_caches, excl_caches = map(list, zip(*got))
@@ -416,15 +398,16 @@ def is_delta_indiscernible(
         depth = len(pattern)
         if len(items) < depth:
             continue
-        t0, constant = _decide(ctx, phi, pattern.entries, items, full, rows)
+        entries = pattern.entries
+        t0, constant = _decide(ctx, phi, entries, items, full, rows)
         if constant:
             continue
-        got = _entry_rows(ctx, phi, pattern.entries, items, rows)
-        masks = [m for m, _, _ in got]
+        got = _entry_rows(ctx, phi, entries, items, rows)
+        masks, kill_caches, excl_caches = map(list, zip(*got))
         if t0:
-            bad = _find_false_tuple(masks, full, [c for _, c, _ in got])
+            bad = _find_false_tuple(masks, full, kill_caches, excl_caches)
         else:
-            bad = _find_true_tuple(masks, full)
+            bad = _find_true_tuple(masks, rows[entries, full][-1])
         other = tuple(items[idx] for idx in bad)
         head = tuple(items[:depth])
         if t0:
@@ -471,8 +454,8 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     to alive0) has constant truth, plus that truth, or None when the
     result is too short to carry any tuple. The subsequence is ``items``
     itself when nothing was removed. ``rows`` is the ``_decide`` cache for
-    ``items``; each recursive call refines a different item list and so
-    starts its own.
+    ``items``, whose entry row gives a single entry's truths; each
+    recursive call refines a different item list and so starts its own.
     """
     depth = len(entries)
     if len(items) < depth:
@@ -482,8 +465,7 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         return items, t0
 
     if depth == 1:
-        truths = [bool(alive0 & entry_mask(ctx, phi, entries[0], y))
-                  for y in items]
+        truths = [bool(alive0 & m) for m in rows[entries[0]][0]]
         keep = _majority(truths)
         return [y for y, t in zip(items, truths) if t is keep], keep
 

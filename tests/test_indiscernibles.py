@@ -1,7 +1,7 @@
 import random
 from functools import reduce
-from itertools import combinations
-from operator import and_
+from itertools import accumulate, combinations
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +38,7 @@ from flipwide.graphcore import Graph, mask_of
 from flipwide.indiscernibles import (
     DEFAULT_WINDOW,
     ExtractionConfig,
+    _all_but_one,
     _check_items,
     _decide,
     _entry_rows,
@@ -45,7 +46,6 @@ from flipwide.indiscernibles import (
     _find_false_tuple,
     _find_true_tuple,
     _first_truth,
-    _kept_witnesses,
     _majority,
     _make_homogeneous,
     _one_exception_cover,
@@ -250,6 +250,17 @@ def _first_true_by_witness_walk(masks, alive0):
     return None
 
 
+def _kept_by_enumeration(masks, alive0):
+    """Every alive witness that some increasing tuple keeps."""
+    kept = 0
+    for combo in combinations(range(len(masks[0])), len(masks)):
+        inter = alive0
+        for j, idx in enumerate(combo):
+            inter &= masks[j][idx]
+        kept |= inter
+    return kept
+
+
 def _random_mask_cases():
     """Random witness masks with their kill caches, and alive sets.
 
@@ -287,9 +298,14 @@ def test_tuple_searches_match_enumeration():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
         fresh = [{} for _ in masks]
-        assert _find_false_tuple(masks, alive0, fresh) == want_false
-        assert _find_false_tuple(masks, alive0, caches) == want_false
-        assert _find_true_tuple(masks, alive0) == want_true
+        excl = [[] for _ in masks]
+        assert _find_false_tuple(masks, alive0, fresh, excl) == want_false
+        assert _find_false_tuple(masks, alive0, caches,
+                                 [[] for _ in masks]) == want_false
+        kept = _kept_by_enumeration(masks, alive0)
+        assert bool(kept) == (want_true is not None)
+        if kept:
+            assert _find_true_tuple(masks, kept) == want_true
         outcomes["false" if want_false else "no_false"] += 1
         outcomes["true" if want_true else "no_true"] += 1
     assert min(outcomes.values()) > 100, outcomes
@@ -321,9 +337,11 @@ def test_dense_mask_searches_match_enumeration():
     found = []
     for masks in _dense_mask_cases():
         want = _first_false_by_enumeration(masks, alive0)
-        has_false = _false_search(masks, alive0, [{} for _ in masks])
+        has_false = _false_search(masks, alive0, [{} for _ in masks],
+                                  [[] for _ in masks])
         assert (has_false is not None) == (want is not None)
-        assert _find_false_tuple(masks, alive0, [{} for _ in masks]) == want
+        assert _find_false_tuple(masks, alive0, [{} for _ in masks],
+                                 [[] for _ in masks]) == want
         found.append(want is not None)
     assert found == [False, False, False, True]
 
@@ -356,7 +374,8 @@ def _no_universal_witness(masks, alive0):
 def test_one_exception_cover_matches_enumeration():
     outcomes = {"cover": 0, "cover_beyond_universal": 0, "no_cover": 0}
     for masks, _, alive0 in _random_mask_cases():
-        held = _one_exception_cover(masks, alive0, [[] for _ in masks])
+        held = _one_exception_cover(masks, alive0,
+                                    [_all_but_one(row) for row in masks])
         assert held == _cover_by_definition(masks, alive0)
         if held:
             assert _first_false_by_enumeration(masks, alive0) is None
@@ -461,18 +480,20 @@ def test_constancy_past_the_enumeration_cliff():
 
 
 def test_decisions_match_enumeration():
-    # the decisions run first on the shared kill caches, so the
-    # construction that follows starts from caches they filled
+    # the decisions run first on the shared caches, so the construction
+    # that follows starts from caches they filled
     decided = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
     for masks, caches, alive0 in _random_mask_cases():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
         has_false = want_false is not None
         fresh = [{} for _ in masks]
-        assert (_false_search(masks, alive0, fresh) is not None) == has_false
-        assert (_false_search(masks, alive0, caches) is not None) == has_false
-        assert _find_false_tuple(masks, alive0, caches) == want_false
-        assert bool(_kept_witnesses(masks, alive0)) == (want_true is not None)
+        excl = [[] for _ in masks]
+        assert (_false_search(masks, alive0, fresh, [[] for _ in masks])
+                is not None) == has_false
+        assert (_false_search(masks, alive0, caches, excl)
+                is not None) == has_false
+        assert _find_false_tuple(masks, alive0, caches, excl) == want_false
         decided["false" if has_false else "no_false"] += 1
         decided["true" if want_true else "no_true"] += 1
     assert min(decided.values()) > 100, decided
@@ -525,6 +546,31 @@ def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
             assert truths == {value}
 
 
+def test_refinement_reads_entry_masks_only_for_heads(monkeypatch):
+    # a single entry's truths come from the row that _decide stored, so
+    # entry_mask runs only for the heads of a longer pattern, once each
+    heads = []
+
+    def counting(ctx, phi, entry, y):
+        heads.append(y)
+        return entry_mask(ctx, phi, entry, y)
+
+    monkeypatch.setattr(indiscernibles, "entry_mask", counting)
+    # a path with an isolated vertex 6: neither pattern is constant
+    g = Graph.from_edges(7, [(v, v + 1) for v in range(5)])
+    ctx = edge_ctx(g)
+    items = list(range(7))
+    adj = frozenset([(True,)])
+    out, value = _make_homogeneous(ctx, EDGE, (adj,), items, g.full_mask(),
+                                   {})
+    assert (out, value) == ([0, 1, 2, 3, 4, 5], True)
+    assert heads == []
+    out, value = _make_homogeneous(ctx, EDGE, (adj, adj), items,
+                                   g.full_mask(), {})
+    assert heads == sorted(set(heads)) and set(out) <= set(heads)
+    assert value is not None and len(out) < len(items)
+
+
 def _truths_by_enumeration(ctx, phi, entries, items, alive0):
     """Truth of every increasing tuple, in lexicographic order."""
     return [bool(alive0 & reduce(and_, (entry_mask(ctx, phi, e, y)
@@ -555,6 +601,13 @@ def test_decide_shares_rows_across_patterns_and_witness_sets(
                                             items, alive0)
             got = _decide(ctx, phi, pattern.entries, items, alive0, rows)
             assert got == (truths[0], len(set(truths)) == 1)
+            if got == (False, False):
+                # the stored sweep holds the witnesses that
+                # is_delta_indiscernible builds its true tuple from
+                masks = [[entry_mask(ctx, phi, e, y) for y in items]
+                         for e in pattern.entries]
+                assert (rows[pattern.entries, alive0][-1]
+                        == _kept_by_enumeration(masks, alive0))
 
 
 def test_decide_settles_extensions_of_a_prefix_without_witnesses():
@@ -590,7 +643,10 @@ def _reference_decide(ctx, phi, entries, items, alive0, rows):
     if _first_truth(masks, alive0):
         return True, _false_search(masks, alive0, kill_caches,
                                    excl_caches) is None
-    return False, not _kept_witnesses(masks, alive0)
+    reach = [alive0] * len(items)
+    for row in masks:
+        reach = [0, *accumulate(map(and_, reach, row), or_)]
+    return False, not reach[-1]
 
 
 def _reference_homogeneous(ctx, phi, entries, items, alive0):
