@@ -136,9 +136,12 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
     ``req.budget``, whose extraction target is always 1, so the
     construction never depends on the requested target size; a final set
     smaller than it only raises the shortfall flag. Every level re-checks
-    independence of the survivors in the flipped graph before moving on,
-    so the last level's check is the final one. Budget and mode errors
-    name the level they came from.
+    independence of the survivors in the flipped graph before moving on.
+    The loop stops early, before any level, once the survivors are
+    already pairwise more than ``radius`` apart; after level L they are
+    more than L+1 apart, so it runs at most n levels whatever the radius,
+    and the trace may hold fewer than radius+1 entries. Budget and mode
+    errors name the level they came from.
     """
     g_cur = req.graph
     current = tuple(req.a_set)
@@ -146,6 +149,8 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
     trace: list[LevelTrace] = [LevelTrace(0, "base", (), (), current)]
 
     for level in range(req.radius):
+        if is_distance_r_independent(g_cur, current, req.radius)[0]:
+            break
         i = level // 2
         inp = DisjointFamilyInput(current, i, "stable")
         try:

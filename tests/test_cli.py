@@ -627,6 +627,25 @@ def test_python_dash_m_runs_uninstalled():
     assert res.stdout == format_edge_list(path(3))
 
 
+@pytest.mark.parametrize("graph,code", [("0 0\n", 3), ("1 0\n", 0)],
+                         ids=["empty", "one-vertex"])
+def test_huge_radius_ends(graph, code):
+    # flip-widen stops once the survivors are apart, not after 10**20
+    # levels; the empty graph's B is empty, so target 1 is a shortfall
+    env = dict(os.environ)
+    src = str(Path(flipwide.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "flipwide", "flip-widen", "-A", "all",
+         "-m", "1", "-r", "100000000000000000000"],
+        input=graph, capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == code, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["verified"] is True and len(doc["trace"]) == 1
+    assert doc["b_set"] == list(range(int(graph.split()[0])))
+
+
 def test_repeated_main_calls_match_fresh_processes(script_env, capsys):
     # main builds its parser once per process; a usage error in one call
     # must leave nothing behind for the calls after it

@@ -6,6 +6,8 @@ original graph, so a frozen row plus a verify call cross-checks both
 directions.
 """
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from flipwide.graphcore import (
 from flipwide.generators import (
     clique,
     complement,
+    edgeless,
     half_graph,
     matching,
     path,
@@ -64,7 +67,7 @@ TABLE = {
     "star12x6": {r: (11, 0, False) for r in (1, 2, 3, 4)},
     "matching40": {r: (23, 0, False) for r in (1, 2, 3, 4)},
     "co_path40": {1: (11, 1, False), 2: (10, 2, False),
-                  3: (1, 5, True), 4: (1, 6, True)},
+                  3: (1, 5, True), 4: (1, 5, True)},
     "rbd60": {1: (10, 0, False), 2: (10, 0, False),
               3: (0, 0, True), 4: (0, 0, True)},
 }
@@ -110,15 +113,35 @@ def test_flip_count_plateau():
 def test_trace_shape():
     g = complement(path(40))
     res = widen(g, 4)
+    # the single survivor after level 3 ends the loop before level 4
     assert tuple(t.parity for t in res.trace) == (
-        "base", "even", "odd", "even", "odd")
-    assert [t.level for t in res.trace] == [0, 1, 2, 3, 4]
+        "base", "even", "odd", "even")
+    assert [t.level for t in res.trace] == [0, 1, 2, 3]
     assert res.trace[0].surviving == tuple(range(40))
     assert res.trace[0].samples == () and res.trace[0].flips_added == ()
     assert tuple(sorted(res.trace[-1].surviving)) == res.b_set
     # survivors only shrink
     sizes = [len(t.surviving) for t in res.trace]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_independent_input_runs_no_level():
+    res = flip_widen(FlipWideRequest(edgeless(3), (0, 1, 2), 50, 3))
+    assert res.b_set == (0, 1, 2) and res.flip_set == ()
+    assert len(res.trace) == 1
+    assert res.verified and not res.shortfall
+
+
+def test_huge_radius_stops_once_survivors_are_apart():
+    # the loop ends when no survivor reaches another, long before the
+    # radius; without the early stop it would run 10**20 levels
+    g = clique(10)
+    started = time.perf_counter()
+    res = flip_widen(FlipWideRequest(g, tuple(range(10)), 10**20, 1))
+    assert time.perf_counter() - started < 10
+    assert res.b_set == tuple(range(2, 10))
+    assert len(res.flip_set) == 2 and len(res.trace) == 3
+    assert verify_flip_wide(g, res, 10**20) == (True, None)
 
 
 def test_radius_zero():
