@@ -195,7 +195,13 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
 
 def verify_flip_wide(g: Graph, result: FlipWideResult,
                      r: int) -> tuple[bool, tuple[int, int] | None]:
-    """Independent re-check: apply the flips fresh and measure distances."""
+    """Independent re-check: apply the flips fresh and measure distances.
+
+    A repeated ``b_set`` id is an input error, as for ``a_set``: the
+    distance check reads its members as a set, so it would pass unseen.
+    """
+    if len(set(result.b_set)) != len(result.b_set):
+        raise InputError("b_set must be pairwise distinct")
     for v in result.b_set:
         g.check_vertex(v)
     flipped = apply_flips(g, result.flip_set)

@@ -23,6 +23,7 @@ import flipwide
 from flipwide import (
     BudgetExceeded,
     FlipWideRequest,
+    Graph,
     SampleBudget,
     apply_flips,
     flip_widen,
@@ -295,6 +296,15 @@ def test_verify_small_result_holds(graph_file, tmp_path, capsys):
     code, text, _ = run(
         ["verify", "-g", gf, "--result", small_result(tmp_path)], capsys)
     assert code == 0 and json.loads(text)["verified"] is True
+
+
+def test_verify_rejects_repeated_b_set_id(graph_file, tmp_path, capsys):
+    # one edge 0-1 and an isolated 2; B = {1, 1} would verify as {1}
+    gf = graph_file(Graph.from_edges(3, [(0, 1)]))
+    res = small_result(tmp_path, b_set=[1, 1], flips=[])
+    code, out, err = run(["verify", "-g", gf, "--result", res], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "b_set must be pairwise distinct" in err
 
 
 @pytest.mark.parametrize("fields,what", [

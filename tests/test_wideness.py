@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from flipwide import (
     BudgetExceeded,
     FlipWideRequest,
+    FlipWideResult,
     InputError,
     InternalInvariantError,
     ModeError,
@@ -142,6 +143,13 @@ def test_huge_radius_stops_once_survivors_are_apart():
     assert res.b_set == tuple(range(2, 10))
     assert len(res.flip_set) == 2 and len(res.trace) == 3
     assert verify_flip_wide(g, res, 10**20) == (True, None)
+
+
+def test_verify_rejects_repeated_b_set_ids():
+    g = Graph.from_edges(3, [(0, 1)])
+    res = FlipWideResult((1, 1), (), 1, (), True, False)
+    with pytest.raises(InputError, match="b_set must be pairwise distinct"):
+        verify_flip_wide(g, res, 1)
 
 
 def test_radius_zero():
