@@ -20,15 +20,12 @@ from .formulas import (
     entry_mask,
     eq_atom,
     eval_atom,
-    eval_gamma,
-    eval_type,
     type_pattern,
 )
 from .graphcore import (
     Flip,
     FlipSet,
     Graph,
-    all_pairs_distance,
     apply_flips,
     ball,
     ball_mask,
@@ -37,7 +34,6 @@ from .graphcore import (
     exact_distance_layer,
     format_edge_list,
     is_distance_r_independent,
-    make_flip_set,
     parse_edge_list,
     phi_equivalent_over,
 )
@@ -69,7 +65,6 @@ from .sampleset import (
     SampleBudget,
     SampleSetResult,
     build_sample_set,
-    decompose_exceptional,
     verify_sample_set,
 )
 from .wideness import (

@@ -66,10 +66,6 @@ def half_graph(n: int) -> Graph:
     return Graph.from_edges(2 * n, edges)
 
 
-def half_graph_sides(n: int) -> tuple[list[int], list[int]]:
-    return list(range(n)), list(range(n, 2 * n))
-
-
 def star_forest(stars: int, leaves: int) -> Graph:
     """``stars`` centers (ids 0..stars-1), each with ``leaves`` private
     leaves appended after all centers."""

@@ -265,19 +265,6 @@ class Flip:
 FlipSet = tuple[Flip, ...]
 
 
-def make_flip_set(flips: Iterable[Flip]) -> FlipSet:
-    """Validate pairwise distinctness and freeze the application order."""
-    out: list[Flip] = []
-    seen = set()
-    for f in flips:
-        key = (f.a, f.b)
-        if key in seen:
-            raise InputError(f"duplicate flip {key} in flip set")
-        seen.add(key)
-        out.append(f)
-    return tuple(out)
-
-
 def apply_flips(g: Graph, flips: Iterable[Flip]) -> Graph:
     """Apply flips by toggle parity; order never matters.
 

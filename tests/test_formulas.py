@@ -14,7 +14,6 @@ from flipwide import (
     Graph,
     InputError,
     Pattern,
-    all_pairs_distance,
     all_phi_types,
     ball_mask,
     dist_atom,
@@ -22,15 +21,14 @@ from flipwide import (
     enumerate_type_patterns,
     eq_atom,
     eval_atom,
-    eval_gamma,
-    eval_type,
     extract_indiscernible,
     is_delta_indiscernible,
     phi_equivalent_over,
     type_pattern,
 )
-from flipwide.formulas import entry_mask, type_mask
+from flipwide.formulas import entry_mask, eval_gamma, eval_type, type_mask
 from flipwide.generators import half_graph, path, random_bounded_degree
+from flipwide.graphcore import all_pairs_distance
 from flipwide.indiscernibles import ExtractionConfig
 
 

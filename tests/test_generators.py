@@ -10,7 +10,6 @@ from flipwide.generators import (
     edgeless,
     grid,
     half_graph,
-    half_graph_sides,
     matching,
     path,
     power,
@@ -59,8 +58,7 @@ def test_matching():
 
 def test_half_graph_order_pattern():
     g = half_graph(4)
-    left, right = half_graph_sides(4)
-    assert left == [0, 1, 2, 3] and right == [4, 5, 6, 7]
+    left, right = [0, 1, 2, 3], [4, 5, 6, 7]
     for i in range(4):
         for j in range(4):
             assert g.adj(i, 4 + j) == (i <= j)

@@ -17,7 +17,6 @@ from flipwide import (
     Flip,
     Graph,
     InputError,
-    all_pairs_distance,
     apply_flips,
     ball,
     ball_mask,
@@ -26,12 +25,11 @@ from flipwide import (
     exact_distance_layer,
     format_edge_list,
     is_distance_r_independent,
-    make_flip_set,
     parse_edge_list,
     phi_equivalent_over,
 )
 from flipwide import graphcore
-from flipwide.graphcore import MAX_VERTICES
+from flipwide.graphcore import MAX_VERTICES, all_pairs_distance
 
 
 def brute_flip(g: Graph, f: Flip) -> Graph:
@@ -163,13 +161,6 @@ def test_flip_normalizes_and_validates():
         Flip([-1], [0])
     with pytest.raises(InputError):
         apply_flips(Graph(2), (Flip([5], [0]),))
-
-
-def test_make_flip_set_rejects_duplicates():
-    f = Flip((0,), (1,))
-    with pytest.raises(InputError):
-        make_flip_set([f, Flip((0,), (1,))])
-    assert make_flip_set([f, f.mirror()]) == (f, f.mirror())
 
 
 @given(graphs_st)

@@ -16,14 +16,13 @@ from flipwide import (
     em_type,
     enumerate_type_patterns,
     eq_atom,
-    eval_gamma,
     extract_indiscernible,
     flip_widen,
     is_delta_indiscernible,
     type_pattern,
 )
 from flipwide import indiscernibles, sampleset
-from flipwide.formulas import entry_mask
+from flipwide.formulas import entry_mask, eval_gamma
 from flipwide.generators import (
     clique,
     complement,

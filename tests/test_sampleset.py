@@ -18,13 +18,16 @@ from flipwide import (
     ModeError,
     SampleBudget,
     build_sample_set,
-    decompose_exceptional,
     phi_equivalent_over,
     verify_sample_set,
 )
 from flipwide.generators import clique, edgeless, half_graph, path, star_forest
 from flipwide.graphcore import Graph, ball_mask, eq_class_mask
-from flipwide.sampleset import _certificates, _pick_sample
+from flipwide.sampleset import (
+    _certificates,
+    _pick_sample,
+    decompose_exceptional,
+)
 
 
 def build_and_verify(g, centers, hr, mode, budget=None):
