@@ -4,7 +4,7 @@ Most tests drive main(argv) in process and read files from tmp_path;
 three subprocess tests check the entry point, real shell pipes, and that
 repeated in-process calls match fresh processes. They use an installed
 `flipwide` when one is on PATH, and otherwise a launcher built from the
-`[project.scripts]` entry of pyproject.toml. One more runs
+`[project.scripts]` entry of pyproject.toml. Three more run
 `python -m flipwide` with the package's source directory on PYTHONPATH.
 """
 
@@ -625,31 +625,35 @@ def test_installed_diagnose_pipe(script_env):
         11, 10, 9, 8, 7, 6]
 
 
-def test_python_dash_m_runs_uninstalled():
+@pytest.fixture()
+def module_env():
+    """Environment for `python -m flipwide` with the package's source
+    directory first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(flipwide.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_uninstalled(module_env):
     res = subprocess.run(
         [sys.executable, "-m", "flipwide", "generate", "path", "3"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=module_env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == format_edge_list(path(3))
 
 
 @pytest.mark.parametrize("graph,code", [("0 0\n", 3), ("1 0\n", 0)],
                          ids=["empty", "one-vertex"])
-def test_huge_radius_ends(graph, code):
+def test_huge_radius_ends(module_env, graph, code):
     # flip-widen stops once the survivors are apart, not after 10**20
     # levels; the empty graph's B is empty, so target 1 is a shortfall
-    env = dict(os.environ)
-    src = str(Path(flipwide.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "flipwide", "flip-widen", "-A", "all",
          "-m", "1", "-r", "100000000000000000000"],
-        input=graph, capture_output=True, text=True, env=env, timeout=60)
+        input=graph, capture_output=True, text=True, env=module_env,
+        timeout=60)
     assert res.returncode == code, res.stderr
     doc = json.loads(res.stdout)
     assert doc["verified"] is True and len(doc["trace"]) == 1

@@ -437,6 +437,17 @@ def test_indiscernibility_matches_brute_force(seed, n, d, use_eq, data):
         for tup, truth in ((cex.true_tuple, True), (cex.false_tuple, False)):
             assert list(tup) == [y for y in items if y in tup]
             assert eval_gamma(ctx, phi, blocking, tup)[0] is truth
+        # the tuple other than the head is the documented one: the
+        # smallest witness's walk, or the smallest false tuple
+        masks = [[entry_mask(ctx, phi, e, y) for y in items]
+                 for e in blocking.entries]
+        full = ctx.graph.full_mask()
+        if cex.false_tuple == tuple(items[:len(blocking)]):
+            want = _first_true_by_witness_walk(masks, full)
+            assert cex.true_tuple == tuple(items[i] for i in want)
+        else:
+            want = _first_false_by_enumeration(masks, full)
+            assert cex.false_tuple == tuple(items[i] for i in want)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 4),
