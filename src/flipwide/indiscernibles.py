@@ -13,13 +13,19 @@ round of the extractor.
 
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
-each entry's row over the items and its search caches, and each pattern
-prefix's true-tuple sweep, so a pattern whose first tuple is false costs
-one row step past its longest decided prefix. The refinement and the
-counterexample read these instead of computing them again. The extractor
-decides an input longer than its window on the crop first; since
-constancy is closed under subsequences, a pattern that varies there
-refutes the whole input, which is then never scanned.
+each entry's row over the items and its search caches, each pattern
+prefix's true-tuple sweep, and the answer for each pattern whose first
+tuple is true. The refinement and the counterexample read these instead
+of computing them again, and each pattern is decided at most once per
+cache, by the cheapest test that settles it (``_decide``): a pattern
+with a stored prefix that keeps no witness is constant False after at
+most k lookups, with no row read; a stored answer is read back; a single
+entry whose first tuple is true takes one scan of its row; a longer one
+takes the false-tuple search; and a pattern whose first tuple is false
+costs one row step past its longest stored prefix. The extractor decides
+an input longer than its window on the crop first; since constancy is
+closed under subsequences, a pattern that varies there refutes the whole
+input, which is then never scanned.
 
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
@@ -97,10 +103,10 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
     keeps all three per entry, so every pattern scanned over the same
     items shares them. ``_decide`` keeps its prefix sweeps in the same
-    dict, keyed by (entries prefix, alive0). Everything in it is a
-    function of its key and of those items, so a caller may share it
-    across patterns and witness sets but must start a new one whenever
-    the items change."""
+    dict, keyed by (entries prefix, alive0), and its first-true answers,
+    keyed by (alive0, entries). Everything in it is a function of its key
+    and of those items, so a caller may share it across patterns and
+    witness sets but must start a new one whenever the items change."""
     out = []
     for e in entries:
         row = rows.get(e)
@@ -351,27 +357,46 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     Requires len(items) >= len(entries). ``rows`` is the per-items cache
     of ``_entry_rows``.
 
-    When the first tuple is false, the pattern is constant exactly when
-    no increasing tuple keeps a witness. One bitset sweep decides that:
-    after entries e_1..e_j, reach[i] holds the witnesses for which those
-    entries fit into positions below i, and reach[-1] the witnesses that
-    some tuple keeps. It depends only on the entries and alive0, so each
-    prefix's reach list is stored in ``rows`` under (entries[:j], alive0),
-    where ``is_delta_indiscernible`` reads the kept witnesses, and a sweep
-    resumes from the longest prefix already stored: with patterns
-    enumerated shortest first, a length-k pattern costs one row step
-    instead of k. A prefix that keeps no witness keeps none in any
-    extension, so every extension is settled as constant False without a
-    step.
+    The tests run cheapest first, and each pattern is decided at most once
+    per ``rows``:
+
+    - Dead prefix: the reach sweep below depends only on the entries and
+      alive0, so each prefix's reach list is stored in ``rows`` under
+      (entries[:j], alive0). A stored prefix that keeps no witness keeps
+      none in any extension, so the pattern is constant False, settled
+      before any row is read.
+    - Stored answer: a pattern whose first tuple is true has its answer
+      stored under (alive0, entries), a key no prefix sweep uses.
+    - First tuple true, one entry: constant exactly when every position
+      keeps an alive witness, one scan of the row.
+    - First tuple true, longer: ``_false_search``.
+    - First tuple false: the pattern is constant exactly when no
+      increasing tuple keeps a witness. After entries e_1..e_j, reach[i]
+      holds the witnesses for which those entries fit into positions
+      below i, and reach[-1] the witnesses that some tuple keeps; the
+      sweep resumes from the longest stored prefix, so with patterns
+      enumerated shortest first a length-k pattern costs one row step
+      instead of k. ``is_delta_indiscernible`` reads the kept witnesses
+      from the stored (entries, alive0).
     """
-    got = _entry_rows(ctx, phi, entries, items, rows)
-    masks, kill_caches, excl_caches = map(list, zip(*got))
-    if _first_truth(masks, alive0):
-        return True, _false_search(masks, alive0, kill_caches,
-                                   excl_caches) is None
     j = len(entries)
     while j and (reach := rows.get((entries[:j], alive0))) is None:
         j -= 1
+    if j and not reach[-1]:
+        return False, True
+    known = rows.get((alive0, entries))
+    if known is not None:
+        return True, known
+    got = _entry_rows(ctx, phi, entries, items, rows)
+    masks, kill_caches, excl_caches = map(list, zip(*got))
+    if _first_truth(masks, alive0):
+        if len(masks) == 1:
+            constant = all(map(alive0.__and__, masks[0]))
+        else:
+            constant = _false_search(masks, alive0, kill_caches,
+                                     excl_caches) is None
+        rows[alive0, entries] = constant
+        return True, constant
     if not j:
         reach = [alive0] * len(items)
     while j < len(entries) and reach[-1]:

@@ -643,6 +643,90 @@ def test_decide_settles_extensions_of_a_prefix_without_witnesses():
         assert (entries, leaves) not in rows
 
 
+@given(st.integers(0, 10_000), st.integers(4, 10), st.integers(1, 4),
+       st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_decide_shortcuts_match_enumeration(seed, n, d, use_eq, data):
+    # witness subsets make single-entry patterns with a true first tuple
+    # and prefixes that keep no witness; every pattern is asked under
+    # every witness set, in any order and twice, on one shared cache, so
+    # stored prefixes and stored answers are read back across them
+    ctx, phi, pool = _random_ctx(seed, n, d, use_eq)
+    items = data.draw(st.permutations(pool))[:data.draw(
+        st.integers(1, len(pool)))]
+    full = ctx.graph.full_mask()
+    alives = [full, *data.draw(st.lists(st.integers(0, full), min_size=1,
+                                        max_size=2))]
+    asks = [(p.entries, alive0)
+            for p in enumerate_type_patterns(len(phi), 3)
+            if len(p) <= len(items) for alive0 in alives]
+    asks = data.draw(st.permutations(asks))
+    rows: dict = {}
+    for entries, alive0 in asks + asks:
+        truths = _truths_by_enumeration(ctx, phi, entries, items, alive0)
+        assert (_decide(ctx, phi, entries, items, alive0, rows)
+                == (truths[0], len(set(truths)) == 1))
+
+
+def test_decide_stores_answers_per_witness_set():
+    # a star on 0..5 and an isolated vertex 6: over all witnesses (adj,)
+    # is true on the leaves and false on 6, over the leaves it is false
+    # everywhere; the first answer must not serve the second witness set
+    g = Graph.from_edges(7, [(0, v) for v in range(1, 6)])
+    ctx = edge_ctx(g)
+    items = list(range(1, 7))
+    leaves = mask_of(range(1, 6))
+    adj = frozenset([(True,)])
+    rows: dict = {}
+    for _ in range(2):
+        assert _decide(ctx, EDGE, (adj,), items, g.full_mask(),
+                       rows) == (True, False)
+        assert _decide(ctx, EDGE, (adj,), items, leaves,
+                       rows) == (False, True)
+        assert _decide(ctx, EDGE, (adj,), items[:5], g.full_mask(),
+                       {}) == (True, True)
+
+
+def test_level_zero_build_settles_each_pattern_once(monkeypatch):
+    # over the level-0 build of a 400-vertex sparse graph: no single-entry
+    # pattern reaches the false search, no pattern with a stored prefix
+    # that keeps no witness reaches the entry rows, and no first-true
+    # pattern is searched twice on one cache
+    current: list = []
+    caches: list[dict] = []  # held so that no cache id is reused
+    searched: set = set()
+    seen = {"dead": 0, "search": 0}
+
+    def recording_decide(ctx, phi, entries, items, alive0, rows):
+        caches.append(rows)
+        dead = any(not rows.get((entries[:j], alive0), [1])[-1]
+                   for j in range(1, len(entries) + 1))
+        seen["dead"] += dead
+        current[:] = [(id(rows), entries, alive0), dead]
+        try:
+            return _decide(ctx, phi, entries, items, alive0, rows)
+        finally:
+            current.clear()
+
+    def recording_rows(ctx, phi, entries, items, rows):
+        assert not (current and current[1])
+        return _entry_rows(ctx, phi, entries, items, rows)
+
+    def recording_search(masks, alive0, kill_caches, excl_caches):
+        assert len(masks) > 1
+        assert current[0] not in searched
+        searched.add(current[0])
+        seen["search"] += 1
+        return _false_search(masks, alive0, kill_caches, excl_caches)
+
+    monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
+    monkeypatch.setattr(indiscernibles, "_entry_rows", recording_rows)
+    monkeypatch.setattr(indiscernibles, "_false_search", recording_search)
+    g = random_bounded_degree(400, 3, 1)
+    build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0, "stable"))
+    assert seen["dead"] and seen["search"], seen
+
+
 # The extraction as it stood before window-first refutation, prefix sweeps
 # and shared refinement caches: the whole input is decided first, and
 # every _make_homogeneous call starts a fresh cache.
