@@ -310,7 +310,9 @@ def build_sample_set(
         # Termination is tested before any length floor: with zero or one
         # surviving ball every vertex decomposes, so a heavily pruned
         # sequence ends the loop with a short honest result, not an error.
-        certs = _certificates(full, table, len(samples), inp.mode)
+        # Without samples no vertex has a certificate, so round 0 picks.
+        certs = (_certificates(full, table, len(samples), inp.mode)
+                 if samples else None)
         if certs is not None:
             ex, s_lt, s_gt = zip(*certs)
             return SampleSetResult(tuple(samples), tuple(survivors), ex,

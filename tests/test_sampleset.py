@@ -278,6 +278,16 @@ def test_stable_certificates_match_per_vertex_reference(case):
                              "stable") == want
 
 
+@pytest.mark.parametrize("mode", ["nip", "stable"])
+@pytest.mark.parametrize("survivors", [0, 1, 400])
+def test_no_certificates_without_samples(mode, survivors):
+    # build_sample_set skips the certificates in its sample-free round 0:
+    # with no sample no vertex decomposes, however many balls survive
+    table = [[] for _ in range(survivors)]
+    for n in (1, 2, 400):
+        assert _certificates((1 << n) - 1, table, 0, mode) is None
+
+
 @given(graph_samples_balls())
 def test_sample_pick_matches_per_vertex_loop(case):
     g, samples, balls = case
