@@ -22,6 +22,7 @@ from .graphcore import Graph, ball_mask, eq_class_mask
 EDGE = "edge"
 DIST_LEQ = "dist_leq"
 EQ_NBHD = "eq_nbhd"
+_KIND_CODES = {EDGE: 0, DIST_LEQ: 1, EQ_NBHD: 2}
 
 
 @dataclass(frozen=True)
@@ -31,18 +32,27 @@ class Atom:
     kind "edge": adjacency. kind "dist_leq": dist(x, y) <= the context's
     ball radius. kind "eq_nbhd": x is edge-equivalent to constant
     ``const`` over the ball of y (see graphcore.phi_equivalent_over).
+
+    Atoms key the mask memos, so the hash is computed once instead of on
+    every lookup. It is built from ints alone, the kind's code and the
+    constant (0 for none), so it is the same in every process.
     """
 
     kind: str
     const: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (EDGE, DIST_LEQ, EQ_NBHD):
+        if self.kind not in _KIND_CODES:
             raise InputError(f"unknown atom kind {self.kind!r}")
         if self.kind == EQ_NBHD and self.const is None:
             raise InputError("eq_nbhd atom needs a constant index")
         if self.kind != EQ_NBHD and self.const is not None:
             raise InputError(f"{self.kind} atom takes no constant index")
+        object.__setattr__(self, "_hash",
+                           hash((_KIND_CODES[self.kind], self.const or 0)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def edge_atom() -> Atom:
@@ -191,17 +201,23 @@ def eval_type(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
 
 
 def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
-              items: Iterable[int]) -> list[int]:
+              items: Sequence[int]) -> list[int]:
     """The entry's witness mask at each of ``items``: every x whose type
     over ``phi`` at y lies in ``entry``.
 
     The memo for (phi, entry) is looked up once per call and then indexed
-    by y, so a row over a sequence hashes the pattern entry only once.
+    by y, so a row over a sequence hashes the pattern entry only once; a
+    row whose items are all memoised is read in one pass.
     """
     key = (phi, entry)
     memo = ctx._entry_masks.get(key)
     if memo is None:
         memo = ctx._entry_masks[key] = {}
+    else:
+        try:
+            return list(map(memo.__getitem__, items))
+        except KeyError:
+            pass
     row = []
     for y in items:
         m = memo.get(y)

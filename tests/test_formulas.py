@@ -1,12 +1,18 @@
 """Atom evaluation against direct definitions, and the claim that
 single-type patterns generate indiscernibility for arbitrary entry sets."""
 
+import os
+import pickle
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flipwide
 from flipwide import (
     Atom,
     BudgetExceeded,
@@ -148,6 +154,29 @@ def test_pattern_validation():
         Atom("eq_nbhd")
     with pytest.raises(InputError):
         Atom("nope")
+
+
+def test_atom_hash_follows_equality_in_every_process():
+    # atoms key the mask memos, and their hash is stored at construction:
+    # equal atoms must hash alike, also after a pickle round trip into a
+    # process with another string hash seed
+    atoms = (edge_atom(), dist_atom(), eq_atom(0), eq_atom(3))
+    again = [Atom(a.kind, a.const) for a in atoms]
+    assert again == list(atoms) and len(set(atoms)) == 4
+    assert list(map(hash, again)) == list(map(hash, atoms))
+    assert eq_atom(0) != eq_atom(3) and edge_atom() != dist_atom()
+    code = ("import pickle, sys; atoms = pickle.loads(sys.stdin.buffer.read());"
+            "from flipwide import Atom;"
+            "print(all(hash(a) == hash(Atom(a.kind, a.const)) for a in atoms))")
+    package_root = str(Path(flipwide.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             input=pickle.dumps(atoms), capture_output=True,
+                             check=True)
+        assert res.stdout == b"True\n"
 
 
 def test_enumerate_type_patterns_counts_and_cap():
