@@ -186,6 +186,8 @@ def _cmd_extract(args) -> int:
     g = _read_graph(args.graph)
     seq = _read_vertices(args.seq, g)
     if args.phi == "edge":
+        if args.constants is not None:
+            raise InputError("--constants applies only to --phi eq")
         constants: tuple[int, ...] = ()
         phi = (edge_atom(),)
     else:
@@ -247,6 +249,8 @@ def _cmd_diagnose(args) -> int:
             None if exc_w is None
             else {"vertex": exc_w.vertex,
                   "minority_indices": list(exc_w.minority_indices)})
+    elif args.seq is not None:
+        raise InputError("--seq applies only to --alt-rank")
     for name, k, run in (("order", args.order, order_property_witness),
                          ("shattering", args.shatter, shattering_witness),
                          ("pairing", args.pairing, pairing_index_witness)):
@@ -294,8 +298,12 @@ def _build_parser() -> _Parser:
     fw.add_argument("-r", "--radius", type=int, required=True)
     fw.add_argument("-m", "--target", type=int, required=True)
     fw.add_argument("--max-pattern-length", type=int,
-                    default=SampleBudget.max_pattern_length)
-    fw.add_argument("--window", type=int, default=SampleBudget.window)
+                    default=SampleBudget.max_pattern_length,
+                    help="longest type pattern the indiscernibility check "
+                         "covers (default %(default)s)")
+    fw.add_argument("--window", type=int, default=SampleBudget.window,
+                    help="leading items that an extraction refines "
+                         "(default %(default)s)")
     fw.add_argument("-o", "--output")
     fw.set_defaults(run=_cmd_flip_widen)
 
@@ -311,7 +319,9 @@ def _build_parser() -> _Parser:
     ex.add_argument("-m", "--target", type=int, required=True)
     ex.add_argument("--seq", required=True,
                     help="vertex list file, or 'all'")
-    ex.add_argument("--window", type=int, default=ExtractionConfig.window)
+    ex.add_argument("--window", type=int, default=ExtractionConfig.window,
+                    help="leading items of --seq that the refinement keeps "
+                         "(default %(default)s)")
     ex.add_argument("-o", "--output")
     ex.set_defaults(run=_cmd_extract)
 

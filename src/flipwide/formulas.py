@@ -206,18 +206,12 @@ def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
     over ``phi`` at y lies in ``entry``.
 
     The memo for (phi, entry) is looked up once per call and then indexed
-    by y, so a row over a sequence hashes the pattern entry only once; a
-    row whose items are all memoised is read in one pass.
+    by y, so a row over a sequence hashes the pattern entry only once.
     """
     key = (phi, entry)
     memo = ctx._entry_masks.get(key)
     if memo is None:
         memo = ctx._entry_masks[key] = {}
-    else:
-        try:
-            return list(map(memo.__getitem__, items))
-        except KeyError:
-            pass
     row = []
     for y in items:
         m = memo.get(y)

@@ -13,7 +13,7 @@ round of the extractor.
 
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
-each entry's row over the items and its search caches, each pattern
+each entry's row over the items and its all-but-one list, each pattern
 prefix's true-tuple sweep, and the answer for each pattern whose first
 tuple is true. The refinement and the counterexample read these instead
 of computing them again, and each pattern is decided at most once per
@@ -31,8 +31,8 @@ For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by witness branching: each level places one entry where it
 removes the lowest alive witness, so the search tree is at most k levels
-deep and a node has at most k*s children. Three O(k*s) prechecks settle
-most constant patterns without branching; one of them is the
+deep and a node has at most k*s children. Two O(k*s) prechecks settle
+most constant patterns without branching: a universal witness, and the
 one-exception cover that the paper's first theorem gives over an
 indiscernible sequence. ``_false_search`` states the rules that prune
 the branching. Neither search has a node budget or an enumeration
@@ -96,13 +96,13 @@ def _check_items(ctx: EvalContext, items: Seq[int]) -> None:
 
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
                 items: Seq[int], rows: dict,
-                ) -> list[tuple[list[int], dict[int, int], list[int]]]:
-    """Each entry's witness masks over ``items`` with its kill-position
-    cache and its all-but-one cache.
+                ) -> list[tuple[list[int], list[int]]]:
+    """Each entry's witness masks over ``items`` with its all-but-one
+    list, which ``_false_search`` fills on first use.
 
     ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
-    keeps all three per entry, so every pattern scanned over the same
-    items shares them. ``_decide`` keeps its prefix sweeps in the same
+    keeps both per entry, so every pattern scanned over the same items
+    shares them. ``_decide`` keeps its prefix sweeps in the same
     dict, keyed by (entries prefix, alive0), and its first-true answers,
     keyed by (alive0, entries). Everything in it is a function of its key
     and of those items, so a caller may share it across patterns and
@@ -111,7 +111,7 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     for e in entries:
         row = rows.get(e)
         if row is None:
-            row = rows[e] = (entry_row(ctx, phi, e, items), {}, [])
+            row = rows[e] = (entry_row(ctx, phi, e, items), [])
         out.append(row)
     return out
 
@@ -186,7 +186,6 @@ def _one_exception_cover(masks: list[list[int]], alive0: int,
 
 
 def _false_search(masks: list[list[int]], alive0: int,
-                  kill_caches: list[dict[int, int]],
                   excl_caches: list[list[int]],
                   ) -> Callable[[int, int, int], bool] | None:
     """Decide whether some increasing tuple has an empty witness
@@ -194,7 +193,7 @@ def _false_search(masks: list[list[int]], alive0: int,
     otherwise the search's ``completes``, which ``_find_false_tuple``
     reuses to build the smallest such tuple.
 
-    Three prechecks run first, in this order; each proves that every
+    Two prechecks run first, in this order; each proves that every
     increasing tuple keeps a witness:
 
     - Universal witness: an alive witness that no position of any entry
@@ -206,8 +205,6 @@ def _false_search(masks: list[list[int]], alive0: int,
       witness differs from its majority at no more than one position,
       which is why the cover settles most of the patterns that the
       universal witness leaves.
-    - Root count: more alive witnesses than the entries can remove
-      between them, each at the position where it removes the most.
 
     Then witness branching, the bounded search tree for hitting sets: some
     unplaced entry must remove the lowest alive witness z at a position
@@ -225,12 +222,12 @@ def _false_search(masks: list[list[int]], alive0: int,
       their subtrees, since a completion through it there would have
       completed it.
 
-    Both caches hold one item per entry, which callers share across
-    searches over the same rows, whatever their alive sets:
-    ``kill_caches`` a dict of kill positions per witness, computed the
-    first time that witness is branched on, and ``excl_caches`` the
-    ``_all_but_one`` list that the universal witness and the cover read,
-    filled here and nowhere else on first use.
+    ``excl_caches`` holds one ``_all_but_one`` list per entry, which the
+    universal witness and the cover read. It is filled here and nowhere
+    else on first use, and holds no alive set, so callers share it across
+    searches over the same rows. The kill positions of each (entry,
+    witness) pair are computed the first time that witness is branched
+    on and kept for this call, ``completes`` included.
     """
     surviving = alive0
     for row, excl in zip(masks, excl_caches):
@@ -241,12 +238,9 @@ def _false_search(masks: list[list[int]], alive0: int,
         return None
     if _one_exception_cover(masks, alive0, excl_caches):
         return None
-    total = alive0.bit_count()
-    if total > sum(total - min(map(int.bit_count, map(alive0.__and__, row)))
-                   for row in masks):
-        return None
     depth = len(masks)
     s = len(masks[0])
+    kill_caches: list[dict[int, int]] = [{} for _ in masks]
 
     def kills(j: int, z: int) -> int:
         cache = kill_caches[j]
@@ -315,7 +309,6 @@ def _false_search(masks: list[list[int]], alive0: int,
 
 
 def _find_false_tuple(masks: list[list[int]], alive0: int,
-                      kill_caches: list[dict[int, int]],
                       excl_caches: list[list[int]],
                       ) -> tuple[int, ...] | None:
     """Lexicographically smallest increasing tuple whose witness
@@ -324,9 +317,9 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
 
     Once ``_false_search`` finds that such a tuple exists, positions are
     fixed left to right: each candidate prefix is kept when its
-    ``completes`` finds a completion, over the same caches.
+    ``completes`` finds a completion, over the same kill positions.
     """
-    completes = _false_search(masks, alive0, kill_caches, excl_caches)
+    completes = _false_search(masks, alive0, excl_caches)
     if completes is None:
         return None
     depth = len(masks)
@@ -388,13 +381,12 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     if known is not None:
         return True, known
     got = _entry_rows(ctx, phi, entries, items, rows)
-    masks, kill_caches, excl_caches = map(list, zip(*got))
+    masks, excl_caches = map(list, zip(*got))
     if _first_truth(masks, alive0):
         if len(masks) == 1:
             constant = all(map(alive0.__and__, masks[0]))
         else:
-            constant = _false_search(masks, alive0, kill_caches,
-                                     excl_caches) is None
+            constant = _false_search(masks, alive0, excl_caches) is None
         rows[alive0, entries] = constant
         return True, constant
     if not j:
@@ -428,9 +420,9 @@ def is_delta_indiscernible(
         if constant:
             continue
         got = _entry_rows(ctx, phi, entries, items, rows)
-        masks, kill_caches, excl_caches = map(list, zip(*got))
+        masks, excl_caches = map(list, zip(*got))
         if t0:
-            bad = _find_false_tuple(masks, full, kill_caches, excl_caches)
+            bad = _find_false_tuple(masks, full, excl_caches)
         else:
             bad = _find_true_tuple(masks, rows[entries, full][-1])
         other = tuple(items[idx] for idx in bad)

@@ -347,6 +347,15 @@ def test_extract_eq_needs_constants(graph_file, capsys):
     assert code == 1 and "--constants" in err
 
 
+def test_extract_edge_rejects_constants(graph_file, capsys):
+    gf = graph_file(matching(10))
+    code, out, err = run(
+        ["extract", "-g", gf, "--constants", "0,1", "-m", "4",
+         "--seq", "all"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--constants" in err
+
+
 def test_extract_eq_with_constants(graph_file, capsys):
     gf = graph_file(star_forest(8, 4))
     code, out, _ = run(
@@ -403,6 +412,14 @@ def test_diagnose_needs_a_request(graph_file, capsys):
     assert code == 1 and "nothing to diagnose" in err
     code, _, err = run(["diagnose", "-g", gf, "--alt-rank"], capsys)
     assert code == 1 and "--alt-rank needs --seq" in err
+
+
+def test_diagnose_seq_needs_alt_rank(graph_file, capsys):
+    gf = graph_file(matching(10))
+    code, out, err = run(
+        ["diagnose", "-g", gf, "--order", "3", "--seq", "all"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--seq" in err
 
 
 # ------------------------------------------------------------- apply-flips
@@ -559,6 +576,21 @@ def test_generate_at_the_vertex_limit(tmp_path, capsys):
     code, _, _ = run(["generate", "edgeless", "1000000", "-o", str(out)],
                      capsys)
     assert code == 0 and out.read_text() == "1000000 0\n"
+
+
+@pytest.mark.parametrize("command, option, default", [
+    ("flip-widen", "--max-pattern-length", 4),
+    ("flip-widen", "--window", 48),
+    ("extract", "--window", 48),
+])
+def test_tuning_options_have_help(capsys, command, option, default):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+    # the help follows the metavar directly, before the next option
+    assert re.search(rf"{option} [A-Z_]+ \w[^()]* \(default {default}\)",
+                     options), options
 
 
 def test_usage_errors_exit_one(capsys):

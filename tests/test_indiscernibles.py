@@ -261,15 +261,15 @@ def _kept_by_enumeration(masks, alive0):
 
 
 def _random_mask_cases():
-    """Random witness masks with their kill caches, and alive sets.
+    """Random witness masks with their all-but-one lists, and alive sets.
 
     Rows come from a small pool, so one row may sit at several entries,
-    and each row's kill cache is shared by every search over it, as in
-    is_delta_indiscernible. Each draw comes twice: as drawn, and with
-    some entries' rows swapped for one-hot rows {y_p} or co-one-hot rows
-    (every witness but y_p) over one random position-to-witness map, the
-    two classes of a clique. One density per draw never puts those two
-    shapes side by side.
+    and each row's all-but-one list is shared by every search over it,
+    whatever its alive set, as in is_delta_indiscernible. Each draw comes
+    twice: as drawn, and with some entries' rows swapped for one-hot rows
+    {y_p} or co-one-hot rows (every witness but y_p) over one random
+    position-to-witness map, the two classes of a clique. One density per
+    draw never puts those two shapes side by side.
     """
     rng = random.Random(20221)
     shapes = random.Random(20222)
@@ -279,11 +279,11 @@ def _random_mask_cases():
         k = rng.randint(1, min(4, s))
         density = rng.choice((0.2, 0.5, 0.8, 0.9, 0.97))
         pool = [([sum(1 << z for z in range(n) if rng.random() < density)
-                  for _ in range(s)], {}) for _ in range(rng.randint(1, k))]
+                  for _ in range(s)], []) for _ in range(rng.randint(1, k))]
         picks = [rng.choice(pool) for _ in range(k)]
         ys = [shapes.randrange(n) for _ in range(s)]
-        one_hot = ([1 << y for y in ys], {})
-        co_one_hot = ([((1 << n) - 1) ^ (1 << y) for y in ys], {})
+        one_hot = ([1 << y for y in ys], [])
+        co_one_hot = ([((1 << n) - 1) ^ (1 << y) for y in ys], [])
         mixed = [shapes.choice((one_hot, co_one_hot, pick)) for pick in picks]
         for _ in range(2):
             alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
@@ -296,11 +296,9 @@ def test_tuple_searches_match_enumeration():
     for masks, caches, alive0 in _random_mask_cases():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
-        fresh = [{} for _ in masks]
-        excl = [[] for _ in masks]
-        assert _find_false_tuple(masks, alive0, fresh, excl) == want_false
-        assert _find_false_tuple(masks, alive0, caches,
+        assert _find_false_tuple(masks, alive0,
                                  [[] for _ in masks]) == want_false
+        assert _find_false_tuple(masks, alive0, caches) == want_false
         kept = _kept_by_enumeration(masks, alive0)
         assert bool(kept) == (want_true is not None)
         if kept:
@@ -315,8 +313,9 @@ def _dense_mask_cases():
     than the random cases above. The densities 0.6, 0.9 and 0.95 keep a
     witness on every tuple; the last case plants a false tuple in the
     density-0.9 masks by clearing quarter j of the witnesses from entry
-    j's row at that tuple's position j. Density 0.6 reaches the witness
-    branching, 0.9 the root count and 0.95 the one-exception cover."""
+    j's row at that tuple's position j. Density 0.95 has a universal
+    witness and a one-exception cover; 0.6, 0.9 and the planted case have
+    neither and reach the witness branching."""
     n, s, k = 400, 30, 4
     rng = random.Random(0)
     drawn = {density: [[sum(1 << z for z in range(n)
@@ -333,16 +332,18 @@ def _dense_mask_cases():
 
 def test_dense_mask_searches_match_enumeration():
     alive0 = (1 << 400) - 1
-    found = []
+    found, covered = [], []
     for masks in _dense_mask_cases():
         want = _first_false_by_enumeration(masks, alive0)
-        has_false = _false_search(masks, alive0, [{} for _ in masks],
-                                  [[] for _ in masks])
+        has_false = _false_search(masks, alive0, [[] for _ in masks])
         assert (has_false is not None) == (want is not None)
-        assert _find_false_tuple(masks, alive0, [{} for _ in masks],
-                                 [[] for _ in masks]) == want
+        assert _find_false_tuple(masks, alive0, [[] for _ in masks]) == want
         found.append(want is not None)
+        covered.append(_one_exception_cover(
+            masks, alive0, [_all_but_one(row) for row in masks]))
+        assert _no_universal_witness(masks, alive0) == (not covered[-1])
     assert found == [False, False, False, True]
+    assert covered == [False, False, True, False]
 
 
 def _cover_by_definition(masks, alive0):
@@ -387,19 +388,16 @@ def test_one_exception_cover_matches_enumeration():
 
 
 def test_cover_caches_shared_across_alive_sets():
-    # the all-but-one caches sit in _decide's rows next to the kill
-    # caches and hold no alive set, so searches under different alive
-    # sets may share them: here a search under a small alive set fills
-    # the caches that one under a larger set reads, one list per row
+    # the all-but-one lists sit in _decide's rows and hold no alive set,
+    # so searches under different alive sets may share them: here a
+    # search under a small alive set fills the lists that one under a
+    # larger set reads, one list per row
     wide = (1 << 10) - 1
     for masks, caches, alive0 in _random_mask_cases():
-        by_row = {id(c): [] for c in caches}
-        shared = [by_row[id(c)] for c in caches]
         for alive in (alive0, wide, alive0):
             no_false = _first_false_by_enumeration(masks, alive) is None
-            assert (_false_search(masks, alive, caches, shared)
-                    is None) == no_false
-            assert (_one_exception_cover(masks, alive, shared)
+            assert (_false_search(masks, alive, caches) is None) == no_false
+            assert (_one_exception_cover(masks, alive, caches)
                     == _cover_by_definition(masks, alive))
 
 
@@ -497,13 +495,11 @@ def test_decisions_match_enumeration():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
         has_false = want_false is not None
-        fresh = [{} for _ in masks]
-        excl = [[] for _ in masks]
-        assert (_false_search(masks, alive0, fresh, [[] for _ in masks])
+        assert (_false_search(masks, alive0, [[] for _ in masks])
                 is not None) == has_false
-        assert (_false_search(masks, alive0, caches, excl)
+        assert (_false_search(masks, alive0, caches)
                 is not None) == has_false
-        assert _find_false_tuple(masks, alive0, caches, excl) == want_false
+        assert _find_false_tuple(masks, alive0, caches) == want_false
         decided["false" if has_false else "no_false"] += 1
         decided["true" if want_true else "no_true"] += 1
     assert min(decided.values()) > 100, decided
@@ -712,12 +708,12 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
         assert not (current and current[1])
         return _entry_rows(ctx, phi, entries, items, rows)
 
-    def recording_search(masks, alive0, kill_caches, excl_caches):
+    def recording_search(masks, alive0, excl_caches):
         assert len(masks) > 1
         assert current[0] not in searched
         searched.add(current[0])
         seen["search"] += 1
-        return _false_search(masks, alive0, kill_caches, excl_caches)
+        return _false_search(masks, alive0, excl_caches)
 
     monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
     monkeypatch.setattr(indiscernibles, "_entry_rows", recording_rows)
@@ -733,10 +729,9 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
 
 def _reference_decide(ctx, phi, entries, items, alive0, rows):
     got = _entry_rows(ctx, phi, entries, items, rows)
-    masks, kill_caches, excl_caches = map(list, zip(*got))
+    masks, excl_caches = map(list, zip(*got))
     if _first_truth(masks, alive0):
-        return True, _false_search(masks, alive0, kill_caches,
-                                   excl_caches) is None
+        return True, _false_search(masks, alive0, excl_caches) is None
     reach = [alive0] * len(items)
     for row in masks:
         reach = [0, *accumulate(map(and_, reach, row), or_)]
