@@ -188,6 +188,8 @@ def _cmd_extract(args) -> int:
     if args.phi == "edge":
         if args.constants is not None:
             raise InputError("--constants applies only to --phi eq")
+        if args.alpha is not None:
+            raise InputError("--alpha applies only to --phi eq")
         constants: tuple[int, ...] = ()
         phi = (edge_atom(),)
     else:
@@ -198,7 +200,7 @@ def _cmd_extract(args) -> int:
         except ValueError as exc:
             raise InputError(f"--constants: {exc}") from None
         phi = tuple(eq_atom(i) for i in range(len(constants)))
-    ctx = EvalContext(g, constants, args.alpha)
+    ctx = EvalContext(g, constants, 1 if args.alpha is None else args.alpha)
     patterns = enumerate_type_patterns(len(phi), args.k)
     cfg = ExtractionConfig(target_length=args.target, window=args.window)
     out = extract_indiscernible(ctx, phi, patterns, seq, cfg)
@@ -283,20 +285,24 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="flipwide",
                 description="flip-wideness toolkit for graph sequences")
     sub = p.add_subparsers(dest="command", required=True)
+    graph = "edge-list file, or '-' for stdin (the default)"
 
     gen = sub.add_parser("generate", help="emit a named family as an edge list")
     gen.add_argument("family", choices=sorted(FAMILIES))
     gen.add_argument("params", nargs="*", type=int)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("-o", "--output")
+    gen.add_argument("--seed", type=int, default=0,
+                     help="seed of the random families (default %(default)s)")
     gen.set_defaults(run=_cmd_generate)
 
     fw = sub.add_parser("flip-widen", help="spread a vertex set past radius r")
-    fw.add_argument("-g", "--graph", default="-")
+    fw.add_argument("-g", "--graph", default="-", help=graph)
     fw.add_argument("-A", "--a-set", required=True,
                     help="vertex list file, or 'all'")
-    fw.add_argument("-r", "--radius", type=int, required=True)
-    fw.add_argument("-m", "--target", type=int, required=True)
+    fw.add_argument("-r", "--radius", type=int, required=True,
+                    help="distance the vertices of B must exceed pairwise "
+                         "after the flips")
+    fw.add_argument("-m", "--target", type=int, required=True,
+                    help="size of B asked for")
     fw.add_argument("--max-pattern-length", type=int,
                     default=SampleBudget.max_pattern_length,
                     help="longest type pattern the indiscernibility check "
@@ -304,50 +310,57 @@ def _build_parser() -> _Parser:
     fw.add_argument("--window", type=int, default=SampleBudget.window,
                     help="leading items that an extraction refines "
                          "(default %(default)s)")
-    fw.add_argument("-o", "--output")
     fw.set_defaults(run=_cmd_flip_widen)
 
     ex = sub.add_parser("extract",
                         help="extract an indiscernible subsequence")
-    ex.add_argument("-g", "--graph", default="-")
-    ex.add_argument("--phi", choices=("edge", "eq"), default="edge")
+    ex.add_argument("-g", "--graph", default="-", help=graph)
+    ex.add_argument("--phi", choices=("edge", "eq"), default="edge",
+                    help="formulas: adjacency, or one eq atom per --constants "
+                         "entry (default %(default)s)")
     ex.add_argument("--constants", help="comma-separated ids for --phi eq")
-    ex.add_argument("--alpha", type=int, default=1,
-                    help="ball radius for eq atoms")
+    ex.add_argument("--alpha", type=int,
+                    help="ball radius for eq atoms (default 1)")
     ex.add_argument("--k", type=int, default=4,
                     help="maximum pattern length")
-    ex.add_argument("-m", "--target", type=int, required=True)
+    ex.add_argument("-m", "--target", type=int, required=True,
+                    help="length of the subsequence asked for")
     ex.add_argument("--seq", required=True,
                     help="vertex list file, or 'all'")
     ex.add_argument("--window", type=int, default=ExtractionConfig.window,
                     help="leading items of --seq that the refinement keeps "
                          "(default %(default)s)")
-    ex.add_argument("-o", "--output")
     ex.set_defaults(run=_cmd_extract)
 
     ver = sub.add_parser("verify", help="re-check a flip-widen result")
-    ver.add_argument("-g", "--graph", default="-")
-    ver.add_argument("--result", required=True)
-    ver.add_argument("-r", "--radius", type=int)
-    ver.add_argument("-o", "--output")
+    ver.add_argument("-g", "--graph", default="-", help=graph)
+    ver.add_argument("--result", required=True,
+                     help="flip-widen result JSON file")
+    ver.add_argument("-r", "--radius", type=int,
+                     help="radius to check (default: the result's radius)")
     ver.set_defaults(run=_cmd_verify)
 
     diag = sub.add_parser("diagnose", help="rank measures and witness hunts")
-    diag.add_argument("-g", "--graph", default="-")
+    diag.add_argument("-g", "--graph", default="-", help=graph)
     diag.add_argument("--alt-rank", action="store_true",
                       help="report alternation and exception ranks over --seq")
     diag.add_argument("--seq", help="sequence file (or 'all') for --alt-rank")
-    diag.add_argument("--order", type=int)
-    diag.add_argument("--shatter", type=int)
-    diag.add_argument("--pairing", type=int)
-    diag.add_argument("-o", "--output")
+    diag.add_argument("--order", type=int,
+                      help="search a half-graph of this order")
+    diag.add_argument("--shatter", type=int,
+                      help="search a shattered set of this size")
+    diag.add_argument("--pairing", type=int,
+                      help="search a pairing witness over this many vertices")
     diag.set_defaults(run=_cmd_diagnose)
 
     ap = sub.add_parser("apply-flips", help="apply flips from a result JSON")
-    ap.add_argument("-g", "--graph", default="-")
-    ap.add_argument("--flips", required=True)
-    ap.add_argument("-o", "--output")
+    ap.add_argument("-g", "--graph", default="-", help=graph)
+    ap.add_argument("--flips", required=True,
+                    help="result JSON or flip list JSON file")
     ap.set_defaults(run=_cmd_apply_flips)
+    for cmd in sub.choices.values():
+        cmd.add_argument("-o", "--output",
+                         help="file to write instead of stdout")
     return p
 
 

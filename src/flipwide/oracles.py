@@ -1,22 +1,22 @@
 """Diagnostic measures and witness searches over vertex sequences.
 
-Rank functions read connection profiles directly. The order, pairing and
-bipartite searches share one matrix search: want(i, j) says whether row
-vertex i is adjacent to column vertex j. It fixes the columns left to
-right, each in ascending vertex order, narrowing one candidate bitmask per
-row, and returns the lexicographically first column tuple with each row on
-its lowest candidate. Before branching, every row and column gets a pool
-of the vertices with enough neighbours and non-neighbours on the opposite
-side for its want-vector; an empty pool is an exhaustive "none" at once.
-The shattering search extends a sorted prefix only while it is shattered
-and has a common neighbour, so it finds the lexicographically first
-shattered set. One node is one column candidate tried, or in the
-shattering search one vertex trace taken. After ``max_nodes`` nodes a
-search stops and reports ``budget`` instead of ``exhaustive``. A witness
-whose rows, columns or traced subsets need more distinct vertices than
-the graph (or a bipartite side) has is an exhaustive "none" before any
-search starts. Every witness found is re-validated entry by entry before
-it is returned.
+Rank functions read connection profiles directly. The order, shattering,
+pairing and bipartite searches share one matrix search: want(i, j) says
+whether row vertex i is adjacent to column vertex j. It fixes the columns
+left to right, each in ascending vertex order, narrowing one candidate
+bitmask per row, and returns the lexicographically first column tuple
+with each row on its lowest candidate. Before branching, every column and
+row gets a pool of the vertices with enough neighbours and non-neighbours
+on the opposite side for its want-vector; an empty pool is an exhaustive
+"none" at once. When swapping any two adjacent columns maps the rows onto
+themselves (shattering, pairing, matching, co-matching), the first
+witness has ascending columns, so only ascending column tuples are tried.
+One node is one column candidate tried, in every search. After
+``max_nodes`` nodes a search stops and reports ``budget`` instead of
+``exhaustive``. A witness whose rows or columns need more distinct
+vertices than the graph (or a bipartite side) has is an exhaustive "none"
+before any search starts. Every witness found is re-validated entry by
+entry before it is returned.
 """
 
 from __future__ import annotations
@@ -183,8 +183,17 @@ def _pools(g: Graph, side: int, other: int, needs) -> list[int]:
     least that many neighbours and non-neighbours in other."""
     size = other.bit_count()
     seen = [(v, (g.rows[v] & other).bit_count()) for v in iter_bits(side)]
-    return [mask_of(v for v, d in seen if t <= d <= size - f)
-            for t, f in needs]
+    pool = {(t, f): mask_of(v for v, d in seen if t <= d <= size - f)
+            for t, f in set(needs)}
+    return [pool[need] for need in needs]
+
+
+def _symmetric(want_rows, ncols: int) -> bool:
+    """Whether swapping any two adjacent columns maps the rows onto
+    themselves."""
+    rows = set(want_rows)
+    return all({w ^ 3 << j if (w >> j ^ w >> j + 1) & 1 else w
+                for w in rows} == rows for j in range(ncols - 1))
 
 
 def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
@@ -196,28 +205,32 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
     columns land on distinct vertices. Then a row needs as many neighbours
     in col_side as it has set bits, and as many non-neighbours as clear
     ones; a column needs the same over row_side. The vertices that have
-    them are the pools. Returns ((row vertices, column vertices) or None,
+    them are the pools, column pools first; an empty one ends the search.
+    When the rows are symmetric, every permutation of a fitting column
+    tuple fits too, so the first one is ascending and only ascending
+    tuples are tried. Returns ((row vertices, column vertices) or None,
     nodes tried); the search hit its budget iff nodes > max_nodes.
     """
-    col_true = [sum(w >> j & 1 for w in want_rows) for j in range(ncols)]
+    col_pools = _pools(g, col_side, row_side, [
+        (t, len(want_rows) - t)
+        for t in (sum(w >> j & 1 for w in want_rows) for j in range(ncols))])
+    if not all(col_pools):
+        return None, 0
     masks = _pools(g, row_side, col_side,
                    [(w.bit_count(), ncols - w.bit_count()) for w in want_rows])
-    col_pools = [list(iter_bits(m)) for m in _pools(
-        g, col_side, row_side, [(t, len(want_rows) - t) for t in col_true])]
-    if not all(masks) or not all(col_pools):
+    if not all(masks):
         return None, 0
+    ascending = _symmetric(want_rows, ncols)
     cols: list[int] = []
     nodes = 0
 
-    def extend(masks: list[int]) -> list[int] | None:
+    def extend(masks: list[int], skip: int) -> list[int] | None:
         nonlocal nodes
         j = len(cols)
         if j == ncols:
             return masks
         bit = 1 << j
-        for b in col_pools[j]:
-            if b in cols:
-                continue
+        for b in iter_bits(col_pools[j] & ~skip):
             nodes += 1
             if nodes > max_nodes:
                 return None
@@ -230,13 +243,14 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
                 nxt.append(m)
             else:
                 cols.append(b)
-                found = extend(nxt)
+                found = extend(nxt, (2 << b) - 1 if ascending
+                               else skip | 1 << b)
                 if found is not None:
                     return found
                 cols.pop()
         return None
 
-    found = extend(masks)
+    found = extend(masks, 0)
     if found is None:
         return None, nodes
     return (tuple((m & -m).bit_length() - 1 for m in found), tuple(cols)), nodes
@@ -270,62 +284,31 @@ def order_property_witness(
 
 
 def shattering_witness(
-    g: Graph, k: int, max_nodes: int = 5_000_000,
+    g: Graph, k: int, max_nodes: int = 200_000,
 ) -> OracleReport:
     """The lexicographically first k-set whose every subset is some vertex's
     exact neighborhood trace.
 
-    Shattering is hereditary, so the search extends an ascending prefix
-    only while it stays shattered. The whole set must be some vertex's
-    trace, so it extends only by a neighbour of a vertex adjacent to the
-    whole prefix. A member lies in 2^(k-1) traces, so it needs that many
-    neighbours. The 2^k subsets need 2^k distinct tracing vertices, so a
-    graph with fewer has none. Testing one extended set takes n traces,
-    n nodes. b_seq lists the lowest tracing vertex of each subset by
-    value: entry t covers the subset with bit i set iff a_seq[i] is in it.
+    The matrix search with one row per subset mask t in range(2^k) and the
+    k set members as columns: row t is adjacent to member i iff bit i of t
+    is set. These rows are symmetric, so the members come out ascending.
+    The 2^k subsets need 2^k distinct tracing vertices, so a graph with
+    fewer has none. a_seq is the set; b_seq lists each subset's lowest
+    tracing vertex: entry t covers the subset with bit i set iff a_seq[i]
+    is in it.
     """
     if k < 1:
         raise InputError("k must be positive")
     if k >= g.n.bit_length():  # 2^k > n, without building 2^k
         return OracleReport(None, EXHAUSTIVE)
-    rows = g.rows
-    pool = mask_of(v for v in range(g.n)
-                   if rows[v].bit_count() >= 1 << (k - 1))
-    nodes = 0
-
-    def extend(prefix: tuple[int, ...], amask: int,
-               common: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        if len(prefix) == k:
-            return prefix
-        reach = 0
-        for c in iter_bits(common):
-            reach |= rows[c]
-        if prefix:
-            reach = reach >> (prefix[-1] + 1) << (prefix[-1] + 1)
-        for x in iter_bits(reach & pool):
-            nodes += len(rows)
-            if nodes > max_nodes:
-                return None
-            m = amask | 1 << x
-            if len({r & m for r in rows}) != 2 << len(prefix):
-                continue
-            found = extend(prefix + (x,), m, common & rows[x])
-            if found is not None:
-                return found
-        return None
-
-    combo = extend((), 0, g.full_mask())
-    if combo is None:
+    full = g.full_mask()
+    found, nodes = _matrix_search(g, list(range(1 << k)), k, full, full,
+                                  max_nodes)
+    if found is None:
         return OracleReport(None, BUDGET if nodes > max_nodes else EXHAUSTIVE)
-    amask = mask_of(combo)
-    first: dict[int, int] = {}
-    for v, r in enumerate(rows):
-        first.setdefault(r & amask, v)
-    b_seq = tuple(first[mask_of(x for i, x in enumerate(combo) if t >> i & 1)]
-                  for t in range(1 << k))
-    _validate_matrix(g, combo, b_seq, lambda i, t: bool(t >> i & 1))
-    return OracleReport(Witness("shattering", combo, b_seq), EXHAUSTIVE)
+    traced, members = found
+    _validate_matrix(g, members, traced, lambda i, t: bool(t >> i & 1))
+    return OracleReport(Witness("shattering", members, traced), EXHAUSTIVE)
 
 
 def pairing_index_witness(

@@ -356,6 +356,15 @@ def test_extract_edge_rejects_constants(graph_file, capsys):
     assert err.startswith("error:") and "--constants" in err
 
 
+def test_extract_edge_rejects_alpha(graph_file, capsys):
+    gf = graph_file(matching(10))
+    code, out, err = run(
+        ["extract", "-g", gf, "--alpha", "2", "-m", "4", "--seq", "all"],
+        capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--alpha" in err
+
+
 def test_extract_eq_with_constants(graph_file, capsys):
     gf = graph_file(star_forest(8, 4))
     code, out, _ = run(
@@ -582,6 +591,8 @@ def test_generate_at_the_vertex_limit(tmp_path, capsys):
     ("flip-widen", "--max-pattern-length", 4),
     ("flip-widen", "--window", 48),
     ("extract", "--window", 48),
+    ("extract", "--alpha", 1),
+    ("generate", "--seed", 0),
 ])
 def test_tuning_options_have_help(capsys, command, option, default):
     with pytest.raises(SystemExit) as info:
@@ -591,6 +602,18 @@ def test_tuning_options_have_help(capsys, command, option, default):
     # the help follows the metavar directly, before the next option
     assert re.search(rf"{option} [A-Z_]+ \w[^()]* \(default {default}\)",
                      options), options
+
+
+@pytest.mark.parametrize("command", ["generate", "flip-widen", "extract",
+                                     "verify", "diagnose", "apply-flips"])
+def test_every_option_has_help(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    options = capsys.readouterr().out.split("options:\n")[1]
+    # an entry's help follows its flags after two spaces or on the next line
+    for entry in re.split(r"\n(?=  -)", options.rstrip("\n")):
+        assert re.fullmatch(r"  -\S.*?(  |\n +)\S.*", entry, re.S), entry
 
 
 def test_usage_errors_exit_one(capsys):

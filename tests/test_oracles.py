@@ -281,22 +281,27 @@ def test_search_validation():
         pairing_index_witness(g, 1)
 
 
+def test_shattering_budget_cap():
+    rep = shattering_witness(shatter_gadget(3), 3, max_nodes=2)
+    assert rep.witness is None and rep.search == "budget"
+
+
 def test_witness_larger_than_the_graph_is_none_at_once(monkeypatch):
-    # each bound returns before the want-vectors or the shattering pool
-    # are built, so those steps are made to fail here
+    # each bound returns before the want-vectors are built or the matrix
+    # search starts, so those steps are made to fail here
     def unreachable(*args):
         raise AssertionError("the search started")
 
     none = OracleReport(None, "exhaustive")
     g = path(10)
     monkeypatch.setattr(oracles, "_want_rows", unreachable)
+    monkeypatch.setattr(oracles, "_matrix_search", unreachable)
     assert order_property_witness(g, 11) == none
     assert pairing_index_witness(g, 11) == none
     assert pairing_index_witness(g, 6) == none  # 15 rows, 10 vertices
     # left traces over the right side: {1}, {1, 3}, {3}
     assert bipartite_canonical_pattern(g, (0, 2, 4), (1, 3), 3) == none
     assert bipartite_canonical_pattern(g, (0, 2), (1, 3, 5), 3) == none
-    monkeypatch.setattr(oracles, "mask_of", unreachable)
     assert shattering_witness(g, 4) == none  # 16 subsets, 10 vertices
     monkeypatch.undo()
     # at the boundary the search still runs: 8 traces fit 11 vertices
@@ -455,3 +460,34 @@ def test_pools_answer_former_budget_cases():
     for seed in (1, 2, 3):
         rep = shattering_witness(random_bounded_degree(200, 3, seed), 4)
         assert rep.witness is None and rep.search == "exhaustive"
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                if rng.random() < p])
+
+
+def test_symmetric_rows_are_derived_from_the_want_rows():
+    # rows closed under swapping adjacent columns get ascending columns
+    k = 5
+    pairs = list(combinations(range(k), 2))
+    rows = {
+        "pairing": oracles._want_rows(lambda p, l: l in pairs[p],
+                                      len(pairs), k),
+        "shattering": list(range(1 << k)),
+        "order": oracles._want_rows(lambda i, j: i <= j, k, k),
+    }
+    for kind, test in oracles._PATTERN_TESTS.items():
+        rows[kind] = oracles._want_rows(test, k, k)
+    assert {kind: oracles._symmetric(want, k)
+            for kind, want in rows.items()} == {
+        "pairing": True, "shattering": True, "matching": True,
+        "co_matching": True, "order": False, "ladder": False}
+
+
+def test_ascending_columns_answer_a_dense_search():
+    # trying every order of the five columns takes 35,266 nodes; the
+    # ascending tuples alone take 2,606
+    rep = pairing_index_witness(_gnp(25, 0.8, 4), 5, max_nodes=10_000)
+    assert rep == OracleReport(None, "exhaustive")
