@@ -1,22 +1,29 @@
 """Diagnostic measures and witness searches over vertex sequences.
 
-Rank functions read connection profiles directly. The order, shattering,
-pairing and bipartite searches share one matrix search: want(i, j) says
-whether row vertex i is adjacent to column vertex j. It fixes the columns
-left to right, each in ascending vertex order, narrowing one candidate
-bitmask per row, and returns the lexicographically first column tuple
-with each row on its lowest candidate. Before branching, every column and
-row gets a pool of the vertices with enough neighbours and non-neighbours
-on the opposite side for its want-vector; an empty pool is an exhaustive
-"none" at once. When swapping any two adjacent columns maps the rows onto
-themselves (shattering, pairing, matching, co-matching), the first
-witness has ascending columns, so only ascending column tuples are tried.
-One node is one column candidate tried, in every search. After
-``max_nodes`` nodes a search stops and reports ``budget`` instead of
-``exhaustive``. A witness whose rows or columns need more distinct
-vertices than the graph (or a bipartite side) has is an exhaustive "none"
-before any search starts. Every witness found is re-validated entry by
-entry before it is returned.
+Rank functions count every vertex's connection profile at once. Column
+i of a sequence is the row of its i-th vertex, the set of vertices
+adjacent to it (rows are symmetric). Per-vertex counts over the columns,
+or over their change masks, are kept as bit planes, so a rank costs
+O(s log s) big-int operations for all n vertices instead of n * s
+adjacency reads. Ties go to the lowest vertex.
+
+The order, shattering, pairing and bipartite searches share one matrix
+search: want(i, j) says whether row vertex i is adjacent to column
+vertex j. It fixes the columns left to right, each in ascending vertex
+order, narrowing one candidate bitmask per row, and returns the
+lexicographically first column tuple with each row on its lowest
+candidate. Before branching, every column and row gets a pool of the
+vertices with enough neighbours and non-neighbours on the opposite side
+for its want-vector; an empty pool is an exhaustive "none" at once. When
+swapping any two adjacent columns maps the rows onto themselves
+(shattering, pairing, matching, co-matching), the first witness has
+ascending columns, so only ascending column tuples are tried. One node
+is one column candidate tried, in every search. After ``max_nodes``
+nodes a search stops and reports ``budget`` instead of ``exhaustive``. A
+witness whose rows or columns need more distinct vertices than the graph
+(or a bipartite side) has is an exhaustive "none" before any search
+starts. Every witness found is re-validated entry by entry before it is
+returned.
 """
 
 from __future__ import annotations
@@ -70,6 +77,48 @@ class OracleReport:
     search: str
 
 
+def _bit_planes(masks) -> list[int]:
+    """Per-vertex counts of the masks holding each vertex, bit-sliced.
+
+    Bit k of vertex b's count is bit b of ``planes[k]``. Each mask is
+    added by ripple carry, so it costs O(log len(masks)) big-int
+    operations for all vertices at once.
+    """
+    planes: list[int] = []
+    for carry in masks:
+        for k, p in enumerate(planes):
+            planes[k] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def _at_least(planes: list[int], c: int, full: int) -> int:
+    """Mask of the vertices in ``full`` whose bit-sliced count is >= c."""
+    if c >> len(planes):
+        return 0
+    above, equal = 0, full
+    for k in range(len(planes) - 1, -1, -1):
+        p = planes[k]
+        if c >> k & 1:
+            equal &= p
+        else:
+            above |= equal & p
+            equal &= ~p
+    return above | equal
+
+
+def _columns(g: Graph, seq) -> list[int]:
+    """Column i is the set of vertices b with adj(b, seq[i])."""
+    for v in seq:
+        g.check_vertex(v)
+    return [g.rows[v] for v in seq]
+
+
 def alternation_rank(
     g: Graph, seq,
 ) -> tuple[int, AlternationWitness | None]:
@@ -77,49 +126,55 @@ def alternation_rank(
 
     The witness holds the profiling vertex and one index per block of its
     profile, so the indices alternate in truth value and there are
-    rank + 1 of them.
+    rank + 1 of them. The change masks ``col[i] ^ col[i - 1]`` are counted
+    into bit planes for all vertices at once, and the planes are read top
+    down for the largest count; the lowest vertex reaching it is the
+    witness. Columns are read from rows, which are symmetric.
     """
     seq = list(seq)
-    for v in seq:
-        g.check_vertex(v)
+    cols = _columns(g, seq)
     if not seq:
         return 0, None
-    best = -1
-    wit = None
-    for b in range(g.n):
-        idxs = [0]
-        prev = g.adj(b, seq[0])
-        for i in range(1, len(seq)):
-            cur = g.adj(b, seq[i])
-            if cur != prev:
-                idxs.append(i)
-                prev = cur
-        if len(idxs) - 1 > best:
-            best = len(idxs) - 1
-            wit = AlternationWitness(b, tuple(idxs))
-    return best, wit
+    planes = _bit_planes(map(int.__xor__, cols, cols[1:]))
+    best, top = 0, g.full_mask()
+    for k in range(len(planes) - 1, -1, -1):
+        hit = top & planes[k]
+        if hit:
+            best |= 1 << k
+            top = hit
+    b = (top & -top).bit_length() - 1
+    prof = [g.adj(b, v) for v in seq]
+    idxs = [0] + [i for i in range(1, len(seq)) if prof[i] != prof[i - 1]]
+    return best, AlternationWitness(b, tuple(idxs))
 
 
 def exception_rank(
     g: Graph, seq,
 ) -> tuple[int, ExceptionWitness | None]:
-    """Largest minority block: max over vertices of min(#true, #false)."""
+    """Largest minority block: max over vertices of min(#true, #false).
+
+    The true counts t of all vertices are counted into bit planes over
+    the columns, and thresholds x are tried from s // 2 down until some
+    vertex has x <= t <= s - x. The lowest such vertex is the witness, and
+    its minority is its true positions when t * 2 == s. Columns are read
+    from rows, which are symmetric.
+    """
     seq = list(seq)
-    for v in seq:
-        g.check_vertex(v)
+    cols = _columns(g, seq)
     if not seq:
         return 0, None
-    best = -1
-    wit = None
-    for b in range(g.n):
-        prof = [g.adj(b, v) for v in seq]
-        t = sum(prof)
-        if min(t, len(seq) - t) > best:
-            best = min(t, len(seq) - t)
-            minority = not (t * 2 > len(seq))
-            wit = ExceptionWitness(
-                b, tuple([i for i, p in enumerate(prof) if p == minority]))
-    return best, wit
+    s = len(seq)
+    planes = _bit_planes(cols)
+    full = g.full_mask()
+    for x in range(s // 2, -1, -1):
+        hit = _at_least(planes, x, full) & ~_at_least(planes, s - x + 1, full)
+        if hit:
+            break
+    b = (hit & -hit).bit_length() - 1
+    prof = [g.adj(b, v) for v in seq]
+    minority = not (sum(prof) * 2 > s)
+    return x, ExceptionWitness(
+        b, tuple([i for i, p in enumerate(prof) if p == minority]))
 
 
 def decompose_sequence_types(

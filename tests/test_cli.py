@@ -404,6 +404,25 @@ def test_diagnose_ranks(graph_file, capsys):
     assert doc["exception_witness"] == {"vertex": 0, "minority_indices": [1]}
 
 
+def test_diagnose_ranks_over_a_repeating_sequence(graph_file, tmp_path,
+                                                  capsys):
+    # vertex 0 of half_graph(4) is adjacent to 4..7 only, so it sees
+    # 4 0 4 1 7 1 4 as T F T F T F T; repeats count once per position
+    gf = graph_file(half_graph(4))
+    seq = tmp_path / "seq.txt"
+    seq.write_text("4 0 4 1 7 1 4\n")
+    code, out, _ = run(
+        ["diagnose", "-g", gf, "--alt-rank", "--seq", str(seq)], capsys)
+    assert code == 0
+    assert out == (
+        '{\n  "alternation_rank": 6,\n  "alternation_witness": {\n'
+        '    "vertex": 0,\n    "indices": [\n      0,\n      1,\n      2,\n'
+        '      3,\n      4,\n      5,\n      6\n    ]\n  },\n'
+        '  "exception_rank": 3,\n  "exception_witness": {\n'
+        '    "vertex": 0,\n    "minority_indices": [\n      1,\n      3,\n'
+        '      5\n    ]\n  }\n}\n')
+
+
 def test_diagnose_combined(graph_file, capsys):
     gf = graph_file(clique(5))
     code, out, _ = run(

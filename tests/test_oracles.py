@@ -8,6 +8,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipwide import (
     AlternationWitness,
@@ -87,6 +89,102 @@ def test_rank_edge_cases():
     assert exception_rank(g, ()) == (0, None)
     with pytest.raises(InputError):
         alternation_rank(g, (99,))
+
+
+def reference_alternation_rank(g, seq):
+    """Pointwise reference: one adjacency read per vertex and position."""
+    seq = list(seq)
+    for v in seq:
+        g.check_vertex(v)
+    if not seq:
+        return 0, None
+    best = -1
+    wit = None
+    for b in range(g.n):
+        idxs = [0]
+        prev = g.adj(b, seq[0])
+        for i in range(1, len(seq)):
+            cur = g.adj(b, seq[i])
+            if cur != prev:
+                idxs.append(i)
+                prev = cur
+        if len(idxs) - 1 > best:
+            best = len(idxs) - 1
+            wit = AlternationWitness(b, tuple(idxs))
+    return best, wit
+
+
+def reference_exception_rank(g, seq):
+    """Pointwise reference: each vertex's whole profile, then its minority."""
+    seq = list(seq)
+    for v in seq:
+        g.check_vertex(v)
+    if not seq:
+        return 0, None
+    best = -1
+    wit = None
+    for b in range(g.n):
+        prof = [g.adj(b, v) for v in seq]
+        t = sum(prof)
+        if min(t, len(seq) - t) > best:
+            best = min(t, len(seq) - t)
+            minority = not (t * 2 > len(seq))
+            wit = ExceptionWitness(
+                b, tuple([i for i, p in enumerate(prof) if p == minority]))
+    return best, wit
+
+
+@st.composite
+def rank_inputs(draw, lo, hi, shape):
+    """A graph on lo..hi vertices and a sequence of the given shape.
+
+    Vertices fall into at most ``classes`` twin classes, adjacent by
+    class, so few classes make many vertices tie on every count.
+    """
+    n = draw(st.integers(lo, hi))
+    classes = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.1, 0.5, 0.9)))
+    cls = [rng.randrange(classes) for _ in range(n)]
+    link = {(p, q) for p in range(classes) for q in range(p + 1, classes)
+            if rng.random() < density}
+    g = Graph.from_edges(n, [
+        (u, v) for u, v in combinations(range(n), 2)
+        if cls[u] != cls[v] and (min(cls[u], cls[v]), max(cls[u], cls[v]))
+        in link])
+    if shape == "repeats":
+        length = draw(st.integers(0, 2 * n))
+        seq = [rng.randrange(n) for _ in range(length)]
+    elif shape == "single":
+        seq = [rng.randrange(n)]
+    else:
+        seq = list(range(n))
+        if draw(st.booleans()):
+            rng.shuffle(seq)
+    return g, seq
+
+
+@pytest.mark.parametrize("shape", ["repeats", "single", "all"])
+@pytest.mark.parametrize("lo, hi", [(1, 63), (65, 130)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_ranks_match_pointwise_reference(lo, hi, shape, data):
+    # the bit-plane counts give the pointwise loops' ranks and witnesses,
+    # ties to the lowest vertex and the minority rule at t * 2 == s
+    # included, on graphs narrower and wider than one 64-bit word
+    g, seq = data.draw(rank_inputs(lo, hi, shape))
+    assert alternation_rank(g, seq) == reference_alternation_rank(g, seq)
+    assert exception_rank(g, seq) == reference_exception_rank(g, seq)
+
+
+def test_ranks_break_ties_to_the_lowest_vertex():
+    # twins 1, 2 and 3 share every count; a balanced profile's minority
+    # is its true positions
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
+    assert alternation_rank(g, [0, 4, 0]) == (
+        2, AlternationWitness(1, (0, 1, 2)))
+    assert exception_rank(g, [0, 4, 0]) == (1, ExceptionWitness(1, (1,)))
+    assert exception_rank(g, [0, 4]) == (1, ExceptionWitness(1, (0,)))
 
 
 def extracted(g, k):
