@@ -129,7 +129,8 @@ def alternation_rank(
     rank + 1 of them. The change masks ``col[i] ^ col[i - 1]`` are counted
     into bit planes for all vertices at once, and the planes are read top
     down for the largest count; the lowest vertex reaching it is the
-    witness. Columns are read from rows, which are symmetric.
+    witness. Columns are read from rows, which are symmetric, and the
+    witness profile is read from the same columns as the counts.
     """
     seq = list(seq)
     cols = _columns(g, seq)
@@ -143,7 +144,7 @@ def alternation_rank(
             best |= 1 << k
             top = hit
     b = (top & -top).bit_length() - 1
-    prof = [g.adj(b, v) for v in seq]
+    prof = [c >> b & 1 for c in cols]
     idxs = [0] + [i for i in range(1, len(seq)) if prof[i] != prof[i - 1]]
     return best, AlternationWitness(b, tuple(idxs))
 
@@ -157,7 +158,8 @@ def exception_rank(
     the columns, and thresholds x are tried from s // 2 down until some
     vertex has x <= t <= s - x. The lowest such vertex is the witness, and
     its minority is its true positions when t * 2 == s. Columns are read
-    from rows, which are symmetric.
+    from rows, which are symmetric, and the witness profile is read from
+    the same columns as the counts.
     """
     seq = list(seq)
     cols = _columns(g, seq)
@@ -171,7 +173,7 @@ def exception_rank(
         if hit:
             break
     b = (hit & -hit).bit_length() - 1
-    prof = [g.adj(b, v) for v in seq]
+    prof = [c >> b & 1 for c in cols]
     minority = not (sum(prof) * 2 > s)
     return x, ExceptionWitness(
         b, tuple([i for i, p in enumerate(prof) if p == minority]))
