@@ -172,18 +172,20 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
         if spare.bit_count() <= d and all(
                 spare & ~rows[w] == 1 << w for w in iter_bits(spare)):
             break
-    return Graph(n, rows)
+    return Graph._trusted(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask()
-    return Graph(g.n, [full & ~r & ~(1 << v) for v, r in enumerate(g.rows)])
+    return Graph._trusted(
+        g.n, tuple(full & ~r & ~(1 << v) for v, r in enumerate(g.rows)))
 
 
 def power(g: Graph, p: int) -> Graph:
     """Connect every pair at distance between 1 and p; power(g, 1) == g."""
     _positive("p", p)
-    return Graph(g.n, [ball_mask(g, v, p) & ~(1 << v) for v in range(g.n)])
+    return Graph._trusted(
+        g.n, tuple(ball_mask(g, v, p) & ~(1 << v) for v in range(g.n)))
 
 
 # CLI dispatch table: family name -> (constructor, parameter names).

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import contains
 from typing import Iterable, Iterator, Sequence
 
@@ -44,19 +44,33 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int] | None = None):
+        """Rows, when given, must be a simple undirected graph: no bit at
+        or above n, no self-loop, and v in row u exactly when u is in row
+        v. Any other rows raise ``InputError``."""
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         self.n = n
         if rows is None:
             self.rows = (0,) * n
-        else:
-            if len(rows) != n:
-                raise InputError(f"expected {n} adjacency rows, got {len(rows)}")
-            self.rows = tuple(rows)
+            return
+        if len(rows) != n:
+            raise InputError(f"expected {n} adjacency rows, got {len(rows)}")
+        rows = tuple(rows)
+        for u, row in enumerate(rows):
+            if row < 0 or row >> n:
+                raise InputError(f"row {u} has bits outside 0..{n - 1}")
+            if row >> u & 1:
+                raise InputError(f"self-loop at vertex {u} is not allowed")
+            for v in iter_bits(row):
+                if not rows[v] >> u & 1:
+                    raise InputError(f"row {u} holds {v} but row {v} does "
+                                     f"not hold {u}")
+        self.rows = rows
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
-        """Wrap rows this module built itself, skipping validation."""
+        """Wrap rows the package built itself as a simple undirected graph,
+        skipping validation."""
         g = cls.__new__(cls)
         g.n = n
         g.rows = rows
@@ -72,7 +86,7 @@ class Graph:
                 raise InputError(f"self-loop at vertex {u} is not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls._trusted(n, tuple(rows))
 
     def adj(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -347,7 +361,11 @@ def parse_edge_list(text: str) -> Graph:
     line by line; that pass accepts the same inputs and raises the first
     ``InputError``, prefixed with the 1-based line of ``text`` it concerns.
     The bulk read only returns what that pass would, so the two never
-    disagree.
+    disagree. It resolves every id through a dict over the k = min(n, 2m)
+    ids the text can name, then ORs each edge into two rows. When
+    k*k <= 64*m it takes each id's bit from a table of ``1 << v`` over
+    those ids, built per call and never larger than the text; otherwise,
+    as for a star with many leaves, it shifts per endpoint.
     """
     g = _parse_canonical(text)
     return _parse_lines(text) if g is None else g
@@ -392,9 +410,19 @@ def _parse_canonical(text: str) -> Graph | None:
         return None
     rows = [0] * n
     pairs = iter(ends)
-    for u, v in zip(pairs, pairs):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    if k * k <= 64 * m:
+        # The k shifted ones take about 24k + k*k/15 bytes: the id dict
+        # above already holds k entries, and k*k/15 <= 64m/15 is about
+        # the size of m lines of four bytes or more. So a sparse text,
+        # such as a star's, shifts per endpoint instead.
+        bit = [1 << v for v in range(k)]
+        for u, v in zip(pairs, pairs):
+            rows[u] |= bit[v]
+            rows[v] |= bit[u]
+    else:
+        for u, v in zip(pairs, pairs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     g = Graph._trusted(n, tuple(rows))
     # A repeated edge adds no bits and a self-loop adds one where an edge
     # adds two, so either leaves fewer than m edges.
@@ -438,7 +466,7 @@ def _parse_lines(text: str) -> Graph:
             repeat_at = (at, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    g = Graph(n, rows)
+    g = Graph._trusted(n, tuple(rows))
     if repeat_at is not None:
         at, u, v = repeat_at
         raise InputError(f"line {at}: edge ({u}, {v}) repeats an edge: "
@@ -447,11 +475,46 @@ def _parse_lines(text: str) -> Graph:
     return g
 
 
+# The writer formats a row's upper part ``rest`` of p bits and bit length
+# w edge by edge when 32*p < w + 128; a denser row selects the ids it
+# names from a list of id strings in one join, at a cost that grows with w.
+_DENSE_SLOPE = 32
+_DENSE_OFFSET = 128
+
+# Maps the digits of ``bin`` to the 0/1 selector bytes of ``compress``.
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def format_edge_list(g: Graph) -> str:
     """Write ``g`` as canonical edge list text: the header ``n m``, then
     one ``u v`` line per edge with ``u < v`` in lexicographic order, each
-    line ending in a newline. ``parse_edge_list`` reads it back in bulk."""
+    line ending in a newline. ``parse_edge_list`` reads it back in bulk.
+
+    Each row's upper part ``rest = row >> (u + 1)`` is written on its own.
+    A row with few bits for its bit length is written one f-string per
+    edge. A denser row is one ``str.join`` over the id strings that its
+    reversed binary digits select; those strings are made when the first
+    dense row needs them, and only up to the highest id a dense row
+    names, so a large sparse graph never builds them.
+    """
     out = [f"{g.n} {g.edge_count()}"]
-    for u, v in g.edges():
-        out.append(f"{u} {v}")
+    names: list[str] = []
+    for u, row in enumerate(g.rows):
+        rest = row >> (u + 1)
+        if not rest:
+            continue
+        width = rest.bit_length()
+        if _DENSE_SLOPE * rest.bit_count() < width + _DENSE_OFFSET:
+            while rest:
+                low = rest & -rest
+                out.append(f"{u} {u + low.bit_length()}")
+                rest ^= low
+            continue
+        end = u + 1 + width
+        if len(names) < end:
+            names += map(str, range(len(names), end))
+        head = f"{u} "
+        selectors = bin(rest)[:1:-1].encode().translate(_SELECTORS)
+        out.append(head + ("\n" + head).join(
+            compress(names[u + 1:end], selectors)))
     return "\n".join(out) + "\n"

@@ -4,7 +4,7 @@ Most tests drive main(argv) in process and read files from tmp_path;
 three subprocess tests check the entry point, real shell pipes, and that
 repeated in-process calls match fresh processes. They use an installed
 `flipwide` when one is on PATH, and otherwise a launcher built from the
-`[project.scripts]` entry of pyproject.toml. Three more run
+`[project.scripts]` entry of pyproject.toml. Four more run
 `python -m flipwide` with the package's source directory on PYTHONPATH.
 """
 
@@ -12,6 +12,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -716,6 +717,25 @@ def test_python_dash_m_runs_uninstalled(module_env):
         capture_output=True, text=True, env=module_env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == format_edge_list(path(3))
+
+
+def test_dense_pipe_through_apply_flips(module_env, tmp_path):
+    # the flip (V, V) turns clique(200) into edgeless(200): the pipe reads
+    # dense canonical text in bulk and writes dense and sparse rows
+    flips = tmp_path / "flips.json"
+    flips.write_text(json.dumps([{"a": list(range(200)),
+                                  "b": list(range(200))}]))
+    cli = f"{shlex.quote(sys.executable)} -m flipwide"
+    res = subprocess.run(
+        f"{cli} generate clique 200 | {cli} apply-flips "
+        f"--flips {shlex.quote(str(flips))}",
+        shell=True, capture_output=True, text=True, env=module_env)
+    assert res.returncode == 0, res.stderr
+    want = subprocess.run(
+        [sys.executable, "-m", "flipwide", "generate", "edgeless", "200"],
+        capture_output=True, text=True, env=module_env)
+    assert want.returncode == 0, want.stderr
+    assert res.stdout == want.stdout == "200 0\n"
 
 
 @pytest.mark.parametrize("graph,code", [("0 0\n", 3), ("1 0\n", 0)],

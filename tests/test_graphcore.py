@@ -6,6 +6,7 @@ Floyd-Warshall instead of BFS.
 """
 
 import math
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -29,6 +30,7 @@ from flipwide import (
     phi_equivalent_over,
 )
 from flipwide import graphcore
+from flipwide.generators import clique, complement, random_bounded_degree
 from flipwide.graphcore import MAX_VERTICES, all_pairs_distance
 
 
@@ -223,6 +225,25 @@ def test_graph_constructor_validation():
         Graph.from_edges(2, [(0, 5)])
 
 
+def test_graph_rejects_asymmetric_rows():
+    with pytest.raises(InputError, match="row 0 holds 1 but row 1 does not"):
+        Graph(3, [0b010, 0, 0])
+    with pytest.raises(InputError, match="row 1 holds 2 but row 2 does not"):
+        Graph(3, [0b010, 0b101, 0])
+
+
+def test_graph_rejects_self_loops():
+    with pytest.raises(InputError, match="self-loop at vertex 1"):
+        Graph(2, [0, 0b10])
+
+
+def test_graph_rejects_bits_outside_the_vertex_range():
+    with pytest.raises(InputError, match="row 1 has bits outside 0..1"):
+        Graph(2, [0b10, 0b101])
+    with pytest.raises(InputError, match="row 0 has bits outside 0..1"):
+        Graph(2, [-1, 0])
+
+
 def test_edge_iteration_order_and_count():
     g = Graph.from_edges(4, [(2, 3), (0, 3), (0, 1)])
     assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
@@ -264,6 +285,71 @@ def test_edge_list_parsing_rejects_junk():
 
 
 # ------------------------------------------------------------ edge lists
+
+def reference_format(g: Graph) -> str:
+    """The edge-generator writer, one f-string per edge, kept as the
+    reference for the row-wise ``format_edge_list``."""
+    out = [f"{g.n} {g.edge_count()}"]
+    for u, v in g.edges():
+        out.append(f"{u} {v}")
+    return "\n".join(out) + "\n"
+
+
+def dense_switch(width: int) -> int:
+    """The least bit count at which a row's upper part of this bit length
+    is written by the dense path."""
+    return -(-(width + graphcore._DENSE_OFFSET) // graphcore._DENSE_SLOPE)
+
+
+@st.composite
+def graphs_near_the_writer_switch(draw):
+    """Graphs whose chosen rows have upper parts just below, at or just
+    above the writer's sparse/dense switch, and empty or complete
+    graphs, with n = 0 and n = 1 among them."""
+    n = draw(st.integers(0, 260))
+    kind = draw(st.sampled_from(["switch", "switch", "empty", "complete"]))
+    if kind == "empty":
+        return Graph(n)
+    if kind == "complete":
+        return Graph.from_edges(n, combinations(range(n), 2))
+    rows = [0] * n
+    for u in draw(st.lists(st.integers(0, max(n - 2, 0)), unique=True,
+                           max_size=6)) if n >= 2 else ():
+        width = draw(st.integers(1, n - u - 1))
+        want = dense_switch(width) + draw(st.sampled_from([-1, 0, 1]))
+        count = min(max(want, 1), width)
+        low = draw(st.permutations(range(width - 1)))[:count - 1]
+        for b in low + [width - 1]:
+            rows[u] |= 1 << (u + 1 + b)
+            rows[u + 1 + b] |= 1 << u
+    return Graph(n, rows)
+
+
+@given(graphs_near_the_writer_switch())
+@settings(max_examples=300)
+def test_writer_matches_the_edge_generator_reference(g):
+    assert format_edge_list(g) == reference_format(g)
+
+
+def test_writer_takes_both_paths_at_the_switch():
+    # row 0 sits exactly at the switch and row 201 just below it; both
+    # upper parts have bit length 200
+    width = 200
+    at = dense_switch(width)
+
+    def upper(u, count):
+        return [(u, u + 1 + b) for b in range(count - 1)] + [(u, u + width)]
+
+    g = Graph.from_edges(2 * width + 2,
+                         upper(0, at) + upper(width + 1, at - 1))
+    assert [(g.rows[u] >> (u + 1)).bit_count() for u in (0, width + 1)] == [
+        at, at - 1]
+    assert format_edge_list(g) == reference_format(g)
+    for n in (0, 1, 2):
+        for h in (Graph(n), Graph.from_edges(n, combinations(range(n), 2))):
+            assert format_edge_list(h) == reference_format(h)
+    assert format_edge_list(Graph(1)) == "1 0\n"
+
 
 def reference_parse(text: str) -> Graph:
     """The line-by-line parser, one int() per token, kept as the reference
@@ -424,12 +510,27 @@ def test_canonical_text_is_read_in_bulk(monkeypatch):
     def no_fallback(text):
         raise AssertionError("canonical text went line by line")
 
+    def shuffled(g, seed):
+        # canonical lines in a random order, each pair in either
+        # orientation
+        rng = random.Random(seed)
+        lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
+                 for u, v in g.edges()]
+        rng.shuffle(lines)
+        return "".join(line + "\n" for line in [f"{g.n} {len(lines)}"]
+                       + lines)
+
+    by_lines = graphcore._parse_lines
     monkeypatch.setattr(graphcore, "_parse_lines", no_fallback)
+    dense = (clique(64), complement(random_bounded_degree(200, 3, 1)))
     for g in (Graph(0), Graph(5), Graph.from_edges(4, [(3, 0), (1, 2)]),
               Graph.from_edges(300, [(u, (7 * u + 1) % 300)
                                      for u in range(300)
-                                     if (7 * u + 1) % 300 != u])):
+                                     if (7 * u + 1) % 300 != u]), *dense):
         assert parse_edge_list(format_edge_list(g)) == g
+    for seed, g in enumerate(dense):
+        text = shuffled(g, seed)
+        assert parse_edge_list(text) == by_lines(text) == g
     assert parse_edge_list("# made by hand\n 3 2\n\n1 0  \n2 1\r\n") == (
         Graph.from_edges(3, [(0, 1), (1, 2)]))
 
@@ -449,8 +550,16 @@ def test_edge_list_errors_name_the_line(text, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("text,edge", [("1000000 0\n", None),
-                                       ("1000000 1\n0 999999\n", (0, 999999))])
+STAR = 40_000
+
+
+@pytest.mark.parametrize("text,edge", [
+    ("1000000 0\n", None),
+    ("1000000 1\n0 999999\n", (0, 999999)),
+    pytest.param(f"{STAR + 1} {STAR}\n"
+                 + "".join(f"0 {v}\n" for v in range(1, STAR + 1)),
+                 (0, STAR), id="star"),
+])
 def test_huge_header_parses_in_bounded_memory(text, edge):
     tracemalloc.start()
     try:
@@ -458,8 +567,13 @@ def test_huge_header_parses_in_bounded_memory(text, edge):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.n == 10**6
-    assert list(g.edges()) == ([edge] if edge else [])
-    # the rows list and the tuple made from it take 16 MB; a table with
-    # one entry per possible vertex id would take several times that
+    n, m = map(int, text.split()[:2])
+    assert g.n == n and g.edge_count() == m
+    # each text's edges all start at vertex 0, so m of them ending at
+    # distinct vertices up to ``edge`` are the ones it names
+    assert all(u == 0 for u, _ in g.edges())
+    assert max(g.edges(), default=None) == edge
+    # the rows list and the tuple made from it take 16 MB at n = 10**6; a
+    # table with one entry per possible vertex id would take several times
+    # that, and a table of 1 << v over the star's 40,001 ids about 100 MB
     assert peak < 64 * 2**20

@@ -188,17 +188,18 @@ def test_ranks_break_ties_to_the_lowest_vertex():
 
 
 def test_rank_witnesses_agree_with_their_ranks_on_raw_rows():
-    # Graph(n, rows) takes rows as given; rank and witness are both read
-    # from the columns g.rows[seq[i]], so they agree even when the rows
-    # are not symmetric
-    g = Graph(3, [0b110, 0, 0])
+    # Graph(n, rows) rejects such rows, so they are wrapped as given; rank
+    # and witness are both read from the columns g.rows[seq[i]], so they
+    # agree even when the rows are not symmetric
+    g = Graph._trusted(3, (0b110, 0, 0))
     assert alternation_rank(g, [0, 1, 2]) == (
         1, AlternationWitness(1, (0, 1)))
     assert exception_rank(g, [0, 1, 2]) == (1, ExceptionWitness(1, (0,)))
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randrange(1, 10)
-        g = Graph(n, [rng.randrange(1 << n) for _ in range(n)])
+        g = Graph._trusted(n, tuple(rng.randrange(1 << n)
+                                    for _ in range(n)))
         seq = [rng.randrange(n) for _ in range(rng.randrange(1, 12))]
         rank, wit = alternation_rank(g, seq)
         prof = [g.rows[v] >> wit.vertex & 1 for v in seq]
