@@ -78,6 +78,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -340,7 +342,10 @@ MAX_VERTICES = 10**6
 
 
 def check_vertex_count(n: int, what: str = "vertex count") -> None:
-    """Raise ``InputError`` when ``n`` exceeds ``MAX_VERTICES``."""
+    """Raise ``InputError`` when ``n`` is negative or exceeds
+    ``MAX_VERTICES``."""
+    if n < 0:
+        raise InputError(f"{what} must be nonnegative, got {n}")
     if n > MAX_VERTICES:
         raise InputError(f"{what} {n} exceeds the limit of {MAX_VERTICES}")
 
@@ -353,7 +358,7 @@ def parse_edge_list(text: str) -> Graph:
     line is the header ``n m`` and exactly ``m`` edge lines ``u v`` follow,
     each two integers in the sense of ``int()`` separated by whitespace,
     with ``0 <= u, v < n`` and ``u != v``. No unordered pair may appear
-    twice, and ``n`` may not exceed ``MAX_VERTICES``.
+    twice, and ``n`` may be neither negative nor above ``MAX_VERTICES``.
 
     Canonical text, where each edge line is two decimal ids without sign
     or leading zeros separated by one space (as ``format_edge_list``
@@ -478,6 +483,9 @@ def _parse_lines(text: str) -> Graph:
 # The writer formats a row's upper part ``rest`` of p bits and bit length
 # w edge by edge when 32*p < w + 128; a denser row selects the ids it
 # names from a list of id strings in one join, at a cost that grows with w.
+# That list covers every id up to the row's last, so it is kept within
+# 2m ids, m the edge count, like the output's m lines; a dense row that
+# reaches past it makes its own id strings on the fly.
 _DENSE_SLOPE = 32
 _DENSE_OFFSET = 128
 
@@ -495,9 +503,13 @@ def format_edge_list(g: Graph) -> str:
     edge. A denser row is one ``str.join`` over the id strings that its
     reversed binary digits select; those strings are made when the first
     dense row needs them, and only up to the highest id a dense row
-    names, so a large sparse graph never builds them.
+    names. A dense row whose last id is 2m or more, with m the edge
+    count, makes the strings of its own ids one at a time instead, so the
+    kept strings never outgrow the output and a large sparse graph never
+    builds them.
     """
-    out = [f"{g.n} {g.edge_count()}"]
+    m = g.edge_count()
+    out = [f"{g.n} {m}"]
     names: list[str] = []
     for u, row in enumerate(g.rows):
         rest = row >> (u + 1)
@@ -511,10 +523,13 @@ def format_edge_list(g: Graph) -> str:
                 rest ^= low
             continue
         end = u + 1 + width
-        if len(names) < end:
-            names += map(str, range(len(names), end))
+        if end > 2 * m:
+            ids = map(str, range(u + 1, end))
+        else:
+            if len(names) < end:
+                names += map(str, range(len(names), end))
+            ids = names[u + 1:end]
         head = f"{u} "
         selectors = bin(rest)[:1:-1].encode().translate(_SELECTORS)
-        out.append(head + ("\n" + head).join(
-            compress(names[u + 1:end], selectors)))
+        out.append(head + ("\n" + head).join(compress(ids, selectors)))
     return "\n".join(out) + "\n"

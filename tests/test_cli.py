@@ -585,6 +585,18 @@ def test_absurd_vertex_count_rejected(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds the limit" in err
 
 
+def test_negative_vertex_count_rejected(tmp_path, capsys):
+    gf = tmp_path / "g.edges"
+    gf.write_text("-1 0\n")
+    flips = tmp_path / "flips.json"
+    flips.write_text("[]")
+    code, out, err = run(["apply-flips", "-g", str(gf), "--flips",
+                          str(flips)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: line 1: header vertex count must be "
+                   "nonnegative, got -1\n")
+
+
 @pytest.mark.parametrize("params", [
     ["edgeless", str(10**12)],
     ["shatter_gadget", "40"],

@@ -8,7 +8,7 @@ Floyd-Warshall instead of BFS.
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +30,12 @@ from flipwide import (
     phi_equivalent_over,
 )
 from flipwide import graphcore
-from flipwide.generators import clique, complement, random_bounded_degree
-from flipwide.graphcore import MAX_VERTICES, all_pairs_distance
+from flipwide.generators import clique, complement, path, random_bounded_degree
+from flipwide.graphcore import (
+    MAX_VERTICES,
+    all_pairs_distance,
+    check_vertex_count,
+)
 
 
 def brute_flip(g: Graph, f: Flip) -> Graph:
@@ -301,28 +305,36 @@ def dense_switch(width: int) -> int:
     return -(-(width + graphcore._DENSE_OFFSET) // graphcore._DENSE_SLOPE)
 
 
+def with_tail_path(n: int, edges: list, length: int) -> Graph:
+    """The graph of ``edges`` on 0..n-1 plus a path on ``length`` new
+    vertices after them. The path adds length - 1 edges without touching
+    any row below n, so those rows can pass the writer's 2m bound."""
+    tail = [(v, v + 1) for v in range(n, n + length - 1)]
+    return Graph.from_edges(n + length, edges + tail)
+
+
 @st.composite
 def graphs_near_the_writer_switch(draw):
     """Graphs whose chosen rows have upper parts just below, at or just
-    above the writer's sparse/dense switch, and empty or complete
-    graphs, with n = 0 and n = 1 among them."""
+    above the writer's sparse/dense switch, within its 2m bound or not,
+    and empty or complete graphs, with n = 0 and n = 1 among them."""
     n = draw(st.integers(0, 260))
     kind = draw(st.sampled_from(["switch", "switch", "empty", "complete"]))
     if kind == "empty":
         return Graph(n)
     if kind == "complete":
         return Graph.from_edges(n, combinations(range(n), 2))
-    rows = [0] * n
+    edges = []
     for u in draw(st.lists(st.integers(0, max(n - 2, 0)), unique=True,
                            max_size=6)) if n >= 2 else ():
         width = draw(st.integers(1, n - u - 1))
         want = dense_switch(width) + draw(st.sampled_from([-1, 0, 1]))
         count = min(max(want, 1), width)
         low = draw(st.permutations(range(width - 1)))[:count - 1]
-        for b in low + [width - 1]:
-            rows[u] |= 1 << (u + 1 + b)
-            rows[u + 1 + b] |= 1 << u
-    return Graph(n, rows)
+        edges += [(u, u + 1 + b) for b in low + [width - 1]]
+    # a tail path of n vertices puts 2m at or above 2n - 2, past every
+    # chosen row's last id when n >= 2; without it few rows pass the bound
+    return with_tail_path(n, edges, draw(st.sampled_from([0, n])))
 
 
 @given(graphs_near_the_writer_switch())
@@ -331,7 +343,21 @@ def test_writer_matches_the_edge_generator_reference(g):
     assert format_edge_list(g) == reference_format(g)
 
 
-def test_writer_takes_both_paths_at_the_switch():
+def dense_rows(monkeypatch, g: Graph) -> list[bool]:
+    """Write ``g``, check the text against the reference, and say for each
+    row that took the dense path whether it read the kept id strings."""
+    kept = []
+
+    def counted(ids, selectors):
+        kept.append(isinstance(ids, list))
+        return compress(ids, selectors)
+
+    monkeypatch.setattr(graphcore, "compress", counted)
+    assert format_edge_list(g) == reference_format(g)
+    return kept
+
+
+def test_writer_takes_both_paths_at_the_switch(monkeypatch):
     # row 0 sits exactly at the switch and row 201 just below it; both
     # upper parts have bit length 200
     width = 200
@@ -340,15 +366,47 @@ def test_writer_takes_both_paths_at_the_switch():
     def upper(u, count):
         return [(u, u + 1 + b) for b in range(count - 1)] + [(u, u + width)]
 
-    g = Graph.from_edges(2 * width + 2,
-                         upper(0, at) + upper(width + 1, at - 1))
+    edges = upper(0, at) + upper(width + 1, at - 1)
+    g = with_tail_path(2 * width + 2, edges, 2 * width + 2)
     assert [(g.rows[u] >> (u + 1)).bit_count() for u in (0, width + 1)] == [
         at, at - 1]
-    assert format_edge_list(g) == reference_format(g)
+    assert 2 * g.edge_count() >= width + 1
+    assert dense_rows(monkeypatch, g) == [True]
+    # without the tail, 2m is below row 0's last id, so that row makes its
+    # own id strings
+    assert dense_rows(monkeypatch, Graph.from_edges(2 * width + 2,
+                                                    edges)) == [False]
+    # clique rows with 5 or more later neighbours are dense
+    assert dense_rows(monkeypatch, clique(200)) == [True] * 195
     for n in (0, 1, 2):
         for h in (Graph(n), Graph.from_edges(n, combinations(range(n), 2))):
             assert format_edge_list(h) == reference_format(h)
     assert format_edge_list(Graph(1)) == "1 0\n"
+
+
+def test_writer_memory_is_bounded_by_its_output():
+    # one row over 10**5 ids with a neighbour at every 31st: dense by the
+    # switch, but id strings kept up to its last id would take about 6 MB
+    # against about 30 KB of text
+    n = 10**5
+    leaves = range(31, n, 31)
+    bits = bytearray(b"0" * n)
+    bits[31::31] = b"1" * len(leaves)
+    rows = [0] * n
+    rows[0] = int(bits[::-1], 2)
+    for v in leaves:
+        rows[v] = 1
+    g = Graph._trusted(n, tuple(rows))
+    assert g.degree(0) >= dense_switch((g.rows[0] >> 1).bit_length())
+    tracemalloc.start()
+    try:
+        text = format_edge_list(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"{n} {len(leaves)}\n" + "".join(
+        f"0 {v}\n" for v in leaves)
+    assert peak < 2 * 2**20
 
 
 def reference_parse(text: str) -> Graph:
@@ -370,6 +428,9 @@ def reference_parse(text: str) -> Graph:
     except ValueError:
         raise InputError(
             f"line {at}: header must be 'n m', got {header!r}") from None
+    if n < 0:
+        raise InputError(f"line {at}: header vertex count must be "
+                         f"nonnegative, got {n}")
     if n > MAX_VERTICES:
         raise InputError(f"line {at}: header vertex count {n} exceeds the "
                          f"limit of {MAX_VERTICES}")
@@ -543,6 +604,10 @@ def test_canonical_text_is_read_in_bulk(monkeypatch):
      "found 2 distinct"),
     ("\n3 2\n0 1\n",
      "line 2: header promises 2 edges, found 1"),
+    ("-1 0\n",
+     "line 1: header vertex count must be nonnegative, got -1"),
+    ("# none\n-2 1\n0 1\n",
+     "line 2: header vertex count must be nonnegative, got -2"),
 ])
 def test_edge_list_errors_name_the_line(text, message):
     with pytest.raises(InputError) as exc:
@@ -550,16 +615,20 @@ def test_edge_list_errors_name_the_line(text, message):
     assert str(exc.value) == message
 
 
-STAR = 40_000
+def test_negative_vertex_counts_are_rejected():
+    for build in (lambda: Graph(-1), lambda: Graph.from_edges(-1, []),
+                  lambda: check_vertex_count(-1)):
+        with pytest.raises(InputError,
+                           match="^vertex count must be nonnegative, got -1$"):
+            build()
+    for build in (lambda: clique(-1), lambda: path(-1),
+                  lambda: random_bounded_degree(-1, 3, 0)):
+        with pytest.raises(InputError, match="^n must be positive, got -1$"):
+            build()
 
 
-@pytest.mark.parametrize("text,edge", [
-    ("1000000 0\n", None),
-    ("1000000 1\n0 999999\n", (0, 999999)),
-    pytest.param(f"{STAR + 1} {STAR}\n"
-                 + "".join(f"0 {v}\n" for v in range(1, STAR + 1)),
-                 (0, STAR), id="star"),
-])
+@pytest.mark.parametrize("text,edge", [("1000000 0\n", None),
+                                       ("1000000 1\n0 999999\n", (0, 999999))])
 def test_huge_header_parses_in_bounded_memory(text, edge):
     tracemalloc.start()
     try:
@@ -567,13 +636,26 @@ def test_huge_header_parses_in_bounded_memory(text, edge):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, m = map(int, text.split()[:2])
-    assert g.n == n and g.edge_count() == m
-    # each text's edges all start at vertex 0, so m of them ending at
-    # distinct vertices up to ``edge`` are the ones it names
-    assert all(u == 0 for u, _ in g.edges())
-    assert max(g.edges(), default=None) == edge
-    # the rows list and the tuple made from it take 16 MB at n = 10**6; a
-    # table with one entry per possible vertex id would take several times
-    # that, and a table of 1 << v over the star's 40,001 ids about 100 MB
+    assert g.n == 10**6
+    assert list(g.edges()) == ([edge] if edge else [])
+    # the rows list and the tuple made from it take 16 MB; a table with
+    # one entry per possible vertex id would take several times that
+    assert peak < 64 * 2**20
+
+
+def test_star_text_parses_in_bounded_memory():
+    # a star's text names k = 40,001 ids in m = 40,000 lines: a table of
+    # 1 << v over those ids would take about 100 MB, so the bulk read
+    # must shift per endpoint here
+    leaves = 40_000
+    text = f"{leaves + 1} {leaves}\n" + "".join(
+        f"0 {v}\n" for v in range(1, leaves + 1))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == Graph.from_edges(leaves + 1,
+                                 [(0, v) for v in range(1, leaves + 1)])
     assert peak < 64 * 2**20
