@@ -5,17 +5,67 @@ cliques, shattering gadgets, and a reproducible bounded-degree random family.
 Every constructor is a pure function of its parameters. The random family
 uses splitmix64 with the published constants, so fixtures reproduce
 bit-for-bit across runs and reimplementations.
+
+The stream is mixed in batches of ``_BATCH`` outputs. Its states form an
+arithmetic progression, so one batch of states is packed into one int,
+state k of the batch in bits 128k to 128k+63, and each mix step runs once
+on the whole int. A 128-bit lane holds a 64-bit value times a 64-bit
+constant without spilling into the next lane; a mask keeps the low 64 bits
+of every lane after each shift-xor and each multiply, so a shift never
+carries one lane's bits into another lane's low half.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import sys
+from array import array
+from functools import cache
+from itertools import combinations, compress, repeat
+from operator import and_, mod
 from typing import Iterator
 
 from .errors import InputError
 from .graphcore import Graph, ball_mask, check_vertex_count, iter_bits
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_BATCH = 2048  # splitmix64 outputs mixed at once
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """``(ones, ramp, low)`` over ``_BATCH`` 128-bit lanes: 1 in every
+    lane, ``(k + 1) * gamma`` mod 2**64 in lane k, and 2**64 - 1 in every
+    lane. Built on first use, so importing the package stays cheap."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BATCH, "little")
+    ramp = int.from_bytes(b"".join(
+        ((k + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
+        for k in range(_BATCH)), "little")
+    return ones, ramp, ones * _MASK64
+
+
+def _splitmix64_batches(seed: int) -> Iterator[array]:
+    """The splitmix64 stream for ``seed`` as consecutive arrays of
+    ``_BATCH`` outputs, each mixed in 128-bit lanes of one int."""
+    ones, ramp, low = _lane_constants()
+    step = _BATCH * _GAMMA & _MASK64
+    state = seed & _MASK64
+    while True:
+        z = (state * ones + ramp) & low
+        state = (state + step) & _MASK64
+        z = (z ^ z >> 30) & low
+        z = z * _MIX1 & low
+        z = (z ^ z >> 27) & low
+        z = z * _MIX2 & low
+        # this shift-xor moves bits of the next lane only above bit 63 of a
+        # lane, which is never read
+        z ^= z >> 31
+        words = array("Q", z.to_bytes(16 * _BATCH, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield words[::2]
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -25,13 +75,8 @@ def splitmix64(seed: int) -> Iterator[int]:
     per the reference implementation; first output for seed 0 is
     0xE220A8397B1DCDAF.
     """
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+    for words in _splitmix64_batches(seed):
+        yield from words
 
 
 def _positive(name: str, value: int) -> None:
@@ -135,6 +180,21 @@ def shatter_gadget(k: int) -> Graph:
     return Graph.from_edges(k + (1 << k), edges)
 
 
+def _live_pairs(seed: int, count: int, n: int,
+                live: bytearray) -> Iterator[tuple[int, int]]:
+    """The first ``count`` pairs ``(x % n, y % n)`` of consecutive
+    splitmix64(seed) outputs, less those with an endpoint whose ``live``
+    byte is 0 when the pair comes up."""
+    for words in _splitmix64_batches(seed):
+        ends = list(map(mod, words[:2 * count], repeat(n)))
+        us, vs = ends[::2], ends[1::2]
+        yield from compress(zip(us, vs), map(
+            and_, map(live.__getitem__, us), map(live.__getitem__, vs)))
+        count -= _BATCH // 2
+        if count <= 0:
+            return
+
+
 def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     """Reproducible graph with maximum degree <= d.
 
@@ -144,17 +204,21 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     list a pure function of (n, d, seed). Drawing stops early once the
     vertices with residual degree are pairwise adjacent: no later pair
     could be kept, so the edges are those of all 30*n*d draws.
+
+    The pairs come ``_BATCH // 2`` at a time from the lane-mixed stream,
+    and both endpoints of a whole batch are reduced mod n by C-level maps.
+    Only pairs whose endpoints are both still below degree d reach the
+    loop body. That filter is exact: degrees only grow, so a pair it
+    skips would fail the body's own ``deg >= d`` test at its draw.
     """
     _positive("n", n)
     _positive("d", d)
     check_vertex_count(n)
-    rng = splitmix64(seed)
     rows = [0] * n
     deg = [0] * n
+    live = bytearray(b"\x01") * n  # 1 while a vertex is below degree d
     spare = (1 << n) - 1  # vertices below degree d
-    for _ in range(30 * n * d):
-        u = next(rng) % n
-        v = next(rng) % n
+    for u, v in _live_pairs(seed, 30 * n * d, n, live):
         if u == v or rows[u] >> v & 1:
             continue
         if deg[u] >= d or deg[v] >= d:
@@ -165,8 +229,10 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
         deg[v] += 1
         if deg[u] == d:
             spare ^= 1 << u
+            live[u] = 0
         if deg[v] == d:
             spare ^= 1 << v
+            live[v] = 0
         # spare vertices have fewer than d neighbours, so more than d of
         # them always hold a non-adjacent pair
         if spare.bit_count() <= d and all(

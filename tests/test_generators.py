@@ -1,9 +1,12 @@
+import hashlib
 from itertools import combinations, islice
 
 import pytest
 
 from flipwide import InputError
+from flipwide.cli import main
 from flipwide.generators import (
+    _BATCH,
     FAMILIES,
     clique,
     complement,
@@ -25,6 +28,18 @@ SEED0_HEAD = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
               0x06C45D188009454F, 0xF88BB8A8724C81EC)
 SEED42_HEAD = (0xBDD732262FEB6E95, 0x28EFE333B266F103,
                0x47526757130F9F52, 0x581CE1FF0E4AE394)
+MASK64 = (1 << 64) - 1
+
+
+def scalar_splitmix64(seed):
+    # one output per step, as in the reference implementation
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
 
 
 def test_splitmix64_golden_vectors():
@@ -35,6 +50,14 @@ def test_splitmix64_golden_vectors():
 def test_splitmix64_wraps_and_stays_in_range():
     for x in islice(splitmix64(2**64 - 1), 8):
         assert 0 <= x < 2**64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -1])
+@pytest.mark.parametrize("length", [1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                    3 * _BATCH + 5])
+def test_splitmix64_batches_match_the_scalar_stream(seed, length):
+    assert list(islice(splitmix64(seed), length)) == \
+        list(islice(scalar_splitmix64(seed), length))
 
 
 def test_clique():
@@ -120,8 +143,9 @@ def test_random_bounded_degree_respects_bound(n, d, seed):
 
 
 def _all_draws(n, d, seed):
-    # random_bounded_degree without its early stop: all 30*n*d draws
-    rng = splitmix64(seed)
+    # random_bounded_degree without its early stop, its batches or its
+    # filter: all 30*n*d draws from the scalar stream
+    rng = scalar_splitmix64(seed)
     rows, deg = [0] * n, [0] * n
     for _ in range(30 * n * d):
         u, v = next(rng) % n, next(rng) % n
@@ -135,13 +159,23 @@ def _all_draws(n, d, seed):
             if rows[u] >> v & 1]
 
 
+# the last three draw 30*n*d pairs that end inside a batch
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4),
                                  (9, 8), (12, 5), (25, 1), (30, 3), (40, 5),
-                                 (80, 2), (150, 3)])
+                                 (80, 2), (150, 3), (65, 3), (401, 3),
+                                 (150, 8)])
 def test_random_bounded_degree_early_stop_keeps_edges(n, d):
     for seed in (0, 1, 7, 123):
         assert list(random_bounded_degree(n, d, seed).edges()) == \
             _all_draws(n, d, seed)
+
+
+def test_generate_random_bounded_degree_bytes_are_pinned(capsys):
+    assert main(["generate", "random_bounded_degree", "400", "3",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "6251ce44cbc9273de456a137b847607a380c708d087b606cc39f4071f3c4303c")
 
 
 def test_complement():
