@@ -208,8 +208,9 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     The pairs come ``_BATCH // 2`` at a time from the lane-mixed stream,
     and both endpoints of a whole batch are reduced mod n by C-level maps.
     Only pairs whose endpoints are both still below degree d reach the
-    loop body. That filter is exact: degrees only grow, so a pair it
-    skips would fail the body's own ``deg >= d`` test at its draw.
+    loop body, so the body needs no degree test of its own. That filter
+    is exact: a pair it skips has an endpoint already at degree d, and
+    degrees only grow, so the pair could not be kept at its draw.
     """
     _positive("n", n)
     _positive("d", d)
@@ -219,9 +220,8 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     live = bytearray(b"\x01") * n  # 1 while a vertex is below degree d
     spare = (1 << n) - 1  # vertices below degree d
     for u, v in _live_pairs(seed, 30 * n * d, n, live):
+        # _live_pairs lets through only pairs with both degrees below d
         if u == v or rows[u] >> v & 1:
-            continue
-        if deg[u] >= d or deg[v] >= d:
             continue
         rows[u] |= 1 << v
         rows[v] |= 1 << u

@@ -38,29 +38,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _is_simple(n: int, rows: tuple[int, ...]) -> bool:
-    """Whether ``rows`` are a simple undirected graph on 0..n-1.
-
-    Only the bits above the diagonal are looked up in their partner rows.
-    Each of them then has its own mirror bit below the diagonal, so when
-    all rows together hold twice as many bits as lie above it, every bit
-    below it is such a mirror.
-    """
-    upper = 0
-    for u, row in enumerate(rows):
-        if row < 0 or row >> n or row >> u & 1:
-            return False
-        rest = row >> (u + 1)
-        bit = 1 << u
-        upper += rest.bit_count()
-        while rest:
-            low = rest & -rest
-            if not rows[u + low.bit_length()] & bit:
-                return False
-            rest ^= low
-    return sum(map(int.bit_count, rows)) == 2 * upper
-
-
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
@@ -79,16 +56,15 @@ class Graph:
         if len(rows) != n:
             raise InputError(f"expected {n} adjacency rows, got {len(rows)}")
         rows = tuple(rows)
-        if not _is_simple(n, rows):
-            for u, row in enumerate(rows):
-                if row < 0 or row >> n:
-                    raise InputError(f"row {u} has bits outside 0..{n - 1}")
-                if row >> u & 1:
-                    raise InputError(f"self-loop at vertex {u} is not allowed")
-                for v in iter_bits(row):
-                    if not rows[v] >> u & 1:
-                        raise InputError(f"row {u} holds {v} but row {v} "
-                                         f"does not hold {u}")
+        for u, row in enumerate(rows):
+            if row < 0 or row >> n:
+                raise InputError(f"row {u} has bits outside 0..{n - 1}")
+            if row >> u & 1:
+                raise InputError(f"self-loop at vertex {u} is not allowed")
+            for v in iter_bits(row):
+                if not rows[v] >> u & 1:
+                    raise InputError(f"row {u} holds {v} but row {v} does "
+                                     f"not hold {u}")
         self.rows = rows
 
     @classmethod
@@ -254,49 +230,26 @@ def all_pairs_distance(g: Graph) -> list[list[float]]:
 
 
 def is_distance_r_independent(
-    g: Graph, members: Iterable[int], r: float, near: float | None = None
+    g: Graph, members: Iterable[int], r: float
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check pairwise distance > r over all distinct members.
 
     Returns (True, None) or (False, (u, v)) with a concrete violating pair.
     ``r`` may be arbitrarily large; BFS stops at the graph's eccentricity.
-
-    With ``near`` <= r, the one BFS per member also answers at ``near``:
-    the pair is then the one the check at ``near`` alone returns, or None
-    when no pair lies within ``near``, and the flag still answers at
-    ``r``. Each BFS stops at the first member it reaches beyond ``near``,
-    and once one has, the rest search only to ``near``.
     """
     vs = sorted(set(members))
     for v in vs:
         g.check_vertex(v)
-    if near is None:
-        near = r
     member_mask = mask_of(vs)
-    rows = g.rows
-    ok = True
     for u in vs:
-        others = member_mask ^ 1 << u
-        seen = frontier = 1 << u
-        dist = 0
-        limit = r if ok else near
-        while frontier and dist < limit:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            dist += 1
-            if dist > near and frontier & others:
-                ok = False
-                break
-            seen |= frontier
-        # seen holds every member within near and none beyond it
-        hit = seen & others
+        reach = 0
+        for level in _bfs_levels(g, 1 << u, r):
+            reach |= level
+        hit = reach & member_mask & ~(1 << u)
         if hit:
-            return False, (u, (hit & -hit).bit_length() - 1)
-    return ok, None
+            v = (hit & -hit).bit_length() - 1
+            return False, (u, v)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

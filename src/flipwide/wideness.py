@@ -148,9 +148,8 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
     acc: list[Flip] = []
     trace: list[LevelTrace] = [LevelTrace(0, "base", (), (), current)]
 
-    spread = is_distance_r_independent(g_cur, current, req.radius)[0]
     for level in range(req.radius):
-        if spread:
+        if is_distance_r_independent(g_cur, current, req.radius)[0]:
             break
         i = level // 2
         inp = DisjointFamilyInput(current, i, "stable")
@@ -172,10 +171,8 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
             fresh = _odd_level_flips(g_cur, nxt, built.samples, built.s_lt, i)
             parity = "odd"
         g_next = apply_flips(g_cur, fresh)
-        # one pass checks the level's invariant and the next early stop
-        spread, pair = is_distance_r_independent(g_next, nxt, req.radius,
-                                                 near=level + 1)
-        if pair is not None:
+        ok, pair = is_distance_r_independent(g_next, nxt, level + 1)
+        if not ok:
             raise InternalInvariantError(
                 f"level {level} left vertices {pair} within distance "
                 f"{level + 1}")

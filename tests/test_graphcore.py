@@ -210,21 +210,6 @@ def test_independence_verdict_matches_pair_scan(g, data):
         assert u in members and v in members and d[u][v] <= r
 
 
-@given(graphs_st, st.data())
-@settings(max_examples=60)
-def test_independence_at_two_radii_in_one_pass(g, data):
-    members = data.draw(st.lists(st.integers(0, g.n - 1), unique=True,
-                                 max_size=g.n))
-    near = data.draw(st.integers(0, 4))
-    r = data.draw(st.integers(near, 6))
-    d = floyd_warshall(g)
-    close = [(u, v) for u in sorted(members) for v in sorted(members)
-             if u != v and d[u][v] <= near]
-    want = all(d[u][v] > r for u in members for v in members if u != v)
-    assert is_distance_r_independent(g, members, r, near=near) == \
-        (want, close[0] if close else None)
-
-
 def test_huge_radius_stops_at_eccentricity():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     ok, _ = is_distance_r_independent(g, (0, 2), 10**6)

@@ -30,13 +30,11 @@ from flipwide.graphcore import (
     apply_flips,
     ball_mask,
     exact_distance_layer,
-    is_distance_r_independent,
 )
 from flipwide.generators import (
     clique,
     complement,
     edgeless,
-    grid,
     half_graph,
     matching,
     path,
@@ -244,31 +242,6 @@ def test_dropped_odd_level_flips_name_the_level_pair(monkeypatch):
                        match=r"level 1 left vertices \(2, 3\) within "
                              r"distance 2"):
         flip_widen(FlipWideRequest(g, tuple(range(g.n)), 4, 1))
-
-
-@pytest.mark.parametrize("g,r", [
-    (complement(random_bounded_degree(60, 3, 1)), 4),
-    (random_bounded_degree(120, 3, 2), 4),
-    (grid(5, 6), 3),
-    (clique(20), 2),
-])
-def test_level_checks_answer_as_two_separate_passes(monkeypatch, g, r):
-    # every merged check agrees with the invariant check at near and the
-    # early-stop check at r, each run alone
-    calls = []
-
-    def both(h, members, radius, near=None):
-        got = is_distance_r_independent(h, members, radius, near=near)
-        if near is not None:
-            calls.append(near)
-            assert got == (
-                is_distance_r_independent(h, members, radius)[0],
-                is_distance_r_independent(h, members, near)[1])
-        return got
-
-    monkeypatch.setattr(wideness, "is_distance_r_independent", both)
-    res = widen(g, r)
-    assert calls == list(range(1, len(res.trace)))
 
 
 def test_dropped_accumulated_flip_fails_the_final_check(monkeypatch):
