@@ -22,7 +22,9 @@ with a stored prefix that keeps no witness is constant False after at
 most k lookups, with no row read; a stored answer is read back; a single
 entry whose first tuple is true takes one scan of its row; a longer one
 takes the false-tuple search; and a pattern whose first tuple is false
-costs one row step past its longest stored prefix. The extractor decides
+costs one row step past its longest stored prefix. The refinement of a
+single entry skips ``_decide``: one scan of its row over the items gives
+both its constancy and its majority truth. The extractor decides
 an input longer than its window on the crop first; since constancy is
 closed under subsequences, a pattern that varies there refutes the whole
 input, which is then never scanned.
@@ -31,7 +33,9 @@ For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by witness branching: each level places one entry where it
 removes the lowest alive witness, so the search tree is at most k levels
-deep and a node has at most k*s children. Two O(k*s) prechecks settle
+deep and a node has at most k*s children; a node with one entry left
+to place is settled by one scan of that entry's row over its window, with
+no children. Two O(k*s) prechecks settle
 most constant patterns without branching: a universal witness, and the
 one-exception cover that the paper's first theorem gives over an
 indiscernible sequence. ``_false_search`` states the rules that prune
@@ -50,8 +54,8 @@ costs up to k*s further searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import and_, or_
+from itertools import accumulate, compress
+from operator import and_, not_, or_
 from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
@@ -213,9 +217,12 @@ def _false_search(masks: list[list[int]], alive0: int,
     is at most k levels deep. A node collects its children first and
     succeeds at once if one of them leaves no witness. Otherwise:
 
-    - Last entry: a node with one free entry fails without recursing.
-      Each of its children places that entry, the last one, and leaves
-      a witness that no entry remains to remove.
+    - Last entry: a node with one free entry j and window [lo, hi]
+      neither branches nor recurses. It succeeds exactly when some
+      position in masks[j][lo:hi + 1] leaves no alive witness, which one
+      scan decides with no kill positions. Bans can be ignored there: a
+      banned position never empties alive, since the sibling that banned
+      it would then have completed.
     - Order: the children are tried fewest witnesses left first, ties by
       entry, then by position, until one succeeds.
     - Ban: a child that failed is excluded from its later siblings and
@@ -226,8 +233,9 @@ def _false_search(masks: list[list[int]], alive0: int,
     universal witness and the cover read. It is filled here and nowhere
     else on first use, and holds no alive set, so callers share it across
     searches over the same rows. The kill positions of each (entry,
-    witness) pair are computed the first time that witness is branched
-    on and kept for this call, ``completes`` included.
+    witness) pair, which nodes with two or more free entries read, are
+    computed the first time that witness is branched on and kept for this
+    call, ``completes`` included.
     """
     surviving = alive0
     for row, excl in zip(masks, excl_caches):
@@ -263,7 +271,6 @@ def _false_search(masks: list[list[int]], alive0: int,
         already in ``pos``, so that no alive witness is left?"""
         if not alive:
             return True
-        z = (alive & -alive).bit_length() - 1
         # each free entry's window [lo, hi] of positions
         his = [0] * depth
         top = s
@@ -278,6 +285,10 @@ def _false_search(masks: list[list[int]], alive0: int,
             else:
                 lo += 1
                 free.append((j, lo, his[j]))
+        if len(free) == 1:
+            j, lo, hi = free[0]
+            return 0 in map(alive.__and__, masks[j][lo:hi + 1])
+        z = (alive & -alive).bit_length() - 1
         children = []
         for j, lo, hi in free:
             row = masks[j]
@@ -290,8 +301,6 @@ def _false_search(masks: list[list[int]], alive0: int,
                 if not new:
                     return True
                 children.append((new.bit_count(), j, i, new))
-        if len(free) == 1:
-            return False
         children.sort()
         saved = banned[:]
         found = False
@@ -470,21 +479,30 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     Returns a subsequence on which the pattern (with witnesses restricted
     to alive0) has constant truth, plus that truth, or None when the
     result is too short to carry any tuple. The subsequence is ``items``
-    itself when nothing was removed. ``rows`` is the ``_decide`` cache for
-    ``items``, whose entry row gives a single entry's truths; each
-    recursive call refines a different item list and so starts its own.
+    itself when nothing was removed.
+
+    A single entry takes one scan of its row over ``items``: it is
+    constant when no position or every position misses alive0, and
+    otherwise the majority truth is kept, a tie going to the first
+    item's truth as in ``_majority``. A longer pattern is decided by
+    ``_decide`` on ``rows``, the cache for ``items``; each recursive call
+    refines a different item list and so starts its own.
     """
     depth = len(entries)
     if len(items) < depth:
         return items, None
+    if depth == 1:
+        row = entry_row(ctx, phi, entries[0], items)
+        hit = list(map(alive0.__and__, row))
+        misses = hit.count(0)
+        trues = len(hit) - misses
+        if not (misses and trues):
+            return items, not misses
+        keep = trues > misses if trues != misses else hit[0] != 0
+        return list(compress(items, hit if keep else map(not_, hit))), keep
     t0, constant = _decide(ctx, phi, entries, items, alive0, rows)
     if constant:
         return items, t0
-
-    if depth == 1:
-        truths = [bool(alive0 & m) for m in rows[entries[0]][0]]
-        keep = _majority(truths)
-        return [y for y, t in zip(items, truths) if t is keep], keep
 
     heads: list[tuple[int, bool | None]] = []
     work = list(items)

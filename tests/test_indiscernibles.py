@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import and_, or_
@@ -346,6 +347,71 @@ def test_dense_mask_searches_match_enumeration():
     assert covered == [False, False, True, False]
 
 
+def _last_entry_nodes(search):
+    """Run ``search`` and record each node of the false-tuple search that
+    has one free entry left: its window's width and alive ANDed with the
+    entry's row at every banned position in the window. A profile hook
+    reads the ``completes`` frames and changes nothing."""
+    nodes = []
+    filename = _false_search.__code__.co_filename
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event != "call" or code.co_name != "completes"
+                or code.co_filename != filename):
+            return
+        loc = frame.f_locals
+        first, prev, alive = loc["first"], loc["prev"], loc["alive"]
+        pos, banned, masks = loc["pos"], loc["banned"], loc["masks"]
+        free = [j for j in range(first, len(masks)) if pos[j] < 0]
+        if alive and len(free) == 1:
+            j = free[0]
+            lo = (pos[j - 1] if j > first else prev) + 1
+            hi = (pos[j + 1] if j + 1 < len(masks) else len(masks[j])) - 1
+            nodes.append((hi - lo + 1, [alive & masks[j][i]
+                                        for i in range(lo, hi + 1)
+                                        if banned[j] >> i & 1]))
+
+    sys.setprofile(hook)
+    try:
+        got = search()
+    finally:
+        sys.setprofile(None)
+    return got, nodes
+
+
+def test_last_entry_scan_ignores_bans():
+    # a node with one free entry scans its whole window, banned positions
+    # included: the searches match enumeration at k = 3 and 4 on masks
+    # that reach such nodes with bans in their windows, and no banned
+    # position there ever empties the alive witnesses
+    rng = random.Random(20231)
+    seen = {(k, found, shape): 0 for k in (3, 4) for found in (False, True)
+            for shape in ("banned", "width 1")}
+    for _ in range(1200):
+        k = rng.choice((3, 4))
+        n, s = rng.randint(4, 12), rng.randint(k, 8)
+        density = rng.choice((0.5, 0.7, 0.8, 0.9))
+        masks = [[sum(1 << z for z in range(n) if rng.random() < density)
+                  for _ in range(s)] for _ in range(k)]
+        alive0 = (1 << n) - 1
+        want = _first_false_by_enumeration(masks, alive0)
+        caches = [[] for _ in masks]
+        has_false, nodes = _last_entry_nodes(
+            lambda: _false_search(masks, alive0, caches))
+        assert (has_false is not None) == (want is not None)
+        got, more = _last_entry_nodes(
+            lambda: _find_false_tuple(masks, alive0, caches))
+        assert got == want
+        nodes += more
+        for width, kept in nodes:
+            assert all(kept)
+        found = want is not None
+        seen[k, found, "banned"] += any(kept for _, kept in nodes)
+        seen[k, found, "width 1"] += any(width == 1 for width, _ in nodes)
+    assert min(seen.values()) > 10, seen
+
+
 def _cover_by_definition(masks, alive0):
     """Every increasing tuple puts some entry j on a position i where an
     alive witness satisfies j at i and every other entry at every
@@ -553,8 +619,9 @@ def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
 
 
 def test_refinement_reads_entry_masks_only_for_heads(monkeypatch):
-    # a single entry's truths come from the row that _decide stored, so
-    # entry_mask runs only for the heads of a longer pattern, once each
+    # a single entry's truths come from one entry_row scan over the
+    # items, so entry_mask runs only for the heads of a longer pattern,
+    # once each
     heads = []
 
     def counting(ctx, phi, entry, y):
@@ -723,9 +790,10 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
     assert seen["dead"] and seen["search"], seen
 
 
-# The extraction as it stood before window-first refutation, prefix sweeps
-# and shared refinement caches: the whole input is decided first, and
-# every _make_homogeneous call starts a fresh cache.
+# The extraction as it stood before window-first refutation, prefix sweeps,
+# shared refinement caches and the single-entry row scan: the whole input
+# is decided first, every _make_homogeneous call starts a fresh cache, and
+# a single entry is decided by _decide and refined by _majority.
 
 def _reference_decide(ctx, phi, entries, items, alive0, rows):
     got = _entry_rows(ctx, phi, entries, items, rows)
@@ -835,6 +903,49 @@ def test_long_extraction_matches_reference(g, window):
     cfg = ExtractionConfig(target_length=2, window=window)
     _assert_extraction_matches_reference(ctx, EDGE, PATS3,
                                          list(range(g.n)), cfg)
+
+
+def test_single_entry_refinement_matches_reference():
+    # one row scan against _decide plus _majority: majority ties both
+    # ways, no alive witness, and rows true or false at every item; a
+    # constant row returns the items list itself
+    rng = random.Random(7)
+    star = Graph.from_edges(7, [(0, v) for v in range(1, 4)])
+    graphs = [star, clique(6), edgeless(6),
+              *(random_bounded_degree(8, d, seed)
+                for d in (1, 2, 3) for seed in range(4))]
+    seen = {"tie True": 0, "tie False": 0, "majority": 0, "no witness": 0,
+            "all true": 0, "all false": 0}
+    for g in graphs:
+        full = g.full_mask()
+        for ctx, phi, pool in ((edge_ctx(g), EDGE, list(range(g.n))),
+                               (EvalContext(g, (0,), ball_radius=1),
+                                (eq_atom(0),), list(range(1, g.n)))):
+            for pattern in enumerate_type_patterns(len(phi), 1):
+                entries = pattern.entries
+                for _ in range(50):
+                    items = rng.sample(pool, rng.randint(1, len(pool)))
+                    for alive0 in (0, full, rng.randrange(full + 1)):
+                        got = _make_homogeneous(ctx, phi, entries, items,
+                                                alive0, {})
+                        want = _reference_homogeneous(ctx, phi, entries,
+                                                      items, alive0)
+                        assert got == want
+                        assert (got[0] is items) == (want[0] is items)
+                        truths = [bool(alive0 & entry_mask(ctx, phi,
+                                                           entries[0], y))
+                                  for y in items]
+                        if not alive0:
+                            seen["no witness"] += 1
+                        elif all(truths):
+                            seen["all true"] += 1
+                        elif not any(truths):
+                            seen["all false"] += 1
+                        elif 2 * sum(truths) == len(truths):
+                            seen[f"tie {truths[0]}"] += 1
+                        else:
+                            seen["majority"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_indiscernible_crop_of_a_discernible_sequence():
