@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import contains
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -366,8 +365,14 @@ def parse_edge_list(text: str) -> Graph:
     line by line; that pass accepts the same inputs and raises the first
     ``InputError``, prefixed with the 1-based line of ``text`` it concerns.
     The bulk read only returns what that pass would, so the two never
-    disagree. It resolves every id through a dict over the k = min(n, 2m)
-    ids the text can name, then ORs each edge into two rows. When
+    disagree. It first tests the layout of the whole text at once: with
+    its ASCII digits deleted, the text must read one space and one
+    newline per line, for the header and m edge lines. Text that fails
+    is stripped line by line, with blank and '#' lines dropped, and
+    tested once more; only text that fails again goes line by line. The
+    bulk read then resolves the ids a chunk of lines at a time through a
+    dict over the k = min(n, 2m) ids the text can name, requires 2m of
+    them, and ORs each edge into two rows. When
     k*k <= 64*m it takes each id's bit from a table of ``1 << v`` over
     those ids, built per call and never larger than the text; otherwise,
     as for a star with many leaves, it shifts per endpoint.
@@ -376,41 +381,37 @@ def parse_edge_list(text: str) -> Graph:
     return _parse_lines(text) if g is None else g
 
 
-# Edge lines joined and split at a time by the bulk read. Only one
-# chunk's token strings are alive at once, which keeps the read of a
-# dense 400-vertex text faster than one pass over the whole body.
-_CHUNK = 1024
+# Characters of edge lines split at a time by the bulk read, cut at the
+# next newline. Only one chunk's token strings are alive at once, which
+# keeps the read of a dense 400-vertex text smaller and faster than one
+# split of the whole body.
+_CHUNK_CHARS = 1 << 14
 
 
 def _parse_canonical(text: str) -> Graph | None:
     """The graph of canonical, valid text, else None."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if "#" in text:
-        lines = [s for s in lines if s[0] != "#"]
-    try:
-        n, m = map(int, lines[0].split())
-    except (IndexError, ValueError):
+    layout = _canonical_layout(text) or _canonical_layout(_normalized(text))
+    if layout is None:
         return None
-    body = lines[1:]
-    if not (0 <= n <= MAX_VERTICES and m == len(body)):
-        return None
-    # Every id is resolved before any row is built, so text that is not
-    # canonical leaves before the rows. Joined with spaces, m lines give
-    # 2m tokens exactly when they hold m spaces in all; as none lacks a
-    # space, each then holds one, and line i gives tokens 2i and 2i + 1.
-    if not all(map(contains, body, repeat(" "))):
-        return None
+    n, m, body = layout
     # Keys are the canonical spellings of the ids a body of m lines can
     # name without exceeding its own token count, so the table grows with
     # the text, not with n; a larger id misses and goes line by line.
+    # Every id is resolved before any row is built, so text that is not
+    # canonical leaves before the rows.
     k = min(n, 2 * m)
     get = dict(zip(map(str, range(k)), range(k))).__getitem__
     ends: list[int] = []
+    start = 0
     try:
-        for i in range(0, m, _CHUNK):
-            ends += map(get, " ".join(body[i:i + _CHUNK]).split(" "))
+        while start < len(body):
+            stop = body.find("\n", start + _CHUNK_CHARS) + 1 or len(body)
+            ends += map(get, body[start:stop].split())
+            start = stop
     except KeyError:
         return None
+    # Each of the m lines holds one space, so 2m ids mean none was empty
+    # and line i gave ids 2i and 2i + 1.
     if len(ends) != 2 * m:
         return None
     rows = [0] * n
@@ -432,6 +433,38 @@ def _parse_canonical(text: str) -> Graph | None:
     # A repeated edge adds no bits and a self-loop adds one where an edge
     # adds two, so either leaves fewer than m edges.
     return g if g.edge_count() == m else None
+
+
+def _canonical_layout(text: str) -> tuple[int, int, str] | None:
+    """``(n, m, body)`` when ``text`` is a header line ``n m`` and m more
+    lines, each two runs of ASCII digits split by one space and ended by
+    a newline, with 0 <= n <= MAX_VERTICES; else None. Runs may be empty.
+    """
+    head, _, body = text.partition("\n")
+    try:
+        n, m = map(int, head.split())
+    except ValueError:
+        return None
+    # Digits after the last newline would not show in the shape below.
+    if not (0 <= n <= MAX_VERTICES and text[-1:] == "\n"):
+        return None
+    # Without its digits such text is one space and one newline per line.
+    # The lengths are compared first, so a huge m builds nothing, and a
+    # lone surrogate encodes to bytes that fail the test.
+    shape = text.encode("utf-8", "surrogatepass").translate(
+        None, b"0123456789")
+    if len(shape) != 2 * m + 2 or shape != b" \n" * (m + 1):
+        return None
+    return n, m, body
+
+
+def _normalized(text: str) -> str:
+    """``text`` with each line stripped, blank and '#' lines dropped and
+    each line ended by a newline."""
+    lines = filter(None, map(str.strip, text.splitlines()))
+    if "#" in text:
+        lines = [s for s in lines if s[0] != "#"]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_lines(text: str) -> Graph:

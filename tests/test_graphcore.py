@@ -565,8 +565,54 @@ def test_edge_list_parse_matches_line_by_line_reference(text):
     "1000000 1\n0 999999\n",
     "1000001 0\n",
     "", "# only a comment\n", "3\n", "3 1 1\n0 1\n", "2 2\n0 1\n",
+    # ids, spaces and newlines as many as canonical text has, in the
+    # wrong lines: counts alone would read (0, 1) and (2, 3)
+    "4 2\n0 1 2\n3\n",
+    "4 2\n0 1\n2\n3 \n",
+    # empty ids, in the header and in edge lines
+    " 1\n", "0 \n", "3 \n", " \n", "3 1\n 1\n", "3 1\n0 \n",
+    "3 1\n \n", "3 2\n0 1\n 2\n",
+    # no final newline, or digits after it that an empty id makes up for
+    "3 1\n0 2", "3 0", "0 0", "3 1\n0 1\n2", "4 2\n0 1\n 2\n3",
+    "4 2\n0 1\n2 \n3",
+    "0 0\n", "1 0\n", "03 1\n0 2\n",
+    "3 1000000000000000000\n0 1\n",
+    "3 -1\n", "3 -1\n0 1\n",
+    # lone surrogates, in a comment and in edge lines
+    "# \ud800\n3 1\n0 1\n", "3 1\n0 1\ud800\n", "3 1\n0 1\n\udfff\n",
+    # other digits, signs, tabs, CRLF, padding, comments and blank lines
+    "3 1\n\u0660 \u0661\n", "\u0663 1\n0 1\n", "4 1\n+3 0\n",
+    "4 1\n3 -0\n", "4 1\n3\t0\n", "4 1\r\n3 0\r\n", "4 1\n3  0\n",
+    "  4 1\n 3 0 \n", "# c\n\n4 1\n\n3 0\n# end",
 ])
 def test_edge_list_parse_matches_reference_on_traps(text):
+    same_outcome(text)
+
+
+MUTATION_CHARS = " \n\r\t#+-0123456789"
+
+
+@st.composite
+def mutated_canonical_texts(draw):
+    """The canonical text of a random graph after a few random
+    single-character inserts, deletes or replacements."""
+    n = draw(st.integers(0, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))),
+                          max_size=30))
+    text = format_edge_list(Graph.from_edges(
+        n, [(u, v) for u, v in pairs if u != v]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if op == "delete" else draw(st.sampled_from(MUTATION_CHARS))
+        text = text[:at] + char + text[at + (op != "insert"):]
+    return text
+
+
+@given(mutated_canonical_texts())
+@settings(max_examples=400)
+def test_mutated_canonical_text_matches_reference(text):
     same_outcome(text)
 
 
@@ -597,6 +643,45 @@ def test_canonical_text_is_read_in_bulk(monkeypatch):
         assert parse_edge_list(text) == by_lines(text) == g
     assert parse_edge_list("# made by hand\n 3 2\n\n1 0  \n2 1\r\n") == (
         Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+
+def shuffled_text(g, seed):
+    """Canonical edge lines of ``g`` in a random order, each pair in
+    either orientation."""
+    rng = random.Random(seed)
+    lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
+             for u, v in g.edges()]
+    rng.shuffle(lines)
+    return f"{g.n} {len(lines)}\n" + "".join(line + "\n" for line in lines)
+
+
+def test_canonical_text_skips_the_normalizing_pass(monkeypatch):
+    def refuse(text):
+        raise AssertionError("canonical text was normalized")
+
+    monkeypatch.setattr(graphcore, "_normalized", refuse)
+    monkeypatch.setattr(graphcore, "_parse_lines", refuse)
+    star = Graph.from_edges(301, [(0, v) for v in range(1, 301)])
+    for seed, g in enumerate((Graph(0), Graph(5), clique(64), star,
+                              complement(random_bounded_degree(200, 3, 1)))):
+        assert parse_edge_list(format_edge_list(g)) == g
+        assert parse_edge_list(shuffled_text(g, seed)) == g
+
+
+def test_dense_canonical_text_parses_in_bounded_memory():
+    # 79,202 edge lines: their 158,404 id strings alive at once would
+    # take about 9 MB, so only ids resolved a chunk at a time stay under
+    # the bound; the list of resolved ids alone takes 1.3 MB
+    g = complement(random_bounded_degree(400, 3, 1))
+    text = format_edge_list(g)
+    tracemalloc.start()
+    try:
+        h = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == g
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("text,message", [
