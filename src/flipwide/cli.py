@@ -139,7 +139,9 @@ def _vertex_array(value, what: str) -> list[int]:
 
 def _parse_flips(doc) -> tuple[Flip, ...]:
     if isinstance(doc, dict):
-        doc = doc.get("flips")
+        if "flips" not in doc:
+            raise InputError("result JSON has no 'flips' key")
+        doc = doc["flips"]
     if not isinstance(doc, list):
         raise InputError("flip JSON must be a result object or a list")
     flips = []
@@ -159,9 +161,11 @@ def _cmd_generate(args) -> int:
         raise InputError(
             f"{args.family} takes {want} parameter(s): "
             f"{', '.join(names[:want])}")
+    if args.seed is not None and not takes_seed:
+        raise InputError(f"{args.family} takes no --seed")
     call = list(args.params)
     if takes_seed:
-        call.append(args.seed)
+        call.append(args.seed or 0)
     g = fn(*call)
     _emit(format_edge_list(g), args.output, args.started)
     return 0
@@ -214,7 +218,7 @@ def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     doc = _read_json(args.result)
     if not isinstance(doc, dict) or "b_set" not in doc:
-        raise InputError("result JSON must hold b_set and flips")
+        raise InputError("result JSON has no 'b_set' key")
     flips = _parse_flips(doc)
     radius = args.radius if args.radius is not None else doc.get("radius")
     if radius is None:
@@ -290,8 +294,8 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="emit a named family as an edge list")
     gen.add_argument("family", choices=sorted(FAMILIES))
     gen.add_argument("params", nargs="*", type=int)
-    gen.add_argument("--seed", type=int, default=0,
-                     help="seed of the random families (default %(default)s)")
+    gen.add_argument("--seed", type=int,
+                     help="seed of the random families (default 0)")
     gen.set_defaults(run=_cmd_generate)
 
     fw = sub.add_parser("flip-widen", help="spread a vertex set past radius r")

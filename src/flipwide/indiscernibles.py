@@ -31,17 +31,17 @@ input, which is then never scanned.
 
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
-ruled out, by witness branching: each level places one entry where it
-removes the lowest alive witness, so the search tree is at most k levels
-deep and a node has at most k*s children; a node with one entry left
-to place is settled by one scan of that entry's row over its window, with
-no children. Two O(k*s) prechecks settle
-most constant patterns without branching: a universal witness, and the
-one-exception cover that the paper's first theorem gives over an
-indiscernible sequence. ``_false_search`` states the rules that prune
-the branching. Neither search has a node budget or an enumeration
-fallback, and the false-tuple search is still exponential in k in the
-worst case, which dense random masks reach.
+ruled out, by a depth-first witness branching: each level places one
+entry where it removes the lowest alive witness, so the search tree is at
+most k levels deep and a node has at most k*s children; a node with one
+entry left to place is settled by one scan of that entry's row over its
+window, with no children. Two O(k*s) prechecks settle most constant
+patterns without branching: a universal witness, and the one-exception
+cover that the paper's first theorem gives over an indiscernible
+sequence. ``_false_search`` states the rules that prune the branching.
+Neither search has a node budget or an enumeration fallback, and the
+false-tuple search is still exponential in k in the worst case, which
+dense random masks reach.
 
 Deciding constancy and building a counterexample are separate. The
 extraction pipeline (``extract_indiscernible``, the Ramsey refinement and
@@ -98,11 +98,22 @@ def _check_items(ctx: EvalContext, items: Seq[int]) -> None:
         ctx.graph.check_vertex(max(items))
 
 
+def _all_but_one(row: list[int]) -> list[int]:
+    """Per position i, the AND of ``row`` over every position but i, from
+    one prefix and one suffix intersection (-1, every bit, when the row
+    has a single position)."""
+    pre = list(accumulate(row, and_, initial=-1))
+    suf = list(accumulate(reversed(row), and_, initial=-1))
+    suf.reverse()
+    return list(map(and_, pre, suf[1:]))
+
+
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
                 items: Seq[int], rows: dict,
                 ) -> list[tuple[list[int], list[int]]]:
-    """Each entry's witness masks over ``items`` with its all-but-one
-    list, which ``_false_search`` fills on first use.
+    """Each entry's witness masks over ``items`` with its ``_all_but_one``
+    list, both built together on the entry's first use and only read
+    afterwards.
 
     ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
     keeps both per entry, so every pattern scanned over the same items
@@ -113,10 +124,11 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     witness sets but must start a new one whenever the items change."""
     out = []
     for e in entries:
-        row = rows.get(e)
-        if row is None:
-            row = rows[e] = (entry_row(ctx, phi, e, items), [])
-        out.append(row)
+        got = rows.get(e)
+        if got is None:
+            row = entry_row(ctx, phi, e, items)
+            got = rows[e] = (row, _all_but_one(row))
+        out.append(got)
     return out
 
 
@@ -146,16 +158,6 @@ def _find_true_tuple(masks: list[list[int]], kept: int) -> tuple[int, ...]:
     return tuple(picks)
 
 
-def _all_but_one(row: list[int]) -> list[int]:
-    """Per position i, the AND of ``row`` over every position but i, from
-    one prefix and one suffix intersection (-1, every bit, when the row
-    has a single position)."""
-    pre = list(accumulate(row, and_, initial=-1))
-    suf = list(accumulate(reversed(row), and_, initial=-1))
-    suf.reverse()
-    return list(map(and_, pre, suf[1:]))
-
-
 def _one_exception_cover(masks: list[list[int]], alive0: int,
                          excl_caches: list[list[int]]) -> bool:
     """True when every increasing tuple keeps a witness because one of
@@ -168,8 +170,7 @@ def _one_exception_cover(masks: list[list[int]], alive0: int,
     leftmost placement looks for a tuple with every entry on a bad
     position; when there is none, the cover holds.
 
-    ``excl_caches`` holds each entry's ``_all_but_one`` list, which
-    ``_false_search`` fills.
+    ``excl_caches`` holds each entry's ``_all_but_one`` list.
     """
     s = len(masks[0])
     prev = -1
@@ -197,50 +198,44 @@ def _false_search(masks: list[list[int]], alive0: int,
     otherwise the search's ``completes``, which ``_find_false_tuple``
     reuses to build the smallest such tuple.
 
-    Two prechecks run first, in this order; each proves that every
+    ``excl_caches`` holds one ``_all_but_one`` list per entry. It holds no
+    alive set, so callers share it across searches over the same rows.
+    Two prechecks read it first, in this order; each proves that every
     increasing tuple keeps a witness:
 
     - Universal witness: an alive witness that no position of any entry
       removes. An entry's AND over every position is its all-but-one
-      cache at position 0 ANDed with position 0, so it is computed once
-      per entry, not once per pattern.
+      list at position 0 ANDed with position 0.
     - One-exception cover (``_one_exception_cover``, which says why it
       is sound). On an indiscernible sequence in a stable class every
       witness differs from its majority at no more than one position,
       which is why the cover settles most of the patterns that the
       universal witness leaves.
 
-    Then witness branching, the bounded search tree for hitting sets: some
-    unplaced entry must remove the lowest alive witness z at a position
-    that still fits the increasing order. A node's children are exactly
-    those (entry, position) pairs, each places one entry, and so the tree
-    is at most k levels deep. A node collects its children first and
-    succeeds at once if one of them leaves no witness. Otherwise:
+    Then witness branching, a depth-first bounded search tree for hitting
+    sets: some free entry must remove the lowest alive witness z at a
+    position that still fits the increasing order. A node tries those
+    (entry, position) pairs entry by entry, positions ascending, and
+    recurses on each at once; a child that leaves no witness succeeds at
+    the top of its call. Each child places one entry, so the tree is at
+    most k levels deep. Two rules prune it:
 
     - Last entry: a node with one free entry j and window [lo, hi]
       neither branches nor recurses. It succeeds exactly when some
       position in masks[j][lo:hi + 1] leaves no alive witness, which one
-      scan decides with no kill positions. Bans can be ignored there: a
-      banned position never empties alive, since the sibling that banned
-      it would then have completed.
-    - Order: the children are tried fewest witnesses left first, ties by
-      entry, then by position, until one succeeds.
+      scan decides. Bans can be ignored there: a banned position never
+      empties alive, since the sibling that banned it would then have
+      completed.
     - Ban: a child that failed is excluded from its later siblings and
       their subtrees, since a completion through it there would have
       completed it.
 
-    ``excl_caches`` holds one ``_all_but_one`` list per entry, which the
-    universal witness and the cover read. It is filled here and nowhere
-    else on first use, and holds no alive set, so callers share it across
-    searches over the same rows. The kill positions of each (entry,
-    witness) pair, which nodes with two or more free entries read, are
-    computed the first time that witness is branched on and kept for this
-    call, ``completes`` included.
+    The kill positions of each (entry, witness) pair are computed the
+    first time that witness is branched on and kept for this call,
+    ``completes`` included.
     """
     surviving = alive0
     for row, excl in zip(masks, excl_caches):
-        if not excl:
-            excl += _all_but_one(row)
         surviving &= excl[0] & row[0]
     if surviving:
         return None
@@ -289,28 +284,21 @@ def _false_search(masks: list[list[int]], alive0: int,
             j, lo, hi = free[0]
             return 0 in map(alive.__and__, masks[j][lo:hi + 1])
         z = (alive & -alive).bit_length() - 1
-        children = []
+        saved = banned[:]
+        found = False
         for j, lo, hi in free:
             row = masks[j]
             opts = kills(j, z) & ((1 << (hi + 1)) - (1 << lo)) & ~banned[j]
-            while opts:
+            while opts and not found:
                 low = opts & -opts
                 opts ^= low
                 i = low.bit_length() - 1
-                new = alive & row[i]
-                if not new:
-                    return True
-                children.append((new.bit_count(), j, i, new))
-        children.sort()
-        saved = banned[:]
-        found = False
-        for _, j, i, new in children:
-            pos[j] = i
-            found = completes(first, prev, new)
-            pos[j] = -1
+                pos[j] = i
+                found = completes(first, prev, alive & row[i])
+                pos[j] = -1
+                banned[j] |= low
             if found:
                 break
-            banned[j] |= 1 << i
         banned[:] = saved
         return found
 

@@ -77,6 +77,20 @@ def test_generate_seed_threads_through(tmp_path, capsys):
     assert parse_edge_list(out.read_text()) == random_bounded_degree(30, 3, 7)
 
 
+def test_generate_seed_defaults_to_zero(capsys):
+    code, out, _ = run(["generate", "random_bounded_degree", "30", "3"],
+                       capsys)
+    assert code == 0
+    assert parse_edge_list(out) == random_bounded_degree(30, 3, 0)
+
+
+@pytest.mark.parametrize("seed", ["5", "0"])
+def test_generate_rejects_seed_of_a_seedless_family(capsys, seed):
+    # a family that takes no seed would ignore it
+    assert run(["generate", "path", "3", "--seed", seed], capsys) == (
+        1, "", "error: path takes no --seed\n")
+
+
 def test_generate_param_count_error(capsys):
     code, _, err = run(["generate", "clique"], capsys)
     assert code == 1
@@ -281,6 +295,22 @@ def test_verify_broken_json(graph_file, tmp_path, capsys):
     bad.write_text("{ nope")
     code, _, err = run(["verify", "-g", gf, "--result", str(bad)], capsys)
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("verify", "--result", "flips"),
+    ("verify", "--result", "b_set"),
+    ("apply-flips", "--flips", "flips"),
+])
+def test_result_object_names_its_missing_key(graph_file, tmp_path, capsys,
+                                             command, flag, key):
+    gf = graph_file(clique(4))
+    doc = {"b_set": [1], "flips": [], "radius": 1}
+    del doc[key]
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps(doc))
+    assert run([command, "-g", gf, flag, str(res)], capsys) == (
+        1, "", f"error: result JSON has no '{key}' key\n")
 
 
 def small_result(tmp_path, **fields):

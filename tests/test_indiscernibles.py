@@ -265,13 +265,17 @@ def _random_mask_cases():
     """Random witness masks with their all-but-one lists, and alive sets.
 
     Rows come from a small pool, so one row may sit at several entries,
-    and each row's all-but-one list is shared by every search over it,
-    whatever its alive set, as in is_delta_indiscernible. Each draw comes
-    twice: as drawn, and with some entries' rows swapped for one-hot rows
-    {y_p} or co-one-hot rows (every witness but y_p) over one random
-    position-to-witness map, the two classes of a clique. One density per
-    draw never puts those two shapes side by side.
+    and each row's all-but-one list is built once with the row and shared
+    by every search over it, whatever its alive set, as in
+    is_delta_indiscernible. Each draw comes twice: as drawn, and with some
+    entries' rows swapped for one-hot rows {y_p} or co-one-hot rows (every
+    witness but y_p) over one random position-to-witness map, the two
+    classes of a clique. One density per draw never puts those two shapes
+    side by side.
     """
+    def built(row):
+        return row, _all_but_one(row)
+
     rng = random.Random(20221)
     shapes = random.Random(20222)
     for _ in range(3000):
@@ -279,12 +283,12 @@ def _random_mask_cases():
         s = rng.randint(1, 9)
         k = rng.randint(1, min(4, s))
         density = rng.choice((0.2, 0.5, 0.8, 0.9, 0.97))
-        pool = [([sum(1 << z for z in range(n) if rng.random() < density)
-                  for _ in range(s)], []) for _ in range(rng.randint(1, k))]
+        pool = [built([sum(1 << z for z in range(n) if rng.random() < density)
+                       for _ in range(s)]) for _ in range(rng.randint(1, k))]
         picks = [rng.choice(pool) for _ in range(k)]
         ys = [shapes.randrange(n) for _ in range(s)]
-        one_hot = ([1 << y for y in ys], [])
-        co_one_hot = ([((1 << n) - 1) ^ (1 << y) for y in ys], [])
+        one_hot = built([1 << y for y in ys])
+        co_one_hot = built([((1 << n) - 1) ^ (1 << y) for y in ys])
         mixed = [shapes.choice((one_hot, co_one_hot, pick)) for pick in picks]
         for _ in range(2):
             alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
@@ -297,8 +301,8 @@ def test_tuple_searches_match_enumeration():
     for masks, caches, alive0 in _random_mask_cases():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
-        assert _find_false_tuple(masks, alive0,
-                                 [[] for _ in masks]) == want_false
+        assert _find_false_tuple(
+            masks, alive0, [_all_but_one(r) for r in masks]) == want_false
         assert _find_false_tuple(masks, alive0, caches) == want_false
         kept = _kept_by_enumeration(masks, alive0)
         assert bool(kept) == (want_true is not None)
@@ -332,35 +336,58 @@ def _dense_mask_cases():
 
 
 def test_dense_mask_searches_match_enumeration():
+    # the node counts guard the pruning: the sibling bans take the
+    # density-0.6 search from 5,660 nodes down to 3,287
     alive0 = (1 << 400) - 1
-    found, covered = [], []
+    found, covered, searched = [], [], []
     for masks in _dense_mask_cases():
         want = _first_false_by_enumeration(masks, alive0)
-        has_false = _false_search(masks, alive0, [[] for _ in masks])
+        caches = [_all_but_one(r) for r in masks]
+        has_false, nodes = _search_nodes(
+            lambda: _false_search(masks, alive0, caches))
         assert (has_false is not None) == (want is not None)
-        assert _find_false_tuple(masks, alive0, [[] for _ in masks]) == want
+        assert _find_false_tuple(masks, alive0, caches) == want
         found.append(want is not None)
-        covered.append(_one_exception_cover(
-            masks, alive0, [_all_but_one(row) for row in masks]))
+        searched.append(nodes)
+        covered.append(_one_exception_cover(masks, alive0, caches))
         assert _no_universal_witness(masks, alive0) == (not covered[-1])
     assert found == [False, False, False, True]
     assert covered == [False, False, True, False]
+    assert searched[0] <= 3300, searched
+
+
+def _on_nodes(search, visit):
+    """Run ``search`` and pass the locals of each node of the false-tuple
+    search, each ``completes`` call, to ``visit``. A profile hook reads
+    the frames and changes nothing."""
+    filename = _false_search.__code__.co_filename
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "completes"
+                and code.co_filename == filename):
+            visit(frame.f_locals)
+
+    sys.setprofile(hook)
+    try:
+        return search()
+    finally:
+        sys.setprofile(None)
+
+
+def _search_nodes(search):
+    """Run ``search`` and count the nodes of the false-tuple search."""
+    calls = []
+    return _on_nodes(search, calls.append), len(calls)
 
 
 def _last_entry_nodes(search):
     """Run ``search`` and record each node of the false-tuple search that
     has one free entry left: its window's width and alive ANDed with the
-    entry's row at every banned position in the window. A profile hook
-    reads the ``completes`` frames and changes nothing."""
+    entry's row at every banned position in the window."""
     nodes = []
-    filename = _false_search.__code__.co_filename
 
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if (event != "call" or code.co_name != "completes"
-                or code.co_filename != filename):
-            return
-        loc = frame.f_locals
+    def visit(loc):
         first, prev, alive = loc["first"], loc["prev"], loc["alive"]
         pos, banned, masks = loc["pos"], loc["banned"], loc["masks"]
         free = [j for j in range(first, len(masks)) if pos[j] < 0]
@@ -372,12 +399,7 @@ def _last_entry_nodes(search):
                                         for i in range(lo, hi + 1)
                                         if banned[j] >> i & 1]))
 
-    sys.setprofile(hook)
-    try:
-        got = search()
-    finally:
-        sys.setprofile(None)
-    return got, nodes
+    return _on_nodes(search, visit), nodes
 
 
 def test_last_entry_scan_ignores_bans():
@@ -396,7 +418,7 @@ def test_last_entry_scan_ignores_bans():
                   for _ in range(s)] for _ in range(k)]
         alive0 = (1 << n) - 1
         want = _first_false_by_enumeration(masks, alive0)
-        caches = [[] for _ in masks]
+        caches = [_all_but_one(r) for r in masks]
         has_false, nodes = _last_entry_nodes(
             lambda: _false_search(masks, alive0, caches))
         assert (has_false is not None) == (want is not None)
@@ -455,9 +477,9 @@ def test_one_exception_cover_matches_enumeration():
 
 def test_cover_caches_shared_across_alive_sets():
     # the all-but-one lists sit in _decide's rows and hold no alive set,
-    # so searches under different alive sets may share them: here a
-    # search under a small alive set fills the lists that one under a
-    # larger set reads, one list per row
+    # so searches under different alive sets may share them: here the
+    # searches and covers under a small alive set and under a larger one
+    # read the same lists, one list per row
     wide = (1 << 10) - 1
     for masks, caches, alive0 in _random_mask_cases():
         for alive in (alive0, wide, alive0):
@@ -554,14 +576,14 @@ def test_constancy_past_the_enumeration_cliff():
 
 
 def test_decisions_match_enumeration():
-    # the decisions run first on the shared caches, so the construction
-    # that follows starts from caches they filled
+    # the decisions and the construction that follows read the same
+    # shared caches, as in is_delta_indiscernible
     decided = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
     for masks, caches, alive0 in _random_mask_cases():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
         has_false = want_false is not None
-        assert (_false_search(masks, alive0, [[] for _ in masks])
+        assert (_false_search(masks, alive0, [_all_but_one(r) for r in masks])
                 is not None) == has_false
         assert (_false_search(masks, alive0, caches)
                 is not None) == has_false
