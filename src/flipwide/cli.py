@@ -142,7 +142,9 @@ def _parse_flips(doc) -> tuple[Flip, ...]:
         if "flips" not in doc:
             raise InputError("result JSON has no 'flips' key")
         doc = doc["flips"]
-    if not isinstance(doc, list):
+        if not isinstance(doc, list):
+            raise InputError("result JSON 'flips' must be a list")
+    elif not isinstance(doc, list):
         raise InputError("flip JSON must be a result object or a list")
     flips = []
     for entry in doc:

@@ -257,20 +257,13 @@ def is_distance_r_independent(
 
 @dataclass(frozen=True)
 class Flip:
-    """One flip, stored as sorted vertex tuples. (A, B) and (B, A) are
-    distinct values but act identically on any graph.
-
-    The largest vertex id is kept from construction. The toggle masks
-    are built at the first application, after that id is checked against
-    the graph, so an out-of-range id never builds a mask, and are kept
-    for later applications. Neither is a field, so equality, hashing and
-    repr see only the two sides.
+    """One flip, stored as its two sides: sorted tuples of distinct,
+    nonnegative vertex ids. (A, B) and (B, A) are distinct values but act
+    identically on any graph.
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-
-    _toggles = None
 
     def __init__(self, a: Iterable[int], b: Iterable[int]):
         a = tuple(sorted(set(a)))
@@ -280,33 +273,9 @@ class Flip:
                 raise InputError(f"negative vertex id {side[0]} in flip")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_top", max(a[-1:] + b[-1:], default=-1))
 
     def mirror(self) -> "Flip":
-        # both sides are already sorted and checked, and a mirror toggles
-        # the same pairs
-        out = object.__new__(Flip)
-        out.__dict__.update(self.__dict__, a=self.b, b=self.a)
-        return out
-
-    def _toggle_groups(self) -> list[tuple[tuple[int, ...], int]]:
-        """Build and keep the (vertices, mask) groups; each row xors the
-        masks of its groups.
-
-        Every vertex of A xors B and every vertex of B xors A; when A == B
-        these two passes cancel and are left out. A vertex u of both then
-        also xors (A intersect B) minus u, so in all it toggles
-        (A union B) minus u.
-        """
-        amask = mask_of(self.a)
-        bmask = mask_of(self.b)
-        both = amask & bmask
-        common = set(self.a).intersection(self.b) if both else ()
-        toggles = [((u,), both ^ 1 << u) for u in common]
-        if amask != bmask:
-            toggles += ((self.a, bmask), (self.b, amask))
-        object.__setattr__(self, "_toggles", toggles)
-        return toggles
+        return Flip(self.b, self.a)
 
 
 FlipSet = tuple[Flip, ...]
@@ -316,17 +285,28 @@ def apply_flips(g: Graph, flips: Iterable[Flip]) -> Graph:
     """Apply flips by toggle parity; order never matters.
 
     Each flip (A, B) xors the pair set (A x B) union (B x A), minus the
-    diagonal, into the edge set: each touched row xors the flip's
-    toggle masks for it.
+    diagonal, into the edge set. Its largest id, the last of a sorted
+    side, is checked against the graph before its masks are built. Then
+    every vertex of A xors B into its row and every vertex of B xors A;
+    when A == B these cancel and are skipped. Each u of both sides also
+    xors (A intersect B) minus u, so in all it toggles (A union B) minus u.
     """
     rows = list(g.rows)
     n = g.n
     for f in flips:
-        if f._top >= n:
+        a, b = f.a, f.b
+        if a and a[-1] >= n or b and b[-1] >= n:
             raise InputError(f"flip touches vertices outside 0..{n - 1}")
-        for vertices, toggle in f._toggles or f._toggle_groups():
-            for u in vertices:
-                rows[u] ^= toggle
+        amask = mask_of(a)
+        bmask = mask_of(b)
+        if amask != bmask:
+            for u in a:
+                rows[u] ^= bmask
+            for u in b:
+                rows[u] ^= amask
+        both = amask & bmask
+        for u in iter_bits(both):
+            rows[u] ^= both ^ 1 << u
     return Graph._trusted(n, tuple(rows))
 
 

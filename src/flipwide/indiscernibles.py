@@ -501,10 +501,9 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
                                            alive_h, {})
         heads.append((h, value))
         work = refined
-    colored = [c for _, c in heads if c is not None]
-    if not colored:
-        return [h for h, _ in heads], None
-    keep = _majority(colored)
+    # the chain starts with len(items) >= depth, so the first head refines
+    # at least depth - 1 items and always gets a truth value
+    keep = _majority([c for _, c in heads if c is not None])
     # uncolored heads sit at the chain's end; too few elements follow them
     # to start a tuple, so keeping them never breaks constancy.
     return [h for h, c in heads if c is None or c is keep], keep

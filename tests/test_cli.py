@@ -313,6 +313,30 @@ def test_result_object_names_its_missing_key(graph_file, tmp_path, capsys,
         1, "", f"error: result JSON has no '{key}' key\n")
 
 
+@pytest.mark.parametrize("command,flag", [("verify", "--result"),
+                                          ("apply-flips", "--flips")])
+def test_result_object_flips_must_be_a_list(graph_file, tmp_path, capsys,
+                                            command, flag):
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps({"b_set": [1], "flips": 5, "radius": 1}))
+    assert run([command, "-g", graph_file(clique(4)), flag, str(res)],
+               capsys) == (1, "", "error: result JSON 'flips' must be a "
+                                  "list\n")
+
+
+@pytest.mark.parametrize("command,flag", [("verify", "--result"),
+                                          ("apply-flips", "--flips")])
+def test_flip_id_past_64_bits_is_out_of_range(graph_file, tmp_path, capsys,
+                                              command, flag):
+    # the range check comes before any mask: 1 << 2**64 would overflow
+    res = tmp_path / "res.json"
+    res.write_text('{"b_set": [1], "flips": [{"a": [18446744073709551616], '
+                   '"b": [0]}], "radius": 1}')
+    assert run([command, "-g", graph_file(Graph(2)), flag, str(res)],
+               capsys) == (1, "", "error: flip touches vertices outside "
+                                  "0..1\n")
+
+
 def small_result(tmp_path, **fields):
     # one flip on clique(4) and a one-vertex B: verifies with exit 0
     doc = {"b_set": [1], "flips": [{"a": [0], "b": [1]}], "radius": 1}

@@ -169,6 +169,23 @@ def test_flip_normalizes_and_validates():
         apply_flips(Graph(2), (Flip([5], [0]),))
 
 
+def test_flip_ids_checked_before_any_mask():
+    # the mask of 2**64 cannot be built: building it first would raise
+    # OverflowError, not the range error
+    with pytest.raises(InputError, match=r"^flip touches vertices outside "
+                                         r"0\.\.1$"):
+        apply_flips(Graph(2), (Flip([2**64], [0]),))
+
+
+def test_flip_is_a_plain_value():
+    # a flip keeps its two sides and nothing else, applied or not
+    f = Flip([2, 0], [1, 2])
+    assert vars(f) == {"a": (0, 2), "b": (1, 2)}
+    apply_flips(Graph(3), (f, f.mirror()))
+    assert vars(f) == {"a": (0, 2), "b": (1, 2)}
+    assert vars(f.mirror()) == {"a": (1, 2), "b": (0, 2)}
+
+
 @given(graphs_st)
 @settings(max_examples=40)
 def test_distances_match_floyd_warshall(g):

@@ -399,3 +399,33 @@ def test_verify_rejects_out_of_range_exception():
     bad = dataclasses.replace(res, ex=tuple(ex))
     ok, why = verify_sample_set(g, inp, bad)
     assert not ok and "out of range" in why
+
+
+def path_result():
+    # samples (0,), subsequence (3, 6, 9); vertex 0 (exceptional index 3)
+    # needs a before-sample and vertex 2 (index 0) an after-sample
+    g = path(12)
+    inp = DisjointFamilyInput((0, 3, 6, 9), 0, "nip")
+    return g, inp, build_sample_set(g, inp)
+
+
+@pytest.mark.parametrize("table,vertex,value,why", [
+    ("s_lt", 0, None, "vertex 0 lacks a valid before-sample"),
+    ("s_gt", 2, 5, "vertex 2 lacks a valid after-sample"),
+], ids=["before-none", "after-out-of-range"])
+def test_verify_rejects_missing_sample(table, vertex, value, why):
+    g, inp, res = path_result()
+    assert verify_sample_set(g, inp, res) == (True, None)
+    cells = list(getattr(res, table))
+    cells[vertex] = value
+    bad = dataclasses.replace(res, **{table: tuple(cells)})
+    assert verify_sample_set(g, inp, bad) == (False, why)
+
+
+def test_verify_rejects_overlapping_balls():
+    g, _, res = path_result()
+    # radius-1 balls {0, 1} and {0, 1, 2} share two vertices
+    inp = DisjointFamilyInput((0, 1), 1, "nip")
+    bad = dataclasses.replace(res, subseq=(0, 1))
+    assert verify_sample_set(g, inp, bad) == (
+        False, "radius-1 balls of centers 0 and 1 overlap")
