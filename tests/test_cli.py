@@ -38,6 +38,7 @@ from flipwide.generators import (
     path,
     random_bounded_degree,
     star_forest,
+    subdivided_clique,
 )
 from flipwide.graphcore import format_edge_list, parse_edge_list
 
@@ -193,6 +194,29 @@ def test_flip_widen_pattern_cap_stop(graph_file, capsys):
     assert lines[0] == f"budget: {exc.value}"
     assert lines[0].startswith("budget: level 1: ")
     assert lines[1] == f"diagnostic: {exc.value.diagnostic}"
+
+
+def test_flip_widen_no_candidate_sample_stop(graph_file, capsys):
+    code, out, err = run(
+        ["flip-widen", "-g", graph_file(subdivided_clique(12)), "-A", "all",
+         "-r", "1", "-m", "1"], capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "budget: level 0: no vertex is inequivalent to the samples over "
+        "all but two balls",
+        "diagnostic: class likely not monadically NIP at these budgets"]
+
+
+def test_flip_widen_rejects_non_integer_vertex_list(graph_file, tmp_path,
+                                                    capsys):
+    aset = tmp_path / "a.txt"
+    aset.write_text("0 x\n")
+    code, out, err = run(
+        ["flip-widen", "-g", graph_file(clique(4)), "-A", str(aset),
+         "-r", "1", "-m", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error: vertex list {aset}: invalid literal for int() "
+                   f"with base 10: 'x'\n")
 
 
 def test_flip_widen_max_rounds_is_gone(graph_file, capsys):
@@ -536,6 +560,16 @@ def test_apply_flips_rejects_malformed(graph_file, tmp_path, capsys):
     fl.write_text(json.dumps([{"a": [0]}]))
     code, _, err = run(["apply-flips", "-g", gf, "--flips", str(fl)], capsys)
     assert code == 1 and "'a' and 'b'" in err
+
+
+def test_apply_flips_rejects_json_scalar(graph_file, tmp_path, capsys):
+    fl = tmp_path / "f.json"
+    fl.write_text("5")
+    code, out, err = run(
+        ["apply-flips", "-g", graph_file(clique(4)), "--flips", str(fl)],
+        capsys)
+    assert code == 1 and out == ""
+    assert err == "error: flip JSON must be a result object or a list\n"
 
 
 @pytest.mark.parametrize("flip,what", [

@@ -156,6 +156,16 @@ def test_pattern_validation():
         Atom("nope")
 
 
+def test_type_arity_errors():
+    with pytest.raises(InputError,
+                       match=r"^need at least one formula, got 0$"):
+        all_phi_types(0)
+    ctx = EvalContext(path(3))
+    with pytest.raises(InputError,
+                       match=r"^type arity 2 does not match \|phi\|=1$"):
+        type_mask(ctx, (edge_atom(),), (True, False), 0)
+
+
 def test_atom_hash_follows_equality_in_every_process():
     # atoms key the mask memos, and their hash is stored at construction:
     # equal atoms must hash alike, also after a pickle round trip into a

@@ -177,6 +177,16 @@ def test_flip_ids_checked_before_any_mask():
         apply_flips(Graph(2), (Flip([2**64], [0]),))
 
 
+def test_negative_radius_and_layer_index_rejected():
+    g = path(3)
+    with pytest.raises(InputError,
+                       match=r"^radius must be nonnegative, got -1$"):
+        ball_mask(g, 0, -1)
+    with pytest.raises(InputError,
+                       match=r"^layer index must be nonnegative, got -1$"):
+        exact_distance_layer(g, (0,), -1)
+
+
 def test_flip_is_a_plain_value():
     # a flip keeps its two sides and nothing else, applied or not
     f = Flip([2, 0], [1, 2])

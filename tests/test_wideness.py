@@ -20,6 +20,8 @@ from flipwide import (
     InternalInvariantError,
     ModeError,
     SampleBudget,
+    alternation_rank,
+    exception_rank,
     flip_widen,
     verify_flip_wide,
 )
@@ -35,12 +37,15 @@ from flipwide.generators import (
     clique,
     complement,
     edgeless,
+    grid,
     half_graph,
     matching,
     path,
     random_bounded_degree,
     star_forest,
+    subdivided_clique,
 )
+from flipwide.sampleset import build_sample_set, verify_sample_set
 from flipwide.wideness import _even_level_flips, _xor_accumulate
 
 
@@ -210,6 +215,20 @@ def test_budget_error_carries_level_state():
     assert "monadically NIP" in exc.value.diagnostic
 
 
+def test_no_candidate_sample_carries_level_state():
+    g = subdivided_clique(12)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^level 0: no vertex is inequivalent to the "
+                             r"samples over all but two balls$") as exc:
+        flip_widen(FlipWideRequest(g, tuple(range(g.n)), 1, 1))
+    partial = exc.value.partial
+    assert partial["level"] == 0 and partial["flips"] == ()
+    assert len(partial["trace"]) == 1
+    assert partial["build"] == ((0,), tuple(range(1, 12)))
+    assert exc.value.diagnostic == ("class likely not monadically NIP at "
+                                    "these budgets")
+
+
 def test_mode_error_names_level():
     g = half_graph(20)
     with pytest.raises(ModeError, match="^level 0: vertex 22 has no single"):
@@ -244,13 +263,14 @@ def test_dropped_odd_level_flips_name_the_level_pair(monkeypatch):
         flip_widen(FlipWideRequest(g, tuple(range(g.n)), 4, 1))
 
 
-def test_dropped_accumulated_flip_fails_the_final_check(monkeypatch):
+def test_dropped_accumulated_flip_fails_the_level_check(monkeypatch):
     def drop_last(acc, fresh):
         _xor_accumulate(acc, fresh[:-1])
 
     monkeypatch.setattr(wideness, "_xor_accumulate", drop_last)
     with pytest.raises(InternalInvariantError,
-                       match="accumulated flips disagree"):
+                       match=r"level 0 left vertices \(1, 2\) within "
+                             r"distance 1"):
         widen(clique(20), 1)
 
 
@@ -342,3 +362,50 @@ def test_even_level_flips_match_pair_scan(args):
 def test_even_level_flips_name_the_failure(args, message):
     with pytest.raises(InternalInvariantError, match=message):
         _even_level_flips(*args)
+
+
+# ------------------------------------------ every level against the oracles
+
+@st.composite
+def stable_cases(draw):
+    kind = draw(st.sampled_from(["sparse", "complement", "path", "grid"]))
+    if kind == "path":
+        g = path(draw(st.integers(12, 80)))
+    elif kind == "grid":
+        g = grid(draw(st.integers(3, 8)), draw(st.integers(4, 10)))
+    else:
+        g = random_bounded_degree(draw(st.integers(12, 80)),
+                                  draw(st.integers(1, 4)),
+                                  draw(st.integers(0, 2**16)))
+        if kind == "complement":
+            g = complement(g)
+    return g, draw(st.integers(1, 4))
+
+
+@given(stable_cases())
+@settings(max_examples=40, deadline=None)
+@example((complement(random_bounded_degree(60, 3, 1)), 4))
+@example((grid(8, 10), 3))
+def test_every_level_passes_the_independent_oracles(case):
+    """Each level's sample set passes ``verify_sample_set``, which
+    re-derives every certificate from ``phi_equivalent_over`` alone, and
+    the level-0 sequence has the ranks the paper predicts for a stable
+    class: alternation rank at most 2 and exception rank at most 1."""
+    g, r = case
+    levels = []
+
+    def recording(graph, inp, budget):
+        built = build_sample_set(graph, inp, budget)
+        levels.append((graph, inp, built))
+        return built
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wideness, "build_sample_set", recording)
+        flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1))
+    for level, (graph, inp, built) in enumerate(levels):
+        ok, why = verify_sample_set(graph, inp, built)
+        assert ok, f"level {level}: {why}"
+    if levels:
+        survivors = levels[0][2].subseq
+        assert alternation_rank(g, survivors)[0] <= 2
+        assert exception_rank(g, survivors)[0] <= 1
