@@ -13,21 +13,20 @@ round of the extractor.
 
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
-each entry's row over the items and its all-but-one list, each pattern
-prefix's true-tuple sweep, and the answer for each pattern whose first
-tuple is true. The refinement and the counterexample read these instead
-of computing them again, and each pattern is decided at most once per
-cache, by the cheapest test that settles it (``_decide``): a pattern
-with a stored prefix that keeps no witness is constant False after at
-most k lookups, with no row read; a stored answer is read back; a single
-entry whose first tuple is true takes one scan of its row; a longer one
-takes the false-tuple search; and a pattern whose first tuple is false
-costs one row step past its longest stored prefix. The refinement of a
-single entry skips ``_decide``: one scan of its row over the items gives
-both its constancy and its majority truth. The extractor decides
-an input longer than its window on the crop first; since constancy is
-closed under subsequences, a pattern that varies there refutes the whole
-input, which is then never scanned.
+each entry's row over the items and its all-but-one list, and each
+pattern prefix's true-tuple sweep. The refinement and the counterexample
+read these instead of computing them again. Each pattern is decided by
+the cheapest test that settles it (``_decide``): a pattern with a stored
+prefix that keeps no witness is constant False after at most k lookups,
+with no row read; a single entry whose first tuple is true takes one
+scan of its row; a longer one takes the false-tuple search; and a
+pattern whose first tuple is false costs one row step past its longest
+stored prefix. The refinement of a single entry skips ``_decide``: one
+scan of its row over the items gives both its constancy and its
+majority truth. The extractor refines the crop, its first window of
+items, and decides the whole input only when the refinement leaves the
+crop whole; since constancy is closed under subsequences, a pattern that
+varies on the crop refutes the whole input, which is then never scanned.
 
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
@@ -117,11 +116,11 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
 
     ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
     keeps both per entry, so every pattern scanned over the same items
-    shares them. ``_decide`` keeps its prefix sweeps in the same
-    dict, keyed by (entries prefix, alive0), and its first-true answers,
-    keyed by (alive0, entries). Everything in it is a function of its key
-    and of those items, so a caller may share it across patterns and
-    witness sets but must start a new one whenever the items change."""
+    shares them. ``_decide`` keeps its prefix sweeps in the same dict,
+    keyed by (entries prefix, alive0); nothing else is stored there.
+    Everything in it is a function of its key and of those items, so a
+    caller may share it across patterns and witness sets but must start
+    a new one whenever the items change."""
     out = []
     for e in entries:
         got = rows.get(e)
@@ -347,16 +346,14 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     Requires len(items) >= len(entries). ``rows`` is the per-items cache
     of ``_entry_rows``.
 
-    The tests run cheapest first, and each pattern is decided at most once
-    per ``rows``:
+    The tests run cheapest first. No answer is stored, since no caller
+    decides a pattern twice on one ``rows``.
 
     - Dead prefix: the reach sweep below depends only on the entries and
       alive0, so each prefix's reach list is stored in ``rows`` under
       (entries[:j], alive0). A stored prefix that keeps no witness keeps
       none in any extension, so the pattern is constant False, settled
       before any row is read.
-    - Stored answer: a pattern whose first tuple is true has its answer
-      stored under (alive0, entries), a key no prefix sweep uses.
     - First tuple true, one entry: constant exactly when every position
       keeps an alive witness, one scan of the row.
     - First tuple true, longer: ``_false_search``.
@@ -374,18 +371,12 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         j -= 1
     if j and not reach[-1]:
         return False, True
-    known = rows.get((alive0, entries))
-    if known is not None:
-        return True, known
     got = _entry_rows(ctx, phi, entries, items, rows)
     masks, excl_caches = map(list, zip(*got))
     if _first_truth(masks, alive0):
         if len(masks) == 1:
-            constant = all(map(alive0.__and__, masks[0]))
-        else:
-            constant = _false_search(masks, alive0, excl_caches) is None
-        rows[alive0, entries] = constant
-        return True, constant
+            return True, all(map(alive0.__and__, masks[0]))
+        return True, _false_search(masks, alive0, excl_caches) is None
     if not j:
         reach = [alive0] * len(items)
     while j < len(entries) and reach[-1]:
@@ -515,20 +506,21 @@ def extract_indiscernible(
 ) -> list[int]:
     """Order-preserving subsequence that is indiscernible for ``patterns``.
 
-    Already-indiscernible input is returned unchanged. Otherwise the
-    input is cropped to ``cfg.window`` and refined one pattern at a time,
+    Already-indiscernible input is returned unchanged. The crop, the
+    first ``cfg.window`` items, is refined one pattern at a time,
     shortest patterns first; constancy under refinement survives later
     rounds because it is closed under subsequences. The full surviving
     subsequence is returned, which may exceed ``cfg.target_length``; if
     it falls short, the raised error carries the result and the pattern
     that first pushed it under the target.
 
-    Input longer than the window is decided on the crop first. The crop
-    is a subsequence, so a pattern that is not constant there is not
+    The refinement is the crop's indiscernibility check: it leaves the
+    crop whole exactly when every pattern is constant there. The crop is
+    a subsequence, so a pattern that is not constant there is not
     constant on the whole input, and the whole input is decided only when
-    every pattern is constant on the crop. The crop's ``_decide`` cache
-    then serves the refinement's first patterns, and each pattern's
-    top-level refinement shares it until the survivors change.
+    the refinement leaves the crop whole, with a cache of its own. Each
+    pattern's top-level refinement shares one ``_decide`` cache until the
+    survivors change.
     """
     _check_items(ctx, items)
     if len(items) < cfg.target_length:
@@ -536,19 +528,8 @@ def extract_indiscernible(
             f"input length {len(items)} is below the target "
             f"{cfg.target_length}")
     full = ctx.graph.full_mask()
-
-    def indiscernible(seq: Seq[int], rows: dict) -> bool:
-        return all(_decide(ctx, phi, p.entries, seq, full, rows)[1]
-                   for p in patterns if len(p) <= len(seq))
-
-    survivors = list(items)
-    if cfg.window is not None and len(survivors) > cfg.window:
-        survivors = survivors[:cfg.window]
+    survivors = crop = list(items[:cfg.window])
     rows: dict = {}
-    if indiscernible(survivors, rows) and (
-            len(survivors) == len(items) or indiscernible(items, {})):
-        return list(items)
-
     blocking: Pattern | None = None
     for pattern in sorted(patterns, key=len):
         before = survivors
@@ -559,6 +540,12 @@ def extract_indiscernible(
         if (blocking is None
                 and len(before) >= cfg.target_length > len(survivors)):
             blocking = pattern
+    if survivors is crop:
+        rows = {}
+        if len(crop) == len(items) or all(
+                _decide(ctx, phi, p.entries, items, full, rows)[1]
+                for p in patterns if len(p) <= len(items)):
+            return list(items)
     if len(survivors) < cfg.target_length:
         raise ExtractionShortfall(
             f"extraction reached length {len(survivors)} of the requested "

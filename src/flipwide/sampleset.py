@@ -337,9 +337,9 @@ def verify_sample_set(
     """Re-check every promise of a result by direct evaluation.
 
     Covers: subsequence shape, ball disjointness, samples clear of all
-    balls, pairwise sample inequivalence over each ball, the per-vertex
-    before/after equivalences, the containment rule, and (stable mode)
-    sample agreement. Returns (False, description) on the first failure.
+    balls, pairwise sample inequivalence over each ball, the containment
+    rule, (stable mode) sample agreement, and the per-vertex before/after
+    equivalences. Returns (False, description) on the first failure.
     """
     sub = result.subseq
     it = iter(inp.centers)
@@ -370,6 +370,10 @@ def verify_sample_set(
         e = result.ex[a]
         if not 0 <= e <= count:
             return False, f"vertex {a} has exceptional index {e} out of range"
+        for i, ball in enumerate(balls):
+            if ball >> a & 1 and e != i:
+                return False, (f"vertex {a} lies in ball {i} but has "
+                               f"exceptional index {e}")
         p, q = result.s_lt[a], result.s_gt[a]
         if result.mode == "stable" and p != q:
             return False, f"vertex {a} has split samples {p}/{q} in stable mode"
@@ -387,8 +391,4 @@ def verify_sample_set(
             if not phi_equivalent_over(g, a, result.samples[q], balls[i]):
                 return False, (f"vertex {a} is not equivalent to sample "
                                f"{q} over ball {i}")
-        for i, ball in enumerate(balls):
-            if ball >> a & 1 and e != i:
-                return False, (f"vertex {a} lies in ball {i} but has "
-                               f"exceptional index {e}")
     return True, None

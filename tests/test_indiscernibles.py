@@ -981,17 +981,36 @@ def test_indiscernible_crop_of_a_discernible_sequence():
     cfg = ExtractionConfig(target_length=2, window=10)
     got = _assert_extraction_matches_reference(ctx, EDGE, PATS3, items, cfg)
     assert got == ("ok", items[:10])
+    # the whole input is decided before the shortfall check: with a target
+    # above the window, an indiscernible input is still returned whole,
+    # and an indiscernible crop of a discernible input falls short with no
+    # blocking pattern
+    cfg = ExtractionConfig(target_length=11, window=10)
+    got = _assert_extraction_matches_reference(edge_ctx(edgeless(12)), EDGE,
+                                               PATS3, items, cfg)
+    assert got == ("ok", items)
+    got = _assert_extraction_matches_reference(ctx, EDGE, PATS3, items, cfg)
+    assert got == ("short", items[:10], None)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_crop_refutation_skips_the_full_check(monkeypatch, seed):
     # a level-0 build over 400 vertices extracts from its 399 survivors;
-    # the crop refutes it, so no decision ever sees more than the window
+    # the crop refutes it, so no decision ever sees more than the window;
+    # and no pattern is decided twice on one cache
     seen: list[int] = []
     extracted: list[int] = []
+    caches: list[dict] = []  # held so that no cache's id is reused
+    decided: set = set()
+    repeats = 0
 
     def recording_decide(ctx, phi, entries, items, alive0, rows):
+        nonlocal repeats
         seen.append(len(items))
+        caches.append(rows)
+        key = (id(rows), entries, alive0)
+        repeats += key in decided
+        decided.add(key)
         return _decide(ctx, phi, entries, items, alive0, rows)
 
     def recording_extract(ctx, phi, patterns, items, cfg):
@@ -1004,3 +1023,4 @@ def test_crop_refutation_skips_the_full_check(monkeypatch, seed):
     build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0, "stable"))
     assert max(extracted) > DEFAULT_WINDOW
     assert seen and max(seen) <= DEFAULT_WINDOW
+    assert repeats == 0

@@ -21,7 +21,14 @@ from flipwide import (
     phi_equivalent_over,
     verify_sample_set,
 )
-from flipwide.generators import clique, edgeless, half_graph, path, star_forest
+from flipwide.generators import (
+    clique,
+    edgeless,
+    half_graph,
+    path,
+    random_bounded_degree,
+    star_forest,
+)
 from flipwide.graphcore import Graph, ball_mask, eq_class_mask
 from flipwide.sampleset import (
     _certificates,
@@ -342,7 +349,23 @@ def test_verify_rejects_shifted_exception():
     ex[2] = 3  # vertex 2 sits in ball 1, which no sample can match
     bad = dataclasses.replace(res, ex=tuple(ex))
     ok, why = verify_sample_set(g, inp, bad)
-    assert not ok and "vertex 2 is not equivalent to sample 0 over ball 1" in why
+    assert not ok and "vertex 2 lies in ball 1 but has exceptional index 3" in why
+
+
+def test_verify_names_a_ball_vertex_with_another_exception():
+    # vertex 1 is the first survivor, so it lies in ball 0; pointing its
+    # exceptional index at a later ball or at the sentinel is named by the
+    # containment rule before any equivalence over a ball is checked
+    g = random_bounded_degree(60, 3, 1)
+    inp = DisjointFamilyInput(tuple(range(g.n)), 0, "stable")
+    res = build_sample_set(g, inp)
+    assert res.subseq[0] == 1 and res.ex[1] == 0
+    for e in (1, len(res.subseq)):
+        ex = list(res.ex)
+        ex[1] = e
+        bad = dataclasses.replace(res, ex=tuple(ex))
+        assert verify_sample_set(g, inp, bad) == (
+            False, f"vertex 1 lies in ball 0 but has exceptional index {e}")
 
 
 def test_verify_rejects_non_subsequence():
