@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .errors import (
     BudgetExceeded,
@@ -107,25 +108,12 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _flip_json(f: Flip) -> dict:
-    return {"a": list(f.a), "b": list(f.b)}
-
-
 def _result_json(res: FlipWideResult) -> dict:
     return {
         "b_set": list(res.b_set),
-        "flips": [_flip_json(f) for f in res.flip_set],
+        "flips": [asdict(f) for f in res.flip_set],
         "radius": res.radius,
-        "trace": [
-            {
-                "level": t.level,
-                "parity": t.parity,
-                "samples": sorted(t.samples),
-                "flips_added": [_flip_json(f) for f in t.flips_added],
-                "surviving": sorted(t.surviving),
-            }
-            for t in res.trace
-        ],
+        "trace": [asdict(t) for t in res.trace],
         "verified": res.verified,
     }
 
@@ -249,14 +237,9 @@ def _cmd_diagnose(args) -> int:
         alt, alt_w = alternation_rank(g, seq)
         exc, exc_w = exception_rank(g, seq)
         report["alternation_rank"] = alt
-        report["alternation_witness"] = (
-            None if alt_w is None
-            else {"vertex": alt_w.vertex, "indices": list(alt_w.indices)})
+        report["alternation_witness"] = None if alt_w is None else asdict(alt_w)
         report["exception_rank"] = exc
-        report["exception_witness"] = (
-            None if exc_w is None
-            else {"vertex": exc_w.vertex,
-                  "minority_indices": list(exc_w.minority_indices)})
+        report["exception_witness"] = None if exc_w is None else asdict(exc_w)
     elif args.seq is not None:
         raise InputError("--seq applies only to --alt-rank")
     for name, k, run in (("order", args.order, order_property_witness),

@@ -517,10 +517,10 @@ def extract_indiscernible(
     The refinement is the crop's indiscernibility check: it leaves the
     crop whole exactly when every pattern is constant there. The crop is
     a subsequence, so a pattern that is not constant there is not
-    constant on the whole input, and the whole input is decided only when
-    the refinement leaves the crop whole, with a cache of its own. Each
-    pattern's top-level refinement shares one ``_decide`` cache until the
-    survivors change.
+    constant on the whole input, and the whole input is decided, by
+    ``is_delta_indiscernible``, only when the refinement leaves the crop
+    whole. Each pattern's top-level refinement shares one ``_decide``
+    cache until the survivors change.
     """
     _check_items(ctx, items)
     if len(items) < cfg.target_length:
@@ -540,12 +540,10 @@ def extract_indiscernible(
         if (blocking is None
                 and len(before) >= cfg.target_length > len(survivors)):
             blocking = pattern
-    if survivors is crop:
-        rows = {}
-        if len(crop) == len(items) or all(
-                _decide(ctx, phi, p.entries, items, full, rows)[1]
-                for p in patterns if len(p) <= len(items)):
-            return list(items)
+    if survivors is crop and (
+            len(crop) == len(items)
+            or is_delta_indiscernible(ctx, phi, patterns, items)[0]):
+        return list(items)
     if len(survivors) < cfg.target_length:
         raise ExtractionShortfall(
             f"extraction reached length {len(survivors)} of the requested "

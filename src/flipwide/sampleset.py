@@ -271,8 +271,6 @@ def build_sample_set(
     partial (samples, survivors) state; at that point the input sequence
     behaves like a non-NIP family.
     """
-    for c in inp.centers:
-        g.check_vertex(c)
     ball_of = dict(zip(inp.centers,
                        _check_disjoint(g, inp.centers, inp.half_radius)))
     n = g.n

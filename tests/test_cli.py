@@ -23,13 +23,15 @@ import pytest
 import flipwide
 from flipwide import (
     BudgetExceeded,
+    Flip,
     FlipWideRequest,
     Graph,
+    LevelTrace,
     SampleBudget,
     apply_flips,
     flip_widen,
 )
-from flipwide.cli import _result_json, main
+from flipwide.cli import _dump, _parse_flips, _result_json, main
 from flipwide.generators import (
     clique,
     complement,
@@ -177,8 +179,32 @@ def test_flip_widen_budget_flags(graph_file, capsys, g, r, flag, budget):
     code, out, _ = run(argv + flag, capsys)
     assert code == 0
     res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1, budget))
-    assert json.loads(out) == _result_json(res)
+    assert out == _dump(_result_json(res))
     assert out != run(argv, capsys)[1]
+
+
+def test_flip_widen_json_is_the_trace_in_construction_order(
+        graph_file, tmp_path, capsys):
+    # descending A: the survivors of every level stay descending, and the
+    # trace has flips at an even and at an odd level
+    g = complement(random_bounded_degree(60, 3, 1))
+    aset = tmp_path / "desc.txt"
+    aset.write_text("\n".join(map(str, range(59, -1, -1))) + "\n")
+    code, out, _ = run(["flip-widen", "-g", graph_file(g), "-A", str(aset),
+                        "-r", "2", "-m", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    levels = tuple(
+        LevelTrace(t["level"], t["parity"], tuple(t["samples"]),
+                   tuple(Flip(f["a"], f["b"]) for f in t["flips_added"]),
+                   tuple(t["surviving"]))
+        for t in doc["trace"])
+    res = flip_widen(FlipWideRequest(g, tuple(range(59, -1, -1)), 2, 1))
+    assert levels == res.trace
+    assert [t.parity for t in levels if t.flips_added] == ["even", "odd"]
+    assert doc["trace"][-1]["surviving"] == sorted(res.b_set, reverse=True)
+    assert len(res.b_set) == 10
+    assert _parse_flips(doc) == res.flip_set
 
 
 def test_flip_widen_pattern_cap_stop(graph_file, capsys):

@@ -315,8 +315,11 @@ def test_input_validation():
         DisjointFamilyInput((0,), 0, "loose")
     with pytest.raises(InputError, match="half radius"):
         DisjointFamilyInput((0,), -1)
-    with pytest.raises(InputError):
-        build_sample_set(g, DisjointFamilyInput((0, 99), 0))
+    # every center is range-checked before any overlap is tested
+    for centers, half in (((0, 99), 0), ((0, 1, 99), 1)):
+        with pytest.raises(InputError) as exc:
+            build_sample_set(g, DisjointFamilyInput(centers, half))
+        assert str(exc.value) == "vertex 99 out of range for n=6"
     with pytest.raises(InputError, match="max_pattern_length"):
         SampleBudget(max_pattern_length=0)
     with pytest.raises(InputError, match="window"):
