@@ -6,13 +6,16 @@ Every constructor is a pure function of its parameters. The random family
 uses splitmix64 with the published constants, so fixtures reproduce
 bit-for-bit across runs and reimplementations.
 
-The stream is mixed in batches of ``_BATCH`` outputs. Its states form an
-arithmetic progression, so one batch of states is packed into one int,
-state k of the batch in bits 128k to 128k+63, and each mix step runs once
-on the whole int. A 128-bit lane holds a 64-bit value times a 64-bit
-constant without spilling into the next lane; a mask keeps the low 64 bits
-of every lane after each shift-xor and each multiply, so a shift never
-carries one lane's bits into another lane's low half.
+Streams are mixed in batches of ``_BATCH`` outputs. A batch's states
+form an arithmetic progression, so they are packed into one int, state k
+of the batch in bits 128k to 128k+63, and each mix step runs once on the
+whole int. A 128-bit lane holds a 64-bit value times a 64-bit constant
+without spilling into the next lane; a mask keeps the low 64 bits of every
+lane after each shift-xor and each multiply, so a shift never carries one
+lane's bits into another lane's low half. The public stream steps its
+states by gamma. The random family lane-mixes only outputs 0, 2, 4, ...,
+its pairs' first endpoints, whose states step by 2*gamma, and mixes an
+odd output by itself only when its degree filter reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 from array import array
 from functools import cache
 from itertools import combinations, compress, repeat
-from operator import and_, mod
+from operator import mod
 from typing import Iterator
 
 from .errors import InputError
@@ -46,12 +49,14 @@ def _lane_constants() -> tuple[int, int, int]:
     return ones, ramp, ones * _MASK64
 
 
-def _splitmix64_batches(seed: int) -> Iterator[array]:
-    """The splitmix64 stream for ``seed`` as consecutive arrays of
-    ``_BATCH`` outputs, each mixed in 128-bit lanes of one int."""
+def _lane_batches(state: int, stride: int) -> Iterator[array]:
+    """The outputs of states ``state + j * stride * gamma`` mod 2**64 for
+    j = 1, 2, ..., as consecutive arrays of ``_BATCH`` outputs, each mixed
+    in 128-bit lanes of one int. Stride 1 is splitmix64(state)."""
     ones, ramp, low = _lane_constants()
-    step = _BATCH * _GAMMA & _MASK64
-    state = seed & _MASK64
+    ramp = ramp * stride & low
+    step = _BATCH * stride * _GAMMA & _MASK64
+    state &= _MASK64
     while True:
         z = (state * ones + ramp) & low
         state = (state + step) & _MASK64
@@ -68,6 +73,14 @@ def _splitmix64_batches(seed: int) -> Iterator[array]:
         yield words[::2]
 
 
+def _output(seed: int, j: int) -> int:
+    """Output j, counted from 0, of splitmix64(seed), mixed by itself."""
+    z = (seed + (j + 1) * _GAMMA) & _MASK64
+    z = (z ^ z >> 30) * _MIX1 & _MASK64
+    z = (z ^ z >> 27) * _MIX2 & _MASK64
+    return z ^ z >> 31
+
+
 def splitmix64(seed: int) -> Iterator[int]:
     """The splitmix64 stream for ``seed``.
 
@@ -75,7 +88,7 @@ def splitmix64(seed: int) -> Iterator[int]:
     per the reference implementation; first output for seed 0 is
     0xE220A8397B1DCDAF.
     """
-    for words in _splitmix64_batches(seed):
+    for words in _lane_batches(seed, 1):
         yield from words
 
 
@@ -185,13 +198,16 @@ def _live_pairs(seed: int, count: int, n: int,
     """The first ``count`` pairs ``(x % n, y % n)`` of consecutive
     splitmix64(seed) outputs, less those with an endpoint whose ``live``
     byte is 0 when the pair comes up."""
-    for words in _splitmix64_batches(seed):
-        ends = list(map(mod, words[:2 * count], repeat(n)))
-        us, vs = ends[::2], ends[1::2]
-        yield from compress(zip(us, vs), map(
-            and_, map(live.__getitem__, us), map(live.__getitem__, vs)))
-        count -= _BATCH // 2
-        if count <= 0:
+    # the first end of pair i has the state seed + (2i + 1) * gamma
+    start = 0
+    for words in _lane_batches(seed - _GAMMA, 2):
+        us = list(map(mod, words[:count - start], repeat(n)))
+        for k in compress(range(len(us)), map(live.__getitem__, us)):
+            v = _output(seed, 2 * (start + k) + 1) % n
+            if live[v]:
+                yield us[k], v
+        start += _BATCH
+        if start >= count:
             return
 
 
@@ -205,18 +221,18 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
     vertices with residual degree are pairwise adjacent: no later pair
     could be kept, so the edges are those of all 30*n*d draws.
 
-    The pairs come ``_BATCH // 2`` at a time from the lane-mixed stream,
-    and both endpoints of a whole batch are reduced mod n by C-level maps.
-    Only pairs whose endpoints are both still below degree d reach the
-    loop body, so the body needs no degree test of its own. That filter
-    is exact: a pair it skips has an endpoint already at degree d, and
-    degrees only grow, so the pair could not be kept at its draw.
+    Pair i is outputs 2i and 2i+1. The first endpoints are lane-mixed
+    ``_BATCH`` at a time and reduced mod n by a C-level map; output 2i+1
+    is mixed by itself, only when the first endpoint is below degree d.
+    Only pairs with both endpoints below degree d reach the loop body.
+    That filter is exact: it reads the degrees as each pair is pulled,
+    and a pair it skips, mixed in full or not, has an endpoint already at
+    degree d, and degrees only grow, so it could not be kept at its draw.
     """
     _positive("n", n)
     _positive("d", d)
     check_vertex_count(n)
     rows = [0] * n
-    deg = [0] * n
     live = bytearray(b"\x01") * n  # 1 while a vertex is below degree d
     spare = (1 << n) - 1  # vertices below degree d
     for u, v in _live_pairs(seed, 30 * n * d, n, live):
@@ -225,14 +241,10 @@ def random_bounded_degree(n: int, d: int, seed: int) -> Graph:
             continue
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-        if deg[u] == d:
-            spare ^= 1 << u
-            live[u] = 0
-        if deg[v] == d:
-            spare ^= 1 << v
-            live[v] = 0
+        for w in u, v:
+            if rows[w].bit_count() == d:
+                spare ^= 1 << w
+                live[w] = 0
         # spare vertices have fewer than d neighbours, so more than d of
         # them always hold a non-adjacent pair
         if spare.bit_count() <= d and all(

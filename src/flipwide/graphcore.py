@@ -361,11 +361,20 @@ def parse_edge_list(text: str) -> Graph:
     return _parse_lines(text) if g is None else g
 
 
-# Characters of edge lines split at a time by the bulk read, cut at the
-# next newline. Only one chunk's token strings are alive at once, which
-# keeps the read of a dense 400-vertex text smaller and faster than one
-# split of the whole body.
+# Characters of text split or normalized at a time by the bulk read, cut
+# at the next newline. Only one chunk's token or line strings are alive at
+# once, which keeps the read of a dense 400-vertex text smaller and faster
+# than one split of the whole text.
 _CHUNK_CHARS = 1 << 14
+
+
+def _chunks(text: str) -> Iterator[str]:
+    """``text`` cut after a newline every ``_CHUNK_CHARS`` or so."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
 
 
 def _parse_canonical(text: str) -> Graph | None:
@@ -382,12 +391,9 @@ def _parse_canonical(text: str) -> Graph | None:
     k = min(n, 2 * m)
     get = dict(zip(map(str, range(k)), range(k))).__getitem__
     ends: list[int] = []
-    start = 0
     try:
-        while start < len(body):
-            stop = body.find("\n", start + _CHUNK_CHARS) + 1 or len(body)
-            ends += map(get, body[start:stop].split())
-            start = stop
+        for chunk in _chunks(body):
+            ends += map(get, chunk.split())
     except KeyError:
         return None
     # Each of the m lines holds one space, so 2m ids mean none was empty
@@ -440,11 +446,14 @@ def _canonical_layout(text: str) -> tuple[int, int, str] | None:
 
 def _normalized(text: str) -> str:
     """``text`` with each line stripped, blank and '#' lines dropped and
-    each line ended by a newline."""
-    lines = filter(None, map(str.strip, text.splitlines()))
-    if "#" in text:
-        lines = [s for s in lines if s[0] != "#"]
-    return "\n".join(lines) + "\n"
+    each line ended by a newline, built one chunk's lines at a time."""
+    parts = []
+    for chunk in _chunks(text):
+        lines = filter(None, map(str.strip, chunk.splitlines()))
+        if "#" in chunk:
+            lines = [s for s in lines if s[0] != "#"]
+        parts.append("\n".join(lines))
+    return "\n".join(filter(None, parts)) + "\n"
 
 
 def _parse_lines(text: str) -> Graph:

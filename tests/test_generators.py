@@ -7,7 +7,10 @@ from flipwide import InputError
 from flipwide.cli import main
 from flipwide.generators import (
     _BATCH,
+    _GAMMA,
     FAMILIES,
+    _lane_batches,
+    _output,
     clique,
     complement,
     edgeless,
@@ -22,6 +25,7 @@ from flipwide.generators import (
     star_forest,
     subdivided_clique,
 )
+from flipwide.graphcore import format_edge_list
 
 # reference stream values for the published splitmix64 constants
 SEED0_HEAD = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
@@ -58,6 +62,27 @@ def test_splitmix64_wraps_and_stays_in_range():
 def test_splitmix64_batches_match_the_scalar_stream(seed, length):
     assert list(islice(splitmix64(seed), length)) == \
         list(islice(scalar_splitmix64(seed), length))
+
+
+# the last seed puts state 0 at the last output of the first batch
+WRAP_SEEDS = [0, 1, 2**64 - 1, -1, -_BATCH * _GAMMA % 2**64]
+
+
+@pytest.mark.parametrize("seed", WRAP_SEEDS)
+def test_output_mixes_one_draw_by_its_index(seed):
+    stream = list(islice(scalar_splitmix64(seed), 4 * _BATCH + 2))
+    for j in (0, 1, 2, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH - 1,
+              2 * _BATCH, 4 * _BATCH + 1):
+        assert _output(seed, j) == stream[j]
+
+
+@pytest.mark.parametrize("seed", WRAP_SEEDS)
+def test_stride_two_lanes_are_the_even_outputs(seed):
+    # the first ends of random_bounded_degree's pairs
+    lanes = _lane_batches(seed - _GAMMA, 2)
+    evens = [x for _ in range(2) for x in next(lanes)]
+    stream = list(islice(scalar_splitmix64(seed), 4 * _BATCH))
+    assert evens == stream[::2]
 
 
 def test_clique():
@@ -159,13 +184,17 @@ def _all_draws(n, d, seed):
             if rows[u] >> v & 1]
 
 
-# the last three draw 30*n*d pairs that end inside a batch
+# a batch holds _BATCH pairs: (65, 3), (401, 3) and (150, 8) draw
+# 30*n*d pairs that end inside a batch, (17, 4) and (341, 3) end 8 and
+# 30 pairs short of a batch's end, (256, 4) and (512, 2) end exactly on
+# one, and (23, 3) and (205, 5) end 22 and 30 pairs into the next
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4),
                                  (9, 8), (12, 5), (25, 1), (30, 3), (40, 5),
                                  (80, 2), (150, 3), (65, 3), (401, 3),
-                                 (150, 8)])
+                                 (150, 8), (17, 4), (341, 3), (256, 4),
+                                 (512, 2), (23, 3), (205, 5)])
 def test_random_bounded_degree_early_stop_keeps_edges(n, d):
-    for seed in (0, 1, 7, 123):
+    for seed in (0, 1, 7, 123, 2**64 - 1):
         assert list(random_bounded_degree(n, d, seed).edges()) == \
             _all_draws(n, d, seed)
 
@@ -176,6 +205,17 @@ def test_generate_random_bounded_degree_bytes_are_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "6251ce44cbc9273de456a137b847607a380c708d087b606cc39f4071f3c4303c")
+
+
+def test_benchmark_graphs_are_pinned():
+    # bounded-degree graphs at the sizes and degree the benchmark builds
+    h = hashlib.sha256()
+    for n in (*range(60, 101, 5), *range(150, 401, 25)):
+        for seed in range(3):
+            h.update(format_edge_list(random_bounded_degree(n, 3, seed))
+                     .encode())
+    assert h.hexdigest() == (
+        "843d4dfe673d3320f3f463f5bc1a05571336d7d3ac126136d89de6a1e5c84398")
 
 
 def test_complement():
