@@ -41,8 +41,10 @@ class ExtractionShortfall(FlipwideError):
 
 
 class ModeError(FlipwideError):
-    """The requested mode is not achievable on this input (e.g. a stable
-    certificate was requested but only the nip form exists)."""
+    """The sample set admits no single-sample certificates: every vertex
+    has a split certificate (one sample before its exceptional ball,
+    another after it), but some vertex has no single sample covering every
+    ball but one."""
 
 
 class InternalInvariantError(FlipwideError):

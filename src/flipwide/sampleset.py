@@ -2,9 +2,8 @@
 
 Given centers whose radius-i balls are pairwise disjoint, the loop finds a
 small sample set S and a surviving subsequence I such that every vertex of
-the graph is edge-equivalent to one sample over every ball of I before
-some exceptional position, and to one sample after it. Stable mode
-additionally requires a single sample covering both sides.
+the graph is edge-equivalent to one sample over every ball of I but at
+most one, its exceptional position.
 
 Index convention: the exceptional index is 0-based; the sentinel value
 len(I) means no position is exceptional and one sample covers every ball.
@@ -14,11 +13,13 @@ sample, the mask of all vertices equivalent to the sample over the ball.
 These are the eq-atom masks of the round's ``EvalContext``, which the
 extraction has already memoised; ``graphcore.eq_class_mask`` computes
 each in O(|ball|) mask operations. Prefix and suffix intersections of
-that table yield every vertex's certificate at once, in either mode, and
-saturating bitset counters pick the next sample. The center balls are
-computed once per build and handed to each round's context.
-``decompose_exceptional`` is the per-vertex definition of a nip
-certificate that the tests compare the kernel against.
+that table yield every vertex's certificate at once, and saturating
+bitset counters pick the next sample. The center balls are computed once
+per build and handed to each round's context.
+``decompose_exceptional`` is the per-vertex definition of the weaker split
+certificate (one sample before the exceptional position, another after
+it); the kernel's coverage test is that definition, so a vertex without
+one makes the build pick another sample.
 ``verify_sample_set`` re-checks a result with ``phi_equivalent_over``
 alone, so the verifier does not depend on the kernel.
 """
@@ -45,14 +46,11 @@ _NOT_NIP = "class likely not monadically NIP at these budgets"
 class DisjointFamilyInput:
     centers: tuple[int, ...]
     half_radius: int
-    mode: str = "nip"
 
     def __post_init__(self):
         if self.half_radius < 0:
             raise InputError(
                 f"half radius must be nonnegative, got {self.half_radius}")
-        if self.mode not in ("nip", "stable"):
-            raise InputError(f"mode must be 'nip' or 'stable', got {self.mode!r}")
         if len(set(self.centers)) != len(self.centers):
             raise InputError("centers must be pairwise distinct")
 
@@ -79,16 +77,14 @@ class SampleSetResult:
     """Samples, surviving subsequence, and per-vertex certificates.
 
     ex[a] is the exceptional ball position for vertex a (len(subseq) when
-    none). s_lt[a] / s_gt[a] index into samples and cover the balls before
-    and after ex[a]; both are None only when there are no samples at all.
+    none). s_of[a] indexes into samples and covers every ball but ex[a];
+    it is None only when there are no samples at all.
     """
 
     samples: tuple[int, ...]
     subseq: tuple[int, ...]
     ex: tuple[int, ...]
-    s_lt: tuple[int | None, ...]
-    s_gt: tuple[int | None, ...]
-    mode: str
+    s_of: tuple[int | None, ...]
 
 
 def decompose_exceptional(
@@ -135,20 +131,19 @@ def decompose_exceptional(
     return None
 
 
-def _certificates(full: int, table: list[list[int]], nsamples: int,
-                  mode: str) -> list[tuple[int, int, int]] | None:
-    """Every vertex's certificate in ``mode``, for all vertices at once.
+def _certificates(full: int, table: list[list[int]],
+                  nsamples: int) -> list[tuple[int, int]] | None:
+    """Every vertex's certificate (e, p), for all vertices at once.
 
     Prefix and suffix intersections of the class table give, per sample,
     the vertices equivalent to it over every ball before (after) each
-    position. Nip mode matches ``decompose_exceptional``: the sentinel
-    from the lowest sample covering all balls, else the smallest split
-    position with the lowest samples on both sides. None as soon as some
-    vertex has no nip certificate. Stable mode keeps the sentinel, else
-    takes the lowest sample p with exactly one bad ball e, the vertex
-    lying in prefix[e][p] & suffix[e+1][p], as (e, p, p); when nip
-    certificates cover every vertex but some vertex has no stable one,
-    ``ModeError`` names the lowest such vertex.
+    position. A vertex gets the sentinel from the lowest sample covering
+    all balls, else the lowest sample p with exactly one bad ball e, the
+    vertex lying in prefix[e][p] & suffix[e+1][p]. None as soon as some
+    vertex has no ``decompose_exceptional`` split certificate, so the
+    build picks another sample; when split certificates cover every
+    vertex but some vertex has no single-sample one, ``ModeError`` names
+    the lowest such vertex.
     """
     count = len(table)
     prefix = [[full] * nsamples]
@@ -165,50 +160,33 @@ def _certificates(full: int, table: list[list[int]], nsamples: int,
             out |= m
         return out
 
-    uniform = union(prefix[count])
-    splits = []
-    covered = uniform
+    covered = union(prefix[count])
     for e in range(count):
-        both = union(prefix[e]) & union(suffix[e + 1]) & ~covered
-        splits.append(both)
-        covered |= both
+        covered |= union(prefix[e]) & union(suffix[e + 1])
     if covered != full:
         return None
-
-    def lowest(vertices: int, masks: list[int], out: list[int]) -> None:
-        for p, m in enumerate(masks):
-            hit = vertices & m
-            for v in iter_bits(hit):
-                out[v] = p
-            vertices ^= hit
 
     n = full.bit_length()
     e_of = [count] * n
     p_of = [0] * n
-    lowest(uniform, prefix[count], p_of)
-    if mode == "stable":
-        left = full & ~uniform
-        for p in range(nsamples):
-            for e in range(count):
-                hit = left & prefix[e][p] & suffix[e + 1][p]
-                for v in iter_bits(hit):
-                    e_of[v] = e
-                    p_of[v] = p
-                left ^= hit
-        if left:
-            raise ModeError(
-                f"vertex {(left & -left).bit_length() - 1} has no "
-                f"single-sample certificate; the sequence is not stable "
-                f"within these budgets")
-        return list(zip(e_of, p_of, p_of))
-    q_of = p_of[:]
-    for e, both in enumerate(splits):
-        if both:
-            lowest(both, prefix[e], p_of)
-            lowest(both, suffix[e + 1], q_of)
-            for v in iter_bits(both):
+    left = full
+    for p, m in enumerate(prefix[count]):
+        for v in iter_bits(left & m):
+            p_of[v] = p
+        left &= ~m
+    for p in range(nsamples):
+        for e in range(count):
+            hit = left & prefix[e][p] & suffix[e + 1][p]
+            for v in iter_bits(hit):
                 e_of[v] = e
-    return list(zip(e_of, p_of, q_of))
+                p_of[v] = p
+            left ^= hit
+    if left:
+        raise ModeError(
+            f"vertex {(left & -left).bit_length() - 1} has no "
+            f"single-sample certificate; the sequence is not stable "
+            f"within these budgets")
+    return list(zip(e_of, p_of))
 
 
 def _pick_sample(full: int, table: list[list[int]], marked: int,
@@ -260,7 +238,8 @@ def build_sample_set(
     indiscernible subsequence of the survivors under the equivalence
     formulas (extraction target 1, ``budget.window`` crop, type patterns
     up to ``budget.max_pattern_length``), and stops once every vertex of
-    the graph decomposes. A failing round adds the lowest unmarked vertex
+    the graph has a single-sample certificate; ``ModeError`` if some vertex
+    has only a split one. A failing round adds the lowest unmarked vertex
     that is inequivalent to every sample over all but at most two
     surviving balls, then drops those outlier balls plus the ball holding
     the new sample. Every round returns, raises or adds a sample, and
@@ -275,8 +254,7 @@ def build_sample_set(
                        _check_disjoint(g, inp.centers, inp.half_radius)))
     n = g.n
     if not inp.centers:
-        return SampleSetResult((), (), (0,) * n, (None,) * n, (None,) * n,
-                               inp.mode)
+        return SampleSetResult((), (), (0,) * n, (None,) * n)
     cfg = ExtractionConfig(target_length=1, window=budget.window)
 
     full = g.full_mask()
@@ -309,12 +287,11 @@ def build_sample_set(
         # surviving ball every vertex decomposes, so a heavily pruned
         # sequence ends the loop with a short honest result, not an error.
         # Without samples no vertex has a certificate, so round 0 picks.
-        certs = (_certificates(full, table, len(samples), inp.mode)
+        certs = (_certificates(full, table, len(samples))
                  if samples else None)
         if certs is not None:
-            ex, s_lt, s_gt = zip(*certs)
-            return SampleSetResult(tuple(samples), tuple(survivors), ex,
-                                   s_lt, s_gt, inp.mode)
+            ex, s_of = zip(*certs)
+            return SampleSetResult(tuple(samples), tuple(survivors), ex, s_of)
 
         pick, outliers = _pick_sample(full, table, mask_of(samples))
         if pick is None:
@@ -336,8 +313,8 @@ def verify_sample_set(
 
     Covers: subsequence shape, ball disjointness, samples clear of all
     balls, pairwise sample inequivalence over each ball, the containment
-    rule, (stable mode) sample agreement, and the per-vertex before/after
-    equivalences. Returns (False, description) on the first failure.
+    rule, and each vertex's equivalence to its sample over every ball but
+    its exceptional one. Returns (False, description) on the first failure.
     """
     sub = result.subseq
     it = iter(inp.centers)
@@ -362,7 +339,7 @@ def verify_sample_set(
                     return False, (f"samples {p} and {q} are equivalent over "
                                    f"ball {pos}")
 
-    if not (len(result.ex) == len(result.s_lt) == len(result.s_gt) == g.n):
+    if not (len(result.ex) == len(result.s_of) == g.n):
         return False, "certificate tables do not cover every vertex"
     for a in range(g.n):
         e = result.ex[a]
@@ -372,21 +349,12 @@ def verify_sample_set(
             if ball >> a & 1 and e != i:
                 return False, (f"vertex {a} lies in ball {i} but has "
                                f"exceptional index {e}")
-        p, q = result.s_lt[a], result.s_gt[a]
-        if result.mode == "stable" and p != q:
-            return False, f"vertex {a} has split samples {p}/{q} in stable mode"
-        if e > 0:
-            if p is None or not 0 <= p < len(result.samples):
-                return False, f"vertex {a} lacks a valid before-sample"
-            for i in range(e):
-                if not phi_equivalent_over(g, a, result.samples[p], balls[i]):
-                    return False, (f"vertex {a} is not equivalent to sample "
-                                   f"{p} over ball {i}")
-        if e < count - 1:
-            if q is None or not 0 <= q < len(result.samples):
-                return False, f"vertex {a} lacks a valid after-sample"
-        for i in range(e + 1, count):
-            if not phi_equivalent_over(g, a, result.samples[q], balls[i]):
+        p = result.s_of[a]
+        rest = [i for i in range(count) if i != e]
+        if rest and (p is None or not 0 <= p < len(result.samples)):
+            return False, f"vertex {a} lacks a valid sample"
+        for i in rest:
+            if not phi_equivalent_over(g, a, result.samples[p], balls[i]):
                 return False, (f"vertex {a} is not equivalent to sample "
-                               f"{q} over ball {i}")
+                               f"{p} over ball {i}")
     return True, None

@@ -133,20 +133,20 @@ def _xor_accumulate(acc: list[Flip], fresh: list[Flip]) -> None:
 def flip_widen(req: FlipWideRequest) -> FlipWideResult:
     """Grow flips level by level until a_set spreads to distance > radius.
 
-    The per-level sample sets are built in stable mode under
-    ``req.budget``, whose extraction target is always 1, so the
-    construction never depends on the requested target size; a final set
-    smaller than it only raises the shortfall flag. Every level adds its
-    flips to the accumulated set and re-checks independence of the
-    survivors in the input graph under that set before moving on. So the
+    The per-level sample sets are built under ``req.budget``, whose
+    extraction target is always 1, so the construction never depends on
+    the requested target size; a final set smaller than it only raises
+    the shortfall flag. Every level adds its flips to the accumulated set
+    and re-checks independence of the survivors in the input graph under
+    that set before moving on. So the
     last check of every run, at its last level or at the early stop, is
     ``verify_flip_wide``'s own test on the returned flips and set, and
     ``verified`` means exactly that. The loop stops early, before any
     level, once the survivors are already pairwise more than ``radius``
     apart; after level L they are more than L+1 apart, so it runs at most
     n levels whatever the radius, and the trace may hold fewer than
-    radius+1 entries. Budget and mode errors name the level they came
-    from.
+    radius+1 entries. ``BudgetExceeded`` and ``ModeError`` name the level
+    they came from.
     """
     g_cur = req.graph
     current = tuple(req.a_set)
@@ -157,7 +157,7 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
         if is_distance_r_independent(g_cur, current, req.radius)[0]:
             break
         i = level // 2
-        inp = DisjointFamilyInput(current, i, "stable")
+        inp = DisjointFamilyInput(current, i)
         try:
             built = build_sample_set(g_cur, inp, req.budget)
         except BudgetExceeded as exc:
@@ -171,7 +171,7 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
         nxt = built.subseq
         parity, build = (("even", _even_level_flips) if level % 2 == 0
                          else ("odd", _odd_level_flips))
-        fresh = build(g_cur, nxt, built.samples, built.s_lt, i)
+        fresh = build(g_cur, nxt, built.samples, built.s_of, i)
         _xor_accumulate(acc, fresh)
         g_cur = apply_flips(req.graph, acc)
         ok, pair = is_distance_r_independent(g_cur, nxt, level + 1)

@@ -808,7 +808,7 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
     monkeypatch.setattr(indiscernibles, "_entry_rows", recording_rows)
     monkeypatch.setattr(indiscernibles, "_false_search", recording_search)
     g = random_bounded_degree(400, 3, 1)
-    build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0, "stable"))
+    build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0))
     assert seen["dead"] and seen["search"], seen
 
 
@@ -1020,7 +1020,7 @@ def test_crop_refutation_skips_the_full_check(monkeypatch, seed):
     monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
     monkeypatch.setattr(sampleset, "extract_indiscernible", recording_extract)
     g = random_bounded_degree(400, 3, seed)
-    build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0, "stable"))
+    build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0))
     assert max(extracted) > DEFAULT_WINDOW
     assert seen and max(seen) <= DEFAULT_WINDOW
     assert repeats == 0

@@ -37,8 +37,8 @@ from flipwide.sampleset import (
 )
 
 
-def build_and_verify(g, centers, hr, mode, budget=None):
-    inp = DisjointFamilyInput(tuple(centers), hr, mode)
+def build_and_verify(g, centers, hr, budget=None):
+    inp = DisjointFamilyInput(tuple(centers), hr)
     res = build_sample_set(g, inp, budget or SampleBudget())
     ok, why = verify_sample_set(g, inp, res)
     assert ok, why
@@ -47,56 +47,52 @@ def build_and_verify(g, centers, hr, mode, budget=None):
 
 # ---------------------------------------------------------------- builds
 
-@pytest.mark.parametrize("mode", ["nip", "stable"])
-def test_star_forest_build(mode):
+def test_star_forest_build():
     # Ten disjoint stars, radius-1 balls. Every leaf of center c >= 1 is
     # inequivalent to the lone sample (center 0) only over ball c-1, the
     # ball that contains it; leaves of center 0 sit in no surviving ball
     # and get the sentinel.
     g = star_forest(10, 8)
-    res = build_and_verify(g, range(10), 1, mode)
+    res = build_and_verify(g, range(10), 1)
     assert res.samples == (0,)
     assert res.subseq == tuple(range(1, 10))
-    assert res.mode == mode
     expected = [9] + list(range(9)) + [9] * 8
     for c in range(1, 10):
         expected.extend([c - 1] * 8)
     assert res.ex == tuple(expected)
     assert res.ex[:14] == (9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9)
-    assert set(res.s_lt) == {0} and set(res.s_gt) == {0}
+    assert set(res.s_of) == {0}
 
 
 @pytest.mark.parametrize("factory,n", [(edgeless, 50), (clique, 30)])
-@pytest.mark.parametrize("mode", ["nip", "stable"])
-def test_uniform_family_build(factory, n, mode):
+def test_uniform_family_build(factory, n):
     # Radius-0 balls are singletons; all vertices look alike, so each
     # surviving center's only exception is its own position.
     g = factory(n)
-    res = build_and_verify(g, range(n), 0, mode)
+    res = build_and_verify(g, range(n), 0)
     assert res.samples == (0,)
     assert res.subseq == tuple(range(1, n))
     assert res.ex == (n - 1,) + tuple(range(n - 1))
-    assert set(res.s_lt) == {0} and set(res.s_gt) == {0}
+    assert set(res.s_of) == {0}
 
 
 def test_half_graph_modes_diverge():
-    # Half graphs order their vertices; two samples are needed and the
-    # two modes certify vertex 8 differently while both verify.
+    # Half graphs order their vertices; two samples are needed. Vertex 8
+    # has an earlier split certificate (sample 1 before ball 1, sample 0
+    # after it), but its single-sample certificate takes ball 2.
     g = half_graph(6)
-    nip = build_and_verify(g, range(12), 0, "nip")
-    stable = build_and_verify(g, range(12), 0, "stable")
-    assert nip.samples == stable.samples == (0, 9)
-    assert nip.subseq == stable.subseq == (1, 2, 3)
-    assert nip.ex == (3, 0, 1, 2, 3, 3, 3, 0, 1, 3, 3, 3)
-    assert nip.s_lt == (0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1)
-    assert nip.s_gt == (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
-    assert stable.ex == (3, 0, 1, 2, 3, 3, 3, 0, 2, 3, 3, 3)
-    assert stable.s_lt == stable.s_gt == (0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1)
+    res = build_and_verify(g, range(12), 0)
+    assert res.samples == (0, 9)
+    assert res.subseq == (1, 2, 3)
+    assert res.ex == (3, 0, 1, 2, 3, 3, 3, 0, 2, 3, 3, 3)
+    assert res.s_of == (0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1)
+    balls = [ball_mask(g, c, 0) for c in res.subseq]
+    assert decompose_exceptional(g, res.samples, balls, 8) == (1, 1, 0)
 
 
 def test_containment_rule_direct():
     g = star_forest(10, 8)
-    inp = DisjointFamilyInput(tuple(range(10)), 1, "nip")
+    inp = DisjointFamilyInput(tuple(range(10)), 1)
     res = build_sample_set(g, inp)
     balls = [ball_mask(g, c, 1) for c in res.subseq]
     for a in range(g.n):
@@ -110,7 +106,7 @@ def test_empty_centers():
     res = build_sample_set(g, DisjointFamilyInput((), 0))
     assert res.samples == () and res.subseq == ()
     assert res.ex == (0,) * 5
-    assert res.s_lt == (None,) * 5
+    assert res.s_of == (None,) * 5
     ok, why = verify_sample_set(g, DisjointFamilyInput((), 0), res)
     assert ok, why
 
@@ -180,9 +176,9 @@ def stable_certificate(g, samples, balls, a):
         bad = [i for i, ball in enumerate(balls)
                if not phi_equivalent_over(g, a, s, ball)]
         if not bad:
-            return len(balls), p, p
+            return len(balls), p
         if len(bad) == 1:
-            return bad[0], p, p
+            return bad[0], p
     return None
 
 
@@ -198,9 +194,9 @@ def test_decompose_split_needs_two_samples():
 
 def test_stable_certificate_one_bad_ball():
     g = Graph.from_edges(5, [(0, 3)])
-    assert stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (1, 0, 0)
+    assert stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (1, 0)
     g = edgeless(5)
-    assert stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (3, 0, 0)
+    assert stable_certificate(g, (1,), singleton_balls(2, 3, 4), 0) == (3, 0)
 
 
 # ------------------------------------------- vertex-parallel differentials
@@ -248,51 +244,41 @@ def pick_by_vertex(g, samples, balls):
 
 
 @given(graph_samples_balls())
-def test_certificates_match_per_vertex_decomposition(case):
-    g, samples, balls = case
-    table = class_table(g, samples, balls)
-    want = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
-    got = _certificates(g.full_mask(), table, len(samples), "nip")
-    assert got == (None if None in want else want)
-
-
-@given(graph_samples_balls())
 @example((Graph.from_edges(10, [(0, 4), (1, 4), (1, 9)]), (0, 1, 2, 4),
           singleton_balls(0, 1)))
 @example((Graph.from_edges(10, [(0, 3), (0, 6), (1, 6), (3, 4)]), (1, 3, 4),
           singleton_balls(0, 1, 2, 3)))
 def test_stable_certificates_match_per_vertex_reference(case):
-    # the reference: the nip certificate where one sample covers both
-    # sides, else the per-vertex single-sample certificate. In the first
-    # example vertex 9's nip certificate splits, and samples 1 and 3 each
-    # miss it on one ball (1 and 0): the lower sample wins. In the second
-    # every vertex has a nip certificate, vertices 2 and 6 no stable one.
+    # the reference: None when some vertex has no split certificate;
+    # else the split certificate where one sample covers both sides, and
+    # the per-vertex single-sample certificate otherwise. In the first
+    # example vertex 9's split certificate uses two samples, and samples 1
+    # and 3 each miss it on one ball (1 and 0): the lower sample wins. In
+    # the second every vertex has a split certificate, vertices 2 and 6
+    # no single-sample one.
     g, samples, balls = case
     table = class_table(g, samples, balls)
-    nip = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
-    if None in nip:
-        assert _certificates(g.full_mask(), table, len(samples),
-                             "stable") is None
+    split = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
+    if None in split:
+        assert _certificates(g.full_mask(), table, len(samples)) is None
         return
-    want = [c if c[1] == c[2] else stable_certificate(g, samples, balls, a)
-            for a, c in enumerate(nip)]
+    want = [c[:2] if c[1] == c[2] else stable_certificate(g, samples, balls, a)
+            for a, c in enumerate(split)]
     if None in want:
         with pytest.raises(ModeError, match=f"^vertex {want.index(None)} "
                            "has no single-sample certificate"):
-            _certificates(g.full_mask(), table, len(samples), "stable")
+            _certificates(g.full_mask(), table, len(samples))
     else:
-        assert _certificates(g.full_mask(), table, len(samples),
-                             "stable") == want
+        assert _certificates(g.full_mask(), table, len(samples)) == want
 
 
-@pytest.mark.parametrize("mode", ["nip", "stable"])
 @pytest.mark.parametrize("survivors", [0, 1, 400])
-def test_no_certificates_without_samples(mode, survivors):
+def test_no_certificates_without_samples(survivors):
     # build_sample_set skips the certificates in its sample-free round 0:
     # with no sample no vertex decomposes, however many balls survive
     table = [[] for _ in range(survivors)]
     for n in (1, 2, 400):
-        assert _certificates((1 << n) - 1, table, 0, mode) is None
+        assert _certificates((1 << n) - 1, table, 0) is None
 
 
 @given(graph_samples_balls())
@@ -311,8 +297,6 @@ def test_input_validation():
         build_sample_set(g, DisjointFamilyInput((0, 1), 1))
     with pytest.raises(InputError, match="pairwise distinct"):
         DisjointFamilyInput((2, 2), 0)
-    with pytest.raises(InputError, match="mode"):
-        DisjointFamilyInput((0,), 0, "loose")
     with pytest.raises(InputError, match="half radius"):
         DisjointFamilyInput((0,), -1)
     # every center is range-checked before any overlap is tested
@@ -328,7 +312,7 @@ def test_input_validation():
 
 def test_budget_exhaustion_payloads():
     g = half_graph(6)
-    inp = DisjointFamilyInput(tuple(range(12)), 0, "nip")
+    inp = DisjointFamilyInput(tuple(range(12)), 0)
     # the pattern cap stops the build with the state it reached
     with pytest.raises(BudgetExceeded) as exc:
         build_sample_set(g, inp, SampleBudget(max_pattern_length=9))
@@ -340,9 +324,9 @@ def test_budget_exhaustion_payloads():
 
 # ---------------------------------------------------------- verification
 
-def half_graph_result(mode="nip"):
+def half_graph_result():
     g = half_graph(6)
-    inp = DisjointFamilyInput(tuple(range(12)), 0, mode)
+    inp = DisjointFamilyInput(tuple(range(12)), 0)
     return g, inp, build_sample_set(g, inp)
 
 
@@ -360,7 +344,7 @@ def test_verify_names_a_ball_vertex_with_another_exception():
     # exceptional index at a later ball or at the sentinel is named by the
     # containment rule before any equivalence over a ball is checked
     g = random_bounded_degree(60, 3, 1)
-    inp = DisjointFamilyInput(tuple(range(g.n)), 0, "stable")
+    inp = DisjointFamilyInput(tuple(range(g.n)), 0)
     res = build_sample_set(g, inp)
     assert res.subseq[0] == 1 and res.ex[1] == 0
     for e in (1, len(res.subseq)):
@@ -395,20 +379,11 @@ def test_verify_rejects_equivalent_samples():
 
 def test_verify_rejects_wrong_side_sample():
     g, inp, res = half_graph_result()
-    s_lt = list(res.s_lt)
-    s_lt[8] = 0  # vertex 8 matches sample 0 over no ball before its exception
-    bad = dataclasses.replace(res, s_lt=tuple(s_lt))
+    s_of = list(res.s_of)
+    s_of[8] = 0  # vertex 8 matches sample 0 over no ball before its exception
+    bad = dataclasses.replace(res, s_of=tuple(s_of))
     ok, why = verify_sample_set(g, inp, bad)
     assert not ok and "not equivalent to sample 0" in why
-
-
-def test_verify_rejects_split_in_stable_mode():
-    g, inp, res = half_graph_result("stable")
-    s_gt = list(res.s_gt)
-    s_gt[8] = 0
-    bad = dataclasses.replace(res, s_gt=tuple(s_gt))
-    ok, why = verify_sample_set(g, inp, bad)
-    assert not ok and "split samples" in why
 
 
 def test_verify_rejects_short_tables():
@@ -429,29 +404,29 @@ def test_verify_rejects_out_of_range_exception():
 
 def path_result():
     # samples (0,), subsequence (3, 6, 9); vertex 0 (exceptional index 3)
-    # needs a before-sample and vertex 2 (index 0) an after-sample
+    # needs a sample for the balls before its exception and vertex 2
+    # (index 0) one for the balls after it
     g = path(12)
-    inp = DisjointFamilyInput((0, 3, 6, 9), 0, "nip")
+    inp = DisjointFamilyInput((0, 3, 6, 9), 0)
     return g, inp, build_sample_set(g, inp)
 
 
-@pytest.mark.parametrize("table,vertex,value,why", [
-    ("s_lt", 0, None, "vertex 0 lacks a valid before-sample"),
-    ("s_gt", 2, 5, "vertex 2 lacks a valid after-sample"),
-], ids=["before-none", "after-out-of-range"])
-def test_verify_rejects_missing_sample(table, vertex, value, why):
+@pytest.mark.parametrize("vertex,value", [(0, None), (2, 5)],
+                         ids=["before-none", "after-out-of-range"])
+def test_verify_rejects_missing_sample(vertex, value):
     g, inp, res = path_result()
     assert verify_sample_set(g, inp, res) == (True, None)
-    cells = list(getattr(res, table))
-    cells[vertex] = value
-    bad = dataclasses.replace(res, **{table: tuple(cells)})
-    assert verify_sample_set(g, inp, bad) == (False, why)
+    s_of = list(res.s_of)
+    s_of[vertex] = value
+    bad = dataclasses.replace(res, s_of=tuple(s_of))
+    assert verify_sample_set(g, inp, bad) == (
+        False, f"vertex {vertex} lacks a valid sample")
 
 
 def test_verify_rejects_overlapping_balls():
     g, _, res = path_result()
     # radius-1 balls {0, 1} and {0, 1, 2} share two vertices
-    inp = DisjointFamilyInput((0, 1), 1, "nip")
+    inp = DisjointFamilyInput((0, 1), 1)
     bad = dataclasses.replace(res, subseq=(0, 1))
     assert verify_sample_set(g, inp, bad) == (
         False, "radius-1 balls of centers 0 and 1 overlap")
