@@ -28,6 +28,41 @@ items, and decides the whole input only when the refinement leaves the
 crop whole; since constancy is closed under subsequences, a pattern that
 varies on the crop refutes the whole input, which is then never scanned.
 
+Before the per-pattern path, the extractor reads one exception table
+(``_decided_by_exceptions``) on the crop, again each time a refinement
+shrinks the survivors, and on the whole input before
+``is_delta_indiscernible``. The paper's first theorem says that over a
+long indiscernible sequence in a monadically stable class every witness
+has the same type at every item but one at most. When that holds on s
+items, each witness has a main type t and at most one exception, a type
+u at one position; E[t][u] holds the positions where some t-witness is
+u. A pattern of length l >= s has one tuple at most, and for l < s each
+single-type pattern is decided by one rule, each an exact criterion:
+
+- (a) is constant when a holds at every item or at none.
+- t^l, l >= 2: only a t-witness is t at two items, so it holds exactly
+  on the tuples that miss a position where a t-witness changes type,
+  unless some witness is t at every item. It is constant when such a
+  witness exists, or no t-witness changes type, or more than l positions
+  carry such changes; otherwise a tuple through all of them is false and
+  one that skips one of them is true.
+- (a, b) holds on (i, j) exactly when j is in E[a][b] or i is in
+  E[b][a]; it is constant unless some pair meets that and some does not.
+- t^l with u at place p, l >= 3: only a t-witness is t at two items, so
+  it holds exactly when the item at place p is in E[t][u], and it is
+  constant when E[t][u] holds all or none of the positions place p can
+  take.
+- Any other single-type pattern needs a witness that changes type twice
+  and never holds.
+
+A pattern with union entries is an OR of single-type ones, so it is
+constant when they all are. A yes therefore proves every pattern up to
+the longest one given constant, the same answer the per-pattern path
+gives, and costs O(T^2 * s) mask operations for T types instead of one
+decision per pattern. A no only means that the table cannot tell: some
+witness changes type twice, or some single-type pattern varies, which
+need not refute the patterns given; the per-pattern path then decides.
+
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by a depth-first witness branching: each level places one
@@ -53,12 +88,13 @@ costs up to k*s further searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import and_, not_, or_
+from itertools import accumulate, chain, compress
+from operator import and_, attrgetter, not_, or_
 from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
-from .formulas import Atom, EvalContext, Pattern, entry_mask, entry_row
+from .formulas import (Atom, EvalContext, Pattern, all_phi_types, entry_mask,
+                       entry_row)
 
 
 @dataclass(frozen=True)
@@ -129,6 +165,84 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
             got = rows[e] = (row, _all_but_one(row))
         out.append(got)
     return out
+
+
+def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
+                           items: Seq[int], rows: dict) -> bool:
+    """True when every pattern of length <= k over ``phi`` is constant on
+    ``items``, read off the exception table; False when it cannot tell.
+
+    It can tell only when every witness has one type at every item but
+    one at most. ``table[t, u]`` is E[t][u], a bitmask of positions, and
+    the module docstring gives the rules that decide each single-type
+    pattern from it. t^l is constant for every l <= k when it is for
+    l = k, so only t^k is checked.
+
+    Each type's row and all-but-one list come from ``_entry_rows`` on
+    ``rows``, the cache for ``items``, so the refinement that may follow
+    reads them instead of building them again.
+    """
+    s = len(items)
+    k = min(k, s - 1)  # a pattern of length >= s has one tuple at most
+    if k < 1:
+        return True
+    singles = [frozenset((t,)) for t in all_phi_types(len(phi))]
+    got = _entry_rows(ctx, phi, singles, items, rows)
+    by_type = [row for row, _ in got]
+    if not all(all(row) or not any(row) for row in by_type):
+        return False
+    if k == 1:
+        return True
+    # excl[p] holds the witnesses that are t at every item but p; those
+    # not t at p change type there
+    covered = 0
+    table: dict[tuple[int, int], int] = {}
+    for t, (row, excl) in enumerate(got):
+        changes = 0
+        for p, (m, x) in enumerate(zip(row, excl)):
+            covered |= x
+            x &= ~m
+            if x:
+                changes |= 1 << p
+                for u, other in enumerate(by_type):
+                    if x & other[p]:
+                        table[t, u] = table.get((t, u), 0) | 1 << p
+        # t^k varies: no witness is t at every item, and a tuple can
+        # cover every position where a t-witness changes type
+        if changes and not excl[0] & row[0] and changes.bit_count() <= k:
+            return False
+    if covered != ctx.graph.full_mask():
+        return False  # some witness changes type twice
+    last = (1 << s) - 1
+    for a, b in {*table, *((b, a) for a, b in table)}:
+        # (a, b) on (i, j): true when j is in `second` or i in `first`;
+        # a false pair takes the lowest i outside `first` and some j
+        # above it outside `second`
+        second, first = table.get((a, b), 0), table.get((b, a), 0)
+        free = ~first & last >> 1
+        lo = (free & -free).bit_length() - 1
+        if ((second >> 1 or first & last >> 1)
+                and free and (~second & last) >> lo + 1):
+            return False
+    for length in range(3, k + 1):
+        span = (1 << s - length + 1) - 1
+        for place in range(length):
+            spot = span << place
+            if any(at & spot not in (0, spot) for at in table.values()):
+                return False
+    return True
+
+
+def _longest(phi: tuple[Atom, ...], patterns: Seq[Pattern]) -> int:
+    """Length of the longest pattern, once every type in ``patterns`` is
+    checked to hold one polarity per formula of ``phi``: the exception
+    table may decide every pattern without evaluating one."""
+    entries = list(map(attrgetter("entries"), patterns))
+    for tau in chain.from_iterable(set(chain.from_iterable(entries))):
+        if len(tau) != len(phi):
+            raise InputError(f"type arity {len(tau)} does not match "
+                             f"|phi|={len(phi)}")
+    return max(map(len, entries), default=0)
 
 
 def _first_truth(masks: list[list[int]], alive0: int) -> bool:
@@ -463,15 +577,19 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     A single entry takes one scan of its row over ``items``: it is
     constant when no position or every position misses alive0, and
     otherwise the majority truth is kept, a tie going to the first
-    item's truth as in ``_majority``. A longer pattern is decided by
-    ``_decide`` on ``rows``, the cache for ``items``; each recursive call
-    refines a different item list and so starts its own.
+    item's truth as in ``_majority``. The row is read from ``rows`` when
+    the exception table has stored it there, and built otherwise
+    without storing it: a recursive call's cache is fresh, and no longer
+    pattern reads an all-but-one list built there. A longer pattern is
+    decided by ``_decide`` on ``rows``, the cache for ``items``; each
+    recursive call refines a different item list and so starts its own.
     """
     depth = len(entries)
     if len(items) < depth:
         return items, None
     if depth == 1:
-        row = entry_row(ctx, phi, entries[0], items)
+        got = rows.get(entries[0])
+        row = got[0] if got else entry_row(ctx, phi, entries[0], items)
         hit = list(map(alive0.__and__, row))
         misses = hit.count(0)
         trues = len(hit) - misses
@@ -517,10 +635,13 @@ def extract_indiscernible(
     The refinement is the crop's indiscernibility check: it leaves the
     crop whole exactly when every pattern is constant there. The crop is
     a subsequence, so a pattern that is not constant there is not
-    constant on the whole input, and the whole input is decided, by
-    ``is_delta_indiscernible``, only when the refinement leaves the crop
-    whole. Each pattern's top-level refinement shares one ``_decide``
-    cache until the survivors change.
+    constant on the whole input, and the whole input is decided, by the
+    exception table and then by ``is_delta_indiscernible``, only when the
+    refinement leaves the crop whole. The table is read on the crop
+    first and again whenever the survivors shrink; a yes ends the
+    refinement, which would leave constant patterns' survivors as they
+    are. Each pattern's top-level refinement shares one ``_decide`` cache
+    until the survivors change.
     """
     _check_items(ctx, items)
     if len(items) < cfg.target_length:
@@ -528,20 +649,25 @@ def extract_indiscernible(
             f"input length {len(items)} is below the target "
             f"{cfg.target_length}")
     full = ctx.graph.full_mask()
+    k = _longest(phi, patterns)
     survivors = crop = list(items[:cfg.window])
     rows: dict = {}
     blocking: Pattern | None = None
-    for pattern in sorted(patterns, key=len):
-        before = survivors
-        survivors, _ = _make_homogeneous(ctx, phi, pattern.entries,
-                                         survivors, full, rows)
-        if survivors is not before:
-            rows = {}
-        if (blocking is None
-                and len(before) >= cfg.target_length > len(survivors)):
-            blocking = pattern
+    if not _decided_by_exceptions(ctx, phi, k, crop, rows):
+        for pattern in sorted(patterns, key=len):
+            before = survivors
+            survivors, _ = _make_homogeneous(ctx, phi, pattern.entries,
+                                             survivors, full, rows)
+            if (blocking is None
+                    and len(before) >= cfg.target_length > len(survivors)):
+                blocking = pattern
+            if survivors is not before:
+                rows = {}
+                if _decided_by_exceptions(ctx, phi, k, survivors, rows):
+                    break
     if survivors is crop and (
             len(crop) == len(items)
+            or _decided_by_exceptions(ctx, phi, k, items, {})
             or is_delta_indiscernible(ctx, phi, patterns, items)[0]):
         return list(items)
     if len(survivors) < cfg.target_length:

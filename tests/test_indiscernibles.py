@@ -3,6 +3,7 @@ import sys
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import and_, or_
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from flipwide import (
     ExtractionShortfall,
     FlipWideRequest,
     InputError,
+    Pattern,
+    dist_atom,
     edge_atom,
     em_type,
     enumerate_type_patterns,
@@ -23,7 +26,7 @@ from flipwide import (
     type_pattern,
 )
 from flipwide import indiscernibles, sampleset
-from flipwide.formulas import entry_mask, eval_gamma
+from flipwide.formulas import all_phi_types, entry_mask, eval_atom, eval_gamma
 from flipwide.generators import (
     clique,
     complement,
@@ -33,6 +36,7 @@ from flipwide.generators import (
     path,
     random_bounded_degree,
     star_forest,
+    subdivided_clique,
 )
 from flipwide.graphcore import Graph, mask_of
 from flipwide.indiscernibles import (
@@ -181,6 +185,19 @@ def test_input_validation():
         ExtractionConfig(target_length=0)
     with pytest.raises(InputError):
         ExtractionConfig(target_length=1, window=0)
+
+
+def test_extraction_rejects_types_of_the_wrong_arity():
+    # the clique is indiscernible, so the exception table would decide
+    # every pattern without evaluating one; a type with two polarities
+    # over one formula is still rejected, as the per-pattern path does
+    ctx = edge_ctx(clique(10))
+    bad = type_pattern([(True, False), (True, True)])
+    for patterns in ([bad], [*PATS3, bad]):
+        with pytest.raises(InputError,
+                           match=r"^type arity 2 does not match \|phi\|=1$"):
+            extract_indiscernible(ctx, EDGE, patterns, list(range(10)),
+                                  ExtractionConfig(target_length=2))
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
@@ -776,7 +793,8 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
     # over the level-0 build of a 400-vertex sparse graph: no single-entry
     # pattern reaches the false search, no pattern with a stored prefix
     # that keeps no witness reaches the entry rows, and no first-true
-    # pattern is searched twice on one cache
+    # pattern is searched twice on one cache; the exception table is
+    # turned off, since it would stop the refinement before these paths
     current: list = []
     caches: list[dict] = []  # held so that no cache id is reused
     searched: set = set()
@@ -807,6 +825,8 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
     monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
     monkeypatch.setattr(indiscernibles, "_entry_rows", recording_rows)
     monkeypatch.setattr(indiscernibles, "_false_search", recording_search)
+    monkeypatch.setattr(indiscernibles, "_decided_by_exceptions",
+                        lambda ctx, phi, k, items, rows: False)
     g = random_bounded_degree(400, 3, 1)
     build_sample_set(g, DisjointFamilyInput(tuple(range(g.n)), 0))
     assert seen["dead"] and seen["search"], seen
@@ -1024,3 +1044,156 @@ def test_crop_refutation_skips_the_full_check(monkeypatch, seed):
     assert max(extracted) > DEFAULT_WINDOW
     assert seen and max(seen) <= DEFAULT_WINDOW
     assert repeats == 0
+
+
+def _type_rows(ctx, phi, items):
+    """Each vertex's Φ-type at each item, one atom at a time."""
+    return [[tuple(eval_atom(ctx, a, z, y) for a in phi) for y in items]
+            for z in range(ctx.graph.n)]
+
+
+def _first_varying_length(ctx, phi, patterns, items, longest=4):
+    """The shortest length, up to ``longest``, at which some type pattern
+    or some pattern of ``patterns`` takes both truths over the increasing
+    tuples of ``items``; None when there is none. A tuple's realised type
+    tuples decide every type pattern at once: each one holds exactly on
+    the tuples that realise it."""
+    rows = _type_rows(ctx, phi, items)
+    for length in range(1, min(longest, len(items)) + 1):
+        realised = [{tuple(row[i] for i in combo) for row in rows}
+                    for combo in combinations(range(len(items)), length)]
+        if any(r != realised[0] for r in realised):
+            return length
+        for pattern in patterns:
+            if len(pattern) == length and len({
+                    any(all(t in e for t, e in zip(tup, pattern.entries))
+                        for tup in r) for r in realised}) > 1:
+                return length
+    return None
+
+
+def _changes_at_most_once(ctx, phi, items):
+    return all(len(items) < 3
+               or any(sum(t != u for u in row) <= 1 for t in row)
+               for row in _type_rows(ctx, phi, items))
+
+
+def _check_table_by_enumeration(ctx, phi, patterns, items, outcomes):
+    """Run the table at every k from 1 to 4: a yes must hold by
+    enumeration, and when every vertex changes type once at most, a no
+    must be a pattern that varies."""
+    first = _first_varying_length(ctx, phi, patterns, items)
+    exact = _changes_at_most_once(ctx, phi, items)
+    for k in range(1, 5):
+        got = indiscernibles._decided_by_exceptions(ctx, phi, k, items, {})
+        if got:
+            assert first is None or first > k, (items, k)
+        elif exact:
+            assert first is not None and first <= k, (items, k)
+        outcomes[got] += 1
+
+
+def _one_change_kinds(s):
+    """The item sets a vertex may be adjacent to when it changes edge
+    type at one of s items at most: all of them, all but one, or one."""
+    return ([frozenset(range(s))]
+            + [frozenset(range(s)) - {p} for p in range(s)]
+            + [frozenset((p,)) for p in range(s)])
+
+
+def _one_change_graph(s, picked):
+    """s pairwise non-adjacent items 0..s-1, then one witness per picked
+    item set, adjacent to exactly those items."""
+    return Graph.from_edges(s + len(picked), [
+        (s + w, p) for w, kind in enumerate(picked) for p in kind])
+
+
+def _table_case(data):
+    """A small graph from a stable or a non-stable family, with edge,
+    dist or eq atoms, and a sequence of 1 to 10 of its vertices; or the
+    items of a one-change graph under the edge atom."""
+    if data.draw(st.integers(0, 2)) == 0:
+        s = data.draw(st.integers(3, 5))
+        picked = [kind for kind in _one_change_kinds(s)
+                  if data.draw(st.booleans())]
+        return edge_ctx(_one_change_graph(s, picked)), EDGE, list(range(s))
+    make = data.draw(st.sampled_from([
+        lambda m: half_graph(m), lambda m: subdivided_clique(2 + m % 3),
+        lambda m: random_bounded_degree(2 * m + 2, 1 + m % 3, m),
+        lambda m: complement(random_bounded_degree(2 * m + 2, 2, m)),
+        lambda m: clique(m + 1), lambda m: edgeless(m + 1),
+        lambda m: matching(m), lambda m: star_forest(2, m)]))
+    g = make(data.draw(st.integers(1, 5)))
+    kind = data.draw(st.sampled_from(["edge", "dist", "edge+dist", "eq"]))
+    radius = data.draw(st.integers(1, 2))
+    if kind == "eq":
+        consts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                    max_size=2, unique=True))
+        ctx = EvalContext(g, consts, radius)
+        phi = tuple(eq_atom(i) for i in range(len(consts)))
+    else:
+        ctx = EvalContext(g, (), radius)
+        phi = {"edge": EDGE, "dist": (dist_atom(),),
+               "edge+dist": (edge_atom(), dist_atom())}[kind]
+    size = data.draw(st.sampled_from([1, 2, 3]) | st.integers(4, 10))
+    items = data.draw(st.permutations(range(g.n)))[:size]
+    return ctx, phi, items
+
+
+def test_exception_table_yes_matches_enumeration():
+    # the items the extraction hands the table (the crop, each
+    # refinement's survivors, and an input longer than the window) and
+    # every prefix of the input are checked against enumeration at
+    # k = 1..4, with type patterns or patterns with union entries
+    outcomes = {True: 0, False: 0}
+    whole = 0
+    decided = indiscernibles._decided_by_exceptions
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, database=None)
+    def check(data):
+        nonlocal whole
+        ctx, phi, items = _table_case(data)
+        k = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            patterns = enumerate_type_patterns(len(phi), k)
+        else:
+            entry = st.lists(st.sampled_from(all_phi_types(len(phi))),
+                             min_size=1, unique=True).map(frozenset)
+            patterns = [Pattern(data.draw(st.lists(entry, min_size=length,
+                                                   max_size=length)))
+                        for length in range(1, k + 1)]
+        window = data.draw(st.integers(1, len(items)) | st.none())
+        seen = []
+
+        def recording(ctx, phi, k, seq, rows):
+            seen.append(list(seq))
+            return decided(ctx, phi, k, seq, rows)
+
+        with patch.object(indiscernibles, "_decided_by_exceptions",
+                          recording):
+            extract_indiscernible(ctx, phi, patterns, items,
+                                  ExtractionConfig(target_length=1,
+                                                   window=window))
+        whole += items in seen[1:] and len(items[:window]) < len(items)
+        for end in range(1, len(items) + 1):
+            seen.append(items[:end])
+        for seq in seen:
+            _check_table_by_enumeration(ctx, phi, patterns, seq, outcomes)
+
+    check()
+    assert min(outcomes.values()) > 500 and whole > 50, (outcomes, whole)
+
+
+@pytest.mark.parametrize("s", [4, 5])
+def test_exception_table_is_exact_on_one_change_structures(s):
+    # every one-change graph over s items: every vertex changes type once
+    # at most, so the table must agree with enumeration both ways, for
+    # every choice of witness kinds and every k
+    kinds = _one_change_kinds(s)
+    outcomes = {True: 0, False: 0}
+    for chosen in range(1 << len(kinds)):
+        picked = [kind for i, kind in enumerate(kinds) if chosen >> i & 1]
+        _check_table_by_enumeration(edge_ctx(_one_change_graph(s, picked)),
+                                    EDGE, (), list(range(s)), outcomes)
+    assert min(outcomes.values()) > 100, outcomes
