@@ -6,14 +6,17 @@ used for indiscernibility.
 Evaluation is mask-based: for a fixed second argument y, each atom has a
 bitmask of satisfying first arguments, computed once and cached on the
 EvalContext, and so has each pattern entry. Pattern evaluation then
-reduces to AND/OR over masks.
+reduces to AND/OR over masks. ``entry_row`` builds an entry's masks over
+a whole item list at once, from the atoms' rows over the items it has
+not seen yet; ``type_mask`` is the pointwise reference for one item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, repeat
+from operator import and_, is_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InputError
@@ -110,13 +113,13 @@ class EvalContext:
 
     Balls are computed the first time a vertex needs one; ``balls`` may
     hand in balls already computed at ``ball_radius``, as vertex -> mask,
-    and they are taken as given. Atom masks are memoized per (atom, y).
-    Entry masks are memoized per (phi, entry), as one dict from y to
-    mask, so a scan over a sequence looks each entry up once and then
-    indexes by vertex. Type masks have no memo of their own: each is
-    computed only when an entry mask is first built. Immutable after
-    construction apart from these memo tables; safe to share across
-    threads for read-only evaluation.
+    and they are taken as given. Atom masks are memoized as one dict per
+    atom, and entry masks as one dict per (phi, entry), each from y to
+    mask, so a row over a sequence looks its dict up once and then reads
+    every item with one ``map``. Type masks have no memo of their own:
+    ``entry_row`` combines atom rows into the entry's row directly.
+    Immutable after construction apart from these memo tables; safe to
+    share across threads for read-only evaluation.
     """
 
     __slots__ = ("graph", "constants", "ball_radius", "_balls",
@@ -150,24 +153,39 @@ class EvalContext:
         return got
 
 
-def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
-    """Bitmask of all x with atom(x, y), cached per (atom, y).
+def _atom_masks_at(ctx: EvalContext, atom: Atom, ys) -> list[int]:
+    """The atom's masks at each of ``ys``, computed without the memo.
 
     An eq_nbhd mask is the constant's class under ``eq_class_mask`` over
     the ball of y: O(|ball|) mask operations, not a pass over the graph.
     """
-    key = (atom, y)
-    got = ctx._atom_masks.get(key)
-    if got is not None:
-        return got
     if atom.kind == EDGE:
-        m = ctx.graph.rows[y]
-    elif atom.kind == DIST_LEQ:
-        m = ctx.ball(y)
-    else:
-        m = eq_class_mask(ctx.graph, ctx.constant(atom.const), ctx.ball(y))
-    ctx._atom_masks[key] = m
-    return m
+        return list(map(ctx.graph.rows.__getitem__, ys))
+    if atom.kind == DIST_LEQ:
+        return list(map(ctx.ball, ys))
+    const = ctx.constant(atom.const)
+    return [eq_class_mask(ctx.graph, const, ctx.ball(y)) for y in ys]
+
+
+def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
+    """Bitmask of all x with atom(x, y), cached in the atom's dict by y."""
+    memo = ctx._atom_masks.setdefault(atom, {})
+    got = memo.get(y)
+    if got is None:
+        got = memo[y] = _atom_masks_at(ctx, atom, (y,))[0]
+    return got
+
+
+def _atom_row(ctx: EvalContext, atom: Atom, ys: list[int]) -> list[int]:
+    """``atom_mask`` at each of ``ys``, with one memo lookup for the list
+    and the missing masks computed together."""
+    memo = ctx._atom_masks.setdefault(atom, {})
+    row = list(map(memo.get, ys))
+    if None in row:
+        missing = list(compress(ys, map(is_, row, repeat(None))))
+        memo.update(zip(missing, _atom_masks_at(ctx, atom, missing)))
+        row = list(map(memo.__getitem__, ys))
+    return row
 
 
 def eval_atom(ctx: EvalContext, atom: Atom, x: int, y: int) -> bool:
@@ -181,7 +199,8 @@ def type_mask(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
     """Bitmask of all x whose complete type over ``phi`` at y is ``tau``.
 
     Computed from the memoized atom masks on every call, without a memo
-    of its own; ``entry_row`` memoizes what it builds from these.
+    of its own: the pointwise reference for ``entry_row``, which builds
+    the same masks a row at a time.
     """
     if len(tau) != len(phi):
         raise InputError(f"type arity {len(tau)} does not match |phi|={len(phi)}")
@@ -205,22 +224,35 @@ def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
     """The entry's witness mask at each of ``items``: every x whose type
     over ``phi`` at y lies in ``entry``.
 
-    The memo for (phi, entry) is looked up once per call and then indexed
-    by y, so a row over a sequence hashes the pattern entry only once.
+    The memo for (phi, entry) is looked up once per call and read for
+    every item with one ``map``. The items it misses are filled together:
+    each type's masks there are the AND, over the formulas, of the atom's
+    row or of its complement, and the entry's are the OR over its types,
+    each step one ``map`` over the missing items. So a row costs O(|entry|
+    * |phi|) C-level passes, not one ``type_mask`` call per (type, item).
     """
     key = (phi, entry)
     memo = ctx._entry_masks.get(key)
     if memo is None:
         memo = ctx._entry_masks[key] = {}
-    row = []
-    for y in items:
-        m = memo.get(y)
-        if m is None:
-            m = 0
-            for tau in entry:
-                m |= type_mask(ctx, phi, tau, y)
-            memo[y] = m
-        row.append(m)
+    row = list(map(memo.get, items))
+    if None in row:
+        missing = list(compress(items, map(is_, row, repeat(None))))
+        full = ctx.graph.full_mask()
+        atom_rows = [_atom_row(ctx, atom, missing) for atom in phi]
+        fill = None
+        for tau in entry:
+            if len(tau) != len(phi):
+                raise InputError(f"type arity {len(tau)} does not match "
+                                 f"|phi|={len(phi)}")
+            m = None
+            for am, positive in zip(atom_rows, tau):
+                # atom masks lie within ``full``, so xor is its complement
+                part = am if positive else map(full.__xor__, am)
+                m = list(part) if m is None else list(map(and_, m, part))
+            fill = m if fill is None else list(map(or_, fill, m))
+        memo.update(zip(missing, fill))
+        row = list(map(memo.__getitem__, items))
     return row
 
 

@@ -162,10 +162,13 @@ def _bfs_levels(g: Graph, start_mask: int, limit: float = INF) -> list[int]:
 
 
 def ball_mask(g: Graph, v: int, radius: int) -> int:
-    """Bitmask of the closed distance-``radius`` ball around ``v``."""
+    """Bitmask of the closed distance-``radius`` ball around ``v``; radii
+    0 and 1 are read off ``v`` and its row without a BFS."""
     g.check_vertex(v)
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
+    if radius < 2:
+        return g.rows[v] | 1 << v if radius else 1 << v
     m = 0
     for lv in _bfs_levels(g, 1 << v, radius):
         m |= lv

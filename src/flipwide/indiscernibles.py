@@ -9,7 +9,13 @@ The cost model rides on witness masks. For a pattern entry e and a
 sequence element y, mask(e, y) is the bitmask of witnesses z satisfying
 e(z, y); the truth of a tuple is "the AND of its entry masks is nonzero".
 Masks are keyed by vertex, so they are shared across every refinement
-round of the extractor.
+round of the extractor. The layer works on whole rows: an entry's row
+over an item list is built in O(|entry| * |phi|) C-level passes
+(``formulas.entry_row``), and every later step is a ``map``, an
+``accumulate`` or a ``compress`` over rows or over lists of positions
+into them, with Python-level loops only over heads, search nodes and
+positions where something changes. No step evaluates one vertex at a
+time.
 
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
@@ -21,12 +27,18 @@ prefix that keeps no witness is constant False after at most k lookups,
 with no row read; a single entry whose first tuple is true takes one
 scan of its row; a longer one takes the false-tuple search; and a
 pattern whose first tuple is false costs one row step past its longest
-stored prefix. The refinement of a single entry skips ``_decide``: one
-scan of its row over the items gives both its constancy and its
-majority truth. The extractor refines the crop, its first window of
-items, and decides the whole input only when the refinement leaves the
-crop whole; since constancy is closed under subsequences, a pattern that
-varies on the crop refutes the whole input, which is then never scanned.
+stored prefix. The refinement (``_make_homogeneous``) reads each entry's
+row over the items once, from the same cache, and then works on
+positions into those rows (``_refine``): a single entry is one scan of
+its row at the positions left, which gives both its constancy and its
+majority truth, and a head h of the Ramsey head chain passes on the
+witnesses ``alive & row0[h]`` and the positions after it. A recursive
+step reads no row and evaluates no mask; it decides its pattern on the
+rows restricted to its positions. The extractor refines the crop, its
+first window of items, and decides the whole input only when the
+refinement leaves the crop whole; since constancy is closed under
+subsequences, a pattern that varies on the crop refutes the whole input,
+which is then never scanned.
 
 Before the per-pattern path, the extractor reads one exception table
 (``_decided_by_exceptions``) on the crop, again each time a refinement
@@ -67,12 +79,25 @@ For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
 ruled out, by a depth-first witness branching: each level places one
 entry where it removes the lowest alive witness, so the search tree is at
-most k levels deep and a node has at most k*s children; a node with one
-entry left to place is settled by one scan of that entry's row over its
-window, with no children. Two O(k*s) prechecks settle most constant
-patterns without branching: a universal witness, and the one-exception
-cover that the paper's first theorem gives over an indiscernible
-sequence. ``_false_search`` states the rules that prune the branching.
+most k levels deep and a node has at most k*s children. A node with one
+or two entries left to place has no children. One entry is settled by
+one scan of its row over its window. Two entries j1 < j2 are settled by
+the two-entry rule (``_pair_empties``): it looks for p1 < p2 in their
+windows with alive & m[j1][p1] & m[j2][p2] == 0. Call p1 closed when
+some alive witness of m[j1][p1] lies in m[j2] at every p2 after p1, one
+suffix AND; and p2 closed when some alive witness of m[j2][p2] lies in
+m[j1] at every p1 before p2, one prefix AND. Every pair through a closed
+position keeps that witness, so a pair that keeps none joins two open
+positions, and scanning the open pairs is exact. On the sequences the
+extractor meets most positions close, and the rule costs O(s) mask
+operations where the branching made up to s children. Two O(k*s)
+prechecks settle most constant patterns before any node: a universal
+witness, and the one-exception cover that the paper's first theorem
+gives over an indiscernible sequence. The cover holds only where
+single exceptions explain the masks; where some witness changes type
+twice it fails, and the two-entry rule still decides a pattern of
+length 2 at the root. ``_false_search`` states the rules that prune the
+branching.
 Neither search has a node budget or an enumeration fallback, and the
 false-tuple search is still exponential in k in the worst case, which
 dense random masks reach.
@@ -87,14 +112,16 @@ costs up to k*s further searches.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain, compress
-from operator import and_, attrgetter, not_, or_
+from operator import and_, attrgetter, invert, not_, or_
 from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
-from .formulas import (Atom, EvalContext, Pattern, all_phi_types, entry_mask,
-                       entry_row)
+from .formulas import (PATTERN_CAP, Atom, EvalContext, Pattern,
+                       all_phi_types, entry_row, enumerate_type_patterns)
 
 
 @dataclass(frozen=True)
@@ -193,26 +220,29 @@ def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
         return False
     if k == 1:
         return True
-    # excl[p] holds the witnesses that are t at every item but p; those
-    # not t at p change type there
-    covered = 0
+    # excl[p] holds the witnesses that are t at every item but p; unless
+    # every witness lies in one of them, some witness changes type twice
+    if reduce(or_, chain.from_iterable(excl for _, excl in got)) \
+            != ctx.graph.full_mask():
+        return False
     table: dict[tuple[int, int], int] = {}
+    positions = range(s)
     for t, (row, excl) in enumerate(got):
-        changes = 0
-        for p, (m, x) in enumerate(zip(row, excl)):
-            covered |= x
-            x &= ~m
-            if x:
-                changes |= 1 << p
-                for u, other in enumerate(by_type):
-                    if x & other[p]:
-                        table[t, u] = table.get((t, u), 0) | 1 << p
+        # the witnesses t at every item but p that change type there
+        moved = list(map(and_, excl, map(invert, row)))
+        changes = s - moved.count(0)
+        if not changes:
+            continue
         # t^k varies: no witness is t at every item, and a tuple can
         # cover every position where a t-witness changes type
-        if changes and not excl[0] & row[0] and changes.bit_count() <= k:
+        if not excl[0] & row[0] and changes <= k:
             return False
-    if covered != ctx.graph.full_mask():
-        return False  # some witness changes type twice
+        for u, other in enumerate(by_type):
+            if u != t:
+                at = sum(map((1).__lshift__,
+                             compress(positions, map(and_, moved, other))))
+                if at:
+                    table[t, u] = at
     last = (1 << s) - 1
     for a, b in {*table, *((b, a) for a, b in table)}:
         # (a, b) on (i, j): true when j is in `second` or i in `first`;
@@ -224,25 +254,40 @@ def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
         if ((second >> 1 or first & last >> 1)
                 and free and (~second & last) >> lo + 1):
             return False
-    for length in range(3, k + 1):
-        span = (1 << s - length + 1) - 1
-        for place in range(length):
-            spot = span << place
-            if any(at & spot not in (0, spot) for at in table.values()):
-                return False
+    # place p of a length-l pattern takes the positions p..p+s-l, which
+    # lie within those of place max(0, p+3-l) at length 3, so the three
+    # length-3 spans decide every length from 3 to k
+    if k >= 3:
+        span = (1 << s - 2) - 1
+        for at in table.values():
+            for place in range(3):
+                if at & span << place not in (0, span << place):
+                    return False
     return True
 
 
-def _longest(phi: tuple[Atom, ...], patterns: Seq[Pattern]) -> int:
-    """Length of the longest pattern, once every type in ``patterns`` is
-    checked to hold one polarity per formula of ``phi``: the exception
-    table may decide every pattern without evaluating one."""
+def _by_length(phi: tuple[Atom, ...], patterns: Seq[Pattern],
+               ) -> tuple[Seq[Pattern], int]:
+    """``patterns`` shortest first, and the longest length, once every
+    type in them is checked to hold one polarity per formula of ``phi``:
+    the exception table may decide every pattern without evaluating one.
+
+    The tuple that ``enumerate_type_patterns`` returns for |phi| is
+    already shortest first and of that arity, so it is taken as it is.
+    It is recognised by identity, after a length test that keeps any
+    other list from building an enumeration that is not memoised."""
+    k = len(patterns[-1]) if patterns else 0
+    if (k and phi and len(patterns) == sum(2 ** (len(phi) * length)
+                                   for length in range(1, k + 1))
+            <= PATTERN_CAP
+            and patterns is enumerate_type_patterns(len(phi), k)):
+        return patterns, k
     entries = list(map(attrgetter("entries"), patterns))
     for tau in chain.from_iterable(set(chain.from_iterable(entries))):
         if len(tau) != len(phi):
             raise InputError(f"type arity {len(tau)} does not match "
                              f"|phi|={len(phi)}")
-    return max(map(len, entries), default=0)
+    return sorted(patterns, key=len), max(map(len, entries), default=0)
 
 
 def _first_truth(masks: list[list[int]], alive0: int) -> bool:
@@ -303,6 +348,59 @@ def _one_exception_cover(masks: list[list[int]], alive0: int,
     return False
 
 
+def _pair_empties(alive: int, row1: list[int], row2: list[int],
+                  adjacent: bool) -> bool:
+    """Whether some pair of positions, i in ``row1`` and i2 in ``row2``,
+    leaves no alive witness. When ``adjacent``, the rows are the windows
+    of two consecutive entries, of equal width, and only the pairs with
+    i <= i2 are increasing; otherwise a placed entry sits between them
+    and every pair is.
+
+    i is closed when some alive witness of row1[i] lies in row2 at every
+    i2 it pairs with, one suffix AND; i2 is closed when some alive
+    witness of row2[i2] lies in row1 at every i it pairs with, one prefix
+    AND. A pair through a closed position keeps that witness, so only
+    pairs of open positions are scanned, one C-level pass per open
+    position on the side with fewer of them. A pair that keeps no
+    witness splits the alive witnesses between its two sides, so no scan
+    is needed when the fewest alive witnesses at an open position of
+    each side add up to more than there are.
+    """
+    if adjacent:
+        after = list(accumulate(reversed(row2), and_))
+        after.reverse()
+        before = list(accumulate(row1, and_))
+    else:
+        after = [reduce(and_, row2)] * len(row1)
+        before = [reduce(and_, row1)] * len(row2)
+    alive1 = list(map(alive.__and__, row1))
+    open1 = list(compress(range(len(row1)), map(not_, map(and_, alive1,
+                                                           after))))
+    if not open1:
+        return False
+    alive2 = list(map(alive.__and__, row2))
+    open2 = list(compress(range(len(row2)), map(not_, map(and_, alive2,
+                                                           before))))
+    # the two sides of a pair that keeps no witness split the alive ones
+    if not open2 or (min(map(int.bit_count, map(alive1.__getitem__, open1)))
+                     + min(map(int.bit_count, map(alive2.__getitem__, open2)))
+                     > alive.bit_count()):
+        return False
+    if len(open1) <= len(open2):
+        rows = list(map(row2.__getitem__, open2))
+        for i in open1:
+            later = rows[bisect_left(open2, i):] if adjacent else rows
+            if 0 in map(alive1[i].__and__, later):
+                return True
+    else:
+        rows = list(map(row1.__getitem__, open1))
+        for i2 in open2:
+            earlier = rows[:bisect_right(open1, i2)] if adjacent else rows
+            if 0 in map(alive2[i2].__and__, earlier):
+                return True
+    return False
+
+
 def _false_search(masks: list[list[int]], alive0: int,
                   excl_caches: list[list[int]],
                   ) -> Callable[[int, int, int], bool] | None:
@@ -331,17 +429,25 @@ def _false_search(masks: list[list[int]], alive0: int,
     (entry, position) pairs entry by entry, positions ascending, and
     recurses on each at once; a child that leaves no witness succeeds at
     the top of its call. Each child places one entry, so the tree is at
-    most k levels deep. Two rules prune it:
+    most k levels deep. Three rules prune it:
 
     - Last entry: a node with one free entry j and window [lo, hi]
       neither branches nor recurses. It succeeds exactly when some
       position in masks[j][lo:hi + 1] leaves no alive witness, which one
-      scan decides. Bans can be ignored there: a banned position never
-      empties alive, since the sibling that banned it would then have
-      completed.
+      scan decides.
+    - Two entries: a node with two free entries neither branches nor
+      recurses either. ``_pair_empties`` decides whether some pair of
+      positions in their windows, increasing, leaves no alive witness,
+      which is exactly whether the node completes; the module docstring
+      says why scanning its open pairs is exact. So a search over k >= 2
+      entries never reaches a one-entry node; only ``_find_false_tuple``
+      does, when it fixes all entries but the last.
     - Ban: a child that failed is excluded from its later siblings and
       their subtrees, since a completion through it there would have
-      completed it.
+      completed it. The last-entry and two-entry rules ignore bans: no
+      completion passes through a banned position, since the sibling
+      that banned it would then have completed, so leaving them in
+      changes no answer.
 
     The kill positions of each (entry, witness) pair are computed the
     first time that witness is branched on and kept for this call,
@@ -396,6 +502,10 @@ def _false_search(masks: list[list[int]], alive0: int,
         if len(free) == 1:
             j, lo, hi = free[0]
             return 0 in map(alive.__and__, masks[j][lo:hi + 1])
+        if len(free) == 2:
+            (j1, lo1, hi1), (j2, lo2, hi2) = free
+            return _pair_empties(alive, masks[j1][lo1:hi1 + 1],
+                                 masks[j2][lo2:hi2 + 1], j2 == j1 + 1)
         z = (alive & -alive).bit_length() - 1
         saved = banned[:]
         found = False
@@ -564,6 +674,74 @@ def _majority(colors: list[bool]) -> bool:
     return colors[0]
 
 
+def _settle(masks: list[list[int]], alive0: int) -> tuple[bool, bool]:
+    """``_decide`` on rows of two entries or more that no cache holds:
+    the truth of the first tuple, and whether every increasing tuple has
+    it. A recursive refinement step asks it first, so that a sub-pattern
+    that is constant costs one decision and not a head chain."""
+    if _first_truth(masks, alive0):
+        excl_caches = list(map(_all_but_one, masks))
+        return True, _false_search(masks, alive0, excl_caches) is None
+    reach = [alive0] * len(masks[0])
+    for row in masks:
+        reach = [0, *accumulate(map(and_, reach, row), or_)]
+        if not reach[-1]:
+            break
+    return False, not reach[-1]
+
+
+def _refine(masks: list[list[int]], alive0: int, at: Seq[int],
+            ) -> tuple[Seq[int], bool | None]:
+    """Greedy Ramsey refinement of the pattern whose entries have the
+    rows ``masks``, over the positions ``at`` into those rows.
+
+    Returns the positions kept, ``at`` itself when the pattern is
+    constant there, and the truth it has on them, or None when they are
+    too few to carry any tuple. A single entry takes one scan of its row
+    at ``at``: it is constant when no position or every position misses
+    alive0, and otherwise the majority truth is kept, a tie going to the
+    first position's truth as in ``_majority``. A longer pattern is
+    decided on its rows at ``at``; when it varies, the head chain
+    refines the rest of the pattern after each head h, whose witnesses
+    are ``alive0 & masks[0][h]``, over the positions still left after h.
+    """
+    depth = len(masks)
+    if len(at) < depth:
+        return at, None
+    if depth == 1:
+        hit = list(map(alive0.__and__, map(masks[0].__getitem__, at)))
+        misses = hit.count(0)
+        trues = len(hit) - misses
+        if not (misses and trues):
+            return at, not misses
+        keep = trues > misses if trues != misses else hit[0] != 0
+        return list(compress(at, hit if keep else map(not_, hit))), keep
+    t0, constant = _settle([list(map(row.__getitem__, at)) for row in masks],
+                           alive0)
+    if constant:
+        return at, t0
+    return _head_chain(masks, alive0, at)
+
+
+def _head_chain(masks: list[list[int]], alive0: int, at: Seq[int],
+                ) -> tuple[list[int], bool]:
+    """``_refine`` of a pattern of two entries or more that varies on
+    ``at``: the heads whose refined rest has the majority truth."""
+    head_row, rest = masks[0], masks[1:]
+    heads: list[tuple[int, bool | None]] = []
+    work = at
+    while work:
+        h = work[0]
+        work, value = _refine(rest, alive0 & head_row[h], work[1:])
+        heads.append((h, value))
+    # the chain starts with len(at) >= len(masks), so the first head
+    # refines at least len(rest) positions and always gets a truth value
+    keep = _majority([c for _, c in heads if c is not None])
+    # uncolored heads sit at the chain's end; too few positions follow
+    # them to start a tuple, so keeping them never breaks constancy.
+    return [h for h, c in heads if c is None or c is keep], keep
+
+
 def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
                       items: list[int], alive0: int, rows: dict,
                       ) -> tuple[list[int], bool | None]:
@@ -574,48 +752,28 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     result is too short to carry any tuple. The subsequence is ``items``
     itself when nothing was removed.
 
-    A single entry takes one scan of its row over ``items``: it is
-    constant when no position or every position misses alive0, and
-    otherwise the majority truth is kept, a tie going to the first
-    item's truth as in ``_majority``. The row is read from ``rows`` when
-    the exception table has stored it there, and built otherwise
-    without storing it: a recursive call's cache is fresh, and no longer
-    pattern reads an all-but-one list built there. A longer pattern is
-    decided by ``_decide`` on ``rows``, the cache for ``items``; each
-    recursive call refines a different item list and so starts its own.
+    Each entry's row over ``items`` is read once, from ``rows``, the
+    cache for ``items``, and the refinement then works on positions into
+    those rows (``_refine``). A longer pattern is first decided by
+    ``_decide`` on ``rows``, which may settle it from what the exception
+    table or a shorter pattern stored there.
     """
     depth = len(entries)
     if len(items) < depth:
         return items, None
+    if depth > 1:
+        t0, constant = _decide(ctx, phi, entries, items, alive0, rows)
+        if constant:
+            return items, t0
+    masks = [row for row, _ in _entry_rows(ctx, phi, entries, items, rows)]
+    everything = range(len(items))
     if depth == 1:
-        got = rows.get(entries[0])
-        row = got[0] if got else entry_row(ctx, phi, entries[0], items)
-        hit = list(map(alive0.__and__, row))
-        misses = hit.count(0)
-        trues = len(hit) - misses
-        if not (misses and trues):
-            return items, not misses
-        keep = trues > misses if trues != misses else hit[0] != 0
-        return list(compress(items, hit if keep else map(not_, hit))), keep
-    t0, constant = _decide(ctx, phi, entries, items, alive0, rows)
-    if constant:
-        return items, t0
-
-    heads: list[tuple[int, bool | None]] = []
-    work = list(items)
-    while work:
-        h = work[0]
-        alive_h = alive0 & entry_mask(ctx, phi, entries[0], h)
-        refined, value = _make_homogeneous(ctx, phi, entries[1:], work[1:],
-                                           alive_h, {})
-        heads.append((h, value))
-        work = refined
-    # the chain starts with len(items) >= depth, so the first head refines
-    # at least depth - 1 items and always gets a truth value
-    keep = _majority([c for _, c in heads if c is not None])
-    # uncolored heads sit at the chain's end; too few elements follow them
-    # to start a tuple, so keeping them never breaks constancy.
-    return [h for h, c in heads if c is None or c is keep], keep
+        at, value = _refine(masks, alive0, everything)
+    else:
+        at, value = _head_chain(masks, alive0, everything)
+    if at is everything:
+        return items, value
+    return list(map(items.__getitem__, at)), value
 
 
 def extract_indiscernible(
@@ -649,12 +807,12 @@ def extract_indiscernible(
             f"input length {len(items)} is below the target "
             f"{cfg.target_length}")
     full = ctx.graph.full_mask()
-    k = _longest(phi, patterns)
+    ordered, k = _by_length(phi, patterns)
     survivors = crop = list(items[:cfg.window])
     rows: dict = {}
     blocking: Pattern | None = None
     if not _decided_by_exceptions(ctx, phi, k, crop, rows):
-        for pattern in sorted(patterns, key=len):
+        for pattern in ordered:
             before = survivors
             survivors, _ = _make_homogeneous(ctx, phi, pattern.entries,
                                              survivors, full, rows)

@@ -1,7 +1,7 @@
 import random
 import sys
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from operator import and_, or_
 from unittest.mock import patch
 
@@ -25,8 +25,9 @@ from flipwide import (
     is_delta_indiscernible,
     type_pattern,
 )
-from flipwide import indiscernibles, sampleset
-from flipwide.formulas import all_phi_types, entry_mask, eval_atom, eval_gamma
+from flipwide import formulas, indiscernibles, sampleset
+from flipwide.formulas import (all_phi_types, entry_mask, entry_row, eval_atom,
+                               eval_gamma, type_mask)
 from flipwide.generators import (
     clique,
     complement,
@@ -193,11 +194,42 @@ def test_extraction_rejects_types_of_the_wrong_arity():
     # over one formula is still rejected, as the per-pattern path does
     ctx = edge_ctx(clique(10))
     bad = type_pattern([(True, False), (True, True)])
-    for patterns in ([bad], [*PATS3, bad]):
+    # the memoised enumeration for two formulas is no exception either
+    for patterns in ([bad], [*PATS3, bad], enumerate_type_patterns(2, 2)):
         with pytest.raises(InputError,
                            match=r"^type arity 2 does not match \|phi\|=1$"):
             extract_indiscernible(ctx, EDGE, patterns, list(range(10)),
                                   ExtractionConfig(target_length=2))
+
+
+def test_entry_rows_match_pointwise_type_masks():
+    # a row is filled a whole row at a time, from atom rows; each mask
+    # must equal the OR of type_mask over the entry's types, computed on
+    # a context of its own, for single types and unions, on a fresh memo
+    # and on item lists that the entry and atom memos hold in part
+    rng = random.Random(20233)
+    for seed in range(12):
+        g = random_bounded_degree(14, 1 + seed % 4, seed)
+        ctx, ref = (EvalContext(g, (0, 13), ball_radius=1 + seed % 2)
+                    for _ in range(2))
+        phi = ((edge_atom(), dist_atom(), eq_atom(1)) if seed % 3 else
+               (eq_atom(0), edge_atom()))
+        types = all_phi_types(len(phi))
+        for _ in range(6):
+            entry = frozenset(rng.sample(types, rng.randint(1, 3)))
+            for size in (rng.randint(0, 5), rng.randint(1, g.n)):
+                items = rng.sample(range(g.n), size)
+                want = [reduce(or_, (type_mask(ref, phi, tau, y)
+                                     for tau in entry)) for y in items]
+                assert entry_row(ctx, phi, entry, items) == want
+                assert [entry_mask(ctx, phi, entry, y)
+                        for y in items] == want
+    ctx = edge_ctx(path(5))
+    for entry in (frozenset([(True, False)]),
+                  frozenset([(True,), (True, False)])):
+        with pytest.raises(InputError,
+                           match=r"^type arity 2 does not match \|phi\|=1$"):
+            entry_row(ctx, EDGE, entry, [0, 1])
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
@@ -353,8 +385,9 @@ def _dense_mask_cases():
 
 
 def test_dense_mask_searches_match_enumeration():
-    # the node counts guard the pruning: the sibling bans take the
-    # density-0.6 search from 5,660 nodes down to 3,287
+    # the node counts guard the pruning: with the two-entry rule the
+    # density-0.6 search makes 727 nodes, and the sibling bans take it
+    # down to 581 (3,287 before the rule)
     alive0 = (1 << 400) - 1
     found, covered, searched = [], [], []
     for masks in _dense_mask_cases():
@@ -370,7 +403,7 @@ def test_dense_mask_searches_match_enumeration():
         assert _no_universal_witness(masks, alive0) == (not covered[-1])
     assert found == [False, False, False, True]
     assert covered == [False, False, True, False]
-    assert searched[0] <= 3300, searched
+    assert searched[0] <= 600, searched
 
 
 def _on_nodes(search, visit):
@@ -398,57 +431,152 @@ def _search_nodes(search):
     return _on_nodes(search, calls.append), len(calls)
 
 
-def _last_entry_nodes(search):
+def _settled_nodes(search):
     """Run ``search`` and record each node of the false-tuple search that
-    has one free entry left: its window's width and alive ANDed with the
-    entry's row at every banned position in the window."""
+    is settled without branching, one or two free entries with alive
+    witnesses: its answer, alive set, first entry, the position before
+    it, a copy of its placed positions and of its bans."""
     nodes = []
+    filename = _false_search.__code__.co_filename
 
-    def visit(loc):
-        first, prev, alive = loc["first"], loc["prev"], loc["alive"]
-        pos, banned, masks = loc["pos"], loc["banned"], loc["masks"]
-        free = [j for j in range(first, len(masks)) if pos[j] < 0]
-        if alive and len(free) == 1:
-            j = free[0]
-            lo = (pos[j - 1] if j > first else prev) + 1
-            hi = (pos[j + 1] if j + 1 < len(masks) else len(masks[j])) - 1
-            nodes.append((hi - lo + 1, [alive & masks[j][i]
-                                        for i in range(lo, hi + 1)
-                                        if banned[j] >> i & 1]))
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "return" and code.co_name == "completes"
+                and code.co_filename == filename):
+            loc = frame.f_locals
+            if loc["alive"] and len(loc.get("free", ())) in (1, 2):
+                nodes.append({"found": arg, "alive": loc["alive"],
+                              "first": loc["first"], "prev": loc["prev"],
+                              "pos": list(loc["pos"]),
+                              "banned": list(loc["banned"]),
+                              "masks": loc["masks"]})
 
-    return _on_nodes(search, visit), nodes
+    sys.setprofile(hook)
+    try:
+        return search(), nodes
+    finally:
+        sys.setprofile(None)
 
 
-def test_last_entry_scan_ignores_bans():
-    # a node with one free entry scans its whole window, banned positions
+def _node_pairs(node):
+    """The node's free entries, and every placement of them that keeps
+    the entries from ``first`` on increasing after ``prev`` around the
+    placed ones, with the alive witnesses each placement keeps."""
+    masks, pos, first = node["masks"], node["pos"], node["first"]
+    free = [j for j in range(first, len(masks)) if pos[j] < 0]
+    placements = []
+    for picks in product(range(node["prev"] + 1, len(masks[0])),
+                         repeat=len(free)):
+        at = list(pos)
+        for j, p in zip(free, picks):
+            at[j] = p
+        if all(a < b for a, b in zip(at[first:], at[first + 1:])):
+            kept = node["alive"]
+            for j, p in zip(free, picks):
+                kept &= masks[j][p]
+            placements.append((picks, kept))
+    return free, placements
+
+
+def _random_search_masks(rng, k):
+    n, s = rng.randint(4, 12), rng.randint(k, 8)
+    density = rng.choice((0.5, 0.7, 0.8, 0.9))
+    masks = [[sum(1 << z for z in range(n) if rng.random() < density)
+              for _ in range(s)] for _ in range(k)]
+    return masks, (1 << n) - 1
+
+
+def test_two_entry_rule_ignores_bans():
+    # a node with two free entries scans their windows, banned positions
     # included: the searches match enumeration at k = 3 and 4 on masks
-    # that reach such nodes with bans in their windows, and no banned
-    # position there ever empties the alive witnesses
+    # that reach such nodes with bans in their windows, and no placement
+    # through a banned position ever empties the alive witnesses
     rng = random.Random(20231)
     seen = {(k, found, shape): 0 for k in (3, 4) for found in (False, True)
             for shape in ("banned", "width 1")}
     for _ in range(1200):
         k = rng.choice((3, 4))
-        n, s = rng.randint(4, 12), rng.randint(k, 8)
-        density = rng.choice((0.5, 0.7, 0.8, 0.9))
-        masks = [[sum(1 << z for z in range(n) if rng.random() < density)
-                  for _ in range(s)] for _ in range(k)]
-        alive0 = (1 << n) - 1
+        masks, alive0 = _random_search_masks(rng, k)
         want = _first_false_by_enumeration(masks, alive0)
         caches = [_all_but_one(r) for r in masks]
-        has_false, nodes = _last_entry_nodes(
+        has_false, nodes = _settled_nodes(
             lambda: _false_search(masks, alive0, caches))
         assert (has_false is not None) == (want is not None)
-        got, more = _last_entry_nodes(
+        got, more = _settled_nodes(
             lambda: _find_false_tuple(masks, alive0, caches))
         assert got == want
-        nodes += more
-        for width, kept in nodes:
-            assert all(kept)
+        banned_seen = width_one = False
+        for node in nodes + more:
+            free, placements = _node_pairs(node)
+            if len(free) < 2:
+                continue
+            for picks, kept in placements:
+                through_ban = any(node["banned"][j] >> p & 1
+                                  for j, p in zip(free, picks))
+                banned_seen |= through_ban
+                assert kept or not through_ban
+            width_one |= any(len({picks[f] for picks, _ in placements}) == 1
+                             for f in range(2))
         found = want is not None
-        seen[k, found, "banned"] += any(kept for _, kept in nodes)
-        seen[k, found, "width 1"] += any(width == 1 for width, _ in nodes)
+        seen[k, found, "banned"] += banned_seen
+        seen[k, found, "width 1"] += width_one
     assert min(seen.values()) > 10, seen
+
+
+def _pairs_by_enumeration(alive, row1, row2, adjacent):
+    return any(not alive & row1[i] & row2[i2]
+               for i in range(len(row1)) for i2 in range(len(row2))
+               if i <= i2 or not adjacent)
+
+
+def test_two_entry_rule_matches_enumeration():
+    # _pair_empties against every pair of positions, on windows of width
+    # 1 to 8, consecutive (equal widths) or with a placed entry between
+    # them (any widths); then every node the searches settle with one or
+    # two free entries, at the root, below branching with bans and a
+    # placed entry between the pair, and below the left-to-right fixing
+    # of _find_false_tuple, against every placement in its windows
+    rng = random.Random(20232)
+    outcomes = {(adjacent, found): 0 for adjacent in (False, True)
+                for found in (False, True)}
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        adjacent = rng.random() < 0.5
+        w1 = rng.randint(1, 8)
+        w2 = w1 if adjacent else rng.randint(1, 8)
+        density = rng.choice((0.5, 0.8, 0.9, 0.97))
+        row1, row2 = ([sum(1 << z for z in range(n) if rng.random() < density)
+                       for _ in range(w)] for w in (w1, w2))
+        alive = sum(1 << z for z in range(n) if rng.random() < 0.8)
+        want = _pairs_by_enumeration(alive, row1, row2, adjacent)
+        assert indiscernibles._pair_empties(alive, row1, row2,
+                                            adjacent) == want
+        outcomes[adjacent, want] += 1
+    assert min(outcomes.values()) > 300, outcomes
+    seen = {"two apart": 0, "two adjacent": 0, "width 1": 0, "banned": 0,
+            "fixing": 0, "one": 0}
+    for _ in range(800):
+        k = rng.choice((2, 3, 4))
+        masks, alive0 = _random_search_masks(rng, k)
+        caches = [_all_but_one(r) for r in masks]
+        _, nodes = _settled_nodes(
+            lambda: _false_search(masks, alive0, caches))
+        _, more = _settled_nodes(
+            lambda: _find_false_tuple(masks, alive0, caches))
+        for node in nodes + more:
+            free, placements = _node_pairs(node)
+            assert node["found"] == any(not kept for _, kept in placements)
+            if len(free) == 1:
+                seen["one"] += 1
+                continue
+            j1, j2 = free
+            seen["two adjacent" if j2 == j1 + 1 else "two apart"] += 1
+            seen["width 1"] += len({picks[0] for picks, _ in placements}) == 1
+            seen["banned"] += any(node["banned"][j] >> p & 1
+                                  for picks, _ in placements
+                                  for j, p in zip(free, picks))
+            seen["fixing"] += node["first"] > 0 and max(node["pos"]) < 0
+    assert min(seen.values()) > 50, seen
 
 
 def _cover_by_definition(masks, alive0):
@@ -657,30 +785,40 @@ def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
             assert truths == {value}
 
 
-def test_refinement_reads_entry_masks_only_for_heads(monkeypatch):
-    # a single entry's truths come from one entry_row scan over the
-    # items, so entry_mask runs only for the heads of a longer pattern,
-    # once each
+def test_refinement_reads_each_entry_row_once(monkeypatch):
+    # the refinement reads each entry's row over the items once, through
+    # the cache, and then works on positions into those rows: no
+    # entry_mask call, and no row over a shorter item list, at any depth
     heads = []
+    reads = []
 
-    def counting(ctx, phi, entry, y):
+    def counting_mask(ctx, phi, entry, y):
         heads.append(y)
         return entry_mask(ctx, phi, entry, y)
 
-    monkeypatch.setattr(indiscernibles, "entry_mask", counting)
-    # a path with an isolated vertex 6: neither pattern is constant
+    def counting_row(ctx, phi, entry, items):
+        reads.append((entry, tuple(items)))
+        return entry_row(ctx, phi, entry, items)
+
+    monkeypatch.setattr(formulas, "entry_mask", counting_mask)
+    monkeypatch.setattr(indiscernibles, "entry_row", counting_row)
+    # a path with an isolated vertex 6: no pattern below is constant
     g = Graph.from_edges(7, [(v, v + 1) for v in range(5)])
     ctx = edge_ctx(g)
     items = list(range(7))
-    adj = frozenset([(True,)])
+    adj, non = frozenset([(True,)]), frozenset([(False,)])
     out, value = _make_homogeneous(ctx, EDGE, (adj,), items, g.full_mask(),
                                    {})
     assert (out, value) == ([0, 1, 2, 3, 4, 5], True)
+    assert reads == [(adj, tuple(items))]
+    for entries in ((adj, adj), (adj, non, adj), (non, adj, non, adj)):
+        reads.clear()
+        out, value = _make_homogeneous(ctx, EDGE, entries, items,
+                                       g.full_mask(), {})
+        assert value is not None and len(out) < len(items)
+        assert len(reads) == len(set(reads)) and set(reads) == {
+            (e, tuple(items)) for e in entries}
     assert heads == []
-    out, value = _make_homogeneous(ctx, EDGE, (adj, adj), items,
-                                   g.full_mask(), {})
-    assert heads == sorted(set(heads)) and set(out) <= set(heads)
-    assert value is not None and len(out) < len(items)
 
 
 def _truths_by_enumeration(ctx, phi, entries, items, alive0):

@@ -72,9 +72,11 @@ def test_bfs_matches_networkx(g, data):
     assert exact_distance_layer(g, sources, i) == {
         v for v, d in want.items() if d == i}
     v = data.draw(st.integers(0, g.n - 1))
-    r = data.draw(st.integers(0, g.n))
-    near = nx.single_source_shortest_path_length(h, v, cutoff=r)
-    assert set(iter_bits(ball_mask(g, v, r))) == set(near)
+    # radii 0 and 1 are read off the row without a BFS, so each draw
+    # checks both besides one drawn radius
+    for r in (0, 1, data.draw(st.integers(0, g.n))):
+        near = nx.single_source_shortest_path_length(h, v, cutoff=r)
+        assert set(iter_bits(ball_mask(g, v, r))) == set(near)
 
 
 @given(graphs(), st.integers(1, 5))

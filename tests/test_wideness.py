@@ -6,7 +6,11 @@ original graph, so a frozen row plus a verify call cross-checks both
 directions.
 """
 
+import hashlib
+import json
+import random
 import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -409,3 +413,35 @@ def test_every_level_passes_the_independent_oracles(case):
         survivors = levels[0][2].subseq
         assert alternation_rank(g, survivors)[0] <= 2
         assert exception_rank(g, survivors)[0] <= 1
+
+
+def _results_digest(cases) -> str:
+    """sha256 over each result's b_set, flips and trace, as JSON."""
+    h = hashlib.sha256()
+    for g, r, seed, budget in cases:
+        a_set = list(range(g.n))
+        random.Random(seed).shuffle(a_set)
+        res = flip_widen(FlipWideRequest(g, tuple(a_set), r, 1, budget))
+        h.update(json.dumps([res.b_set, [asdict(f) for f in res.flip_set],
+                             [asdict(t) for t in res.trace]]).encode())
+    return h.hexdigest()
+
+
+def test_benchmark_sized_results_are_pinned():
+    # flip_widen at the sizes the benchmark runs: bounded-degree graphs
+    # and their complements, A in a seeded order, under the default window
+    # and with no window, where the refinement runs over rows of up to 400
+    # items
+    cases = [(random_bounded_degree(n, 3, seed), r, seed, SampleBudget())
+             for n, seed in ((150, 11), (225, 12), (300, 13), (400, 14))
+             for r in (2, 4)]
+    cases += [(complement(random_bounded_degree(n, 3, seed)), r, seed,
+               SampleBudget())
+              for n, seed in ((60, 21), (80, 22), (100, 23)) for r in (2, 4)
+              if n <= 80 or r == 2]
+    whole = SampleBudget(window=None)
+    cases += [(random_bounded_degree(400, 3, 1), 4, 1, whole),
+              (random_bounded_degree(300, 3, 2), 2, 2, whole),
+              (complement(random_bounded_degree(100, 3, 3)), 2, 3, whole)]
+    assert _results_digest(cases) == (
+        "0ef4fd0269f1cc976984367b9bad7a7c5685ccd047a83d6be1ed0891c0b3e97f")
