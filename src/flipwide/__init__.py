@@ -40,7 +40,6 @@ from .graphcore import (
 from .indiscernibles import (
     Counterexample,
     ExtractionConfig,
-    em_type,
     extract_indiscernible,
     is_delta_indiscernible,
 )

@@ -8,7 +8,8 @@ bitmask of satisfying first arguments, computed once and cached on the
 EvalContext, and so has each pattern entry. Pattern evaluation then
 reduces to AND/OR over masks. ``entry_row`` builds an entry's masks over
 a whole item list at once, from the atoms' rows over the items it has
-not seen yet; ``type_mask`` is the pointwise reference for one item.
+not seen yet. The pointwise definitions of types and patterns that it is
+checked against live in the tests (``tests/pointwise.py``).
 """
 
 from __future__ import annotations
@@ -116,10 +117,9 @@ class EvalContext:
     and they are taken as given. Atom masks are memoized as one dict per
     atom, and entry masks as one dict per (phi, entry), each from y to
     mask, so a row over a sequence looks its dict up once and then reads
-    every item with one ``map``. Type masks have no memo of their own:
-    ``entry_row`` combines atom rows into the entry's row directly.
-    Immutable after construction apart from these memo tables; safe to
-    share across threads for read-only evaluation.
+    every item with one ``map``. Immutable after construction apart from
+    these memo tables; safe to share across threads for read-only
+    evaluation.
     """
 
     __slots__ = ("graph", "constants", "ball_radius", "_balls",
@@ -194,31 +194,6 @@ def eval_atom(ctx: EvalContext, atom: Atom, x: int, y: int) -> bool:
     return bool(atom_mask(ctx, atom, y) >> x & 1)
 
 
-def type_mask(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
-              y: int) -> int:
-    """Bitmask of all x whose complete type over ``phi`` at y is ``tau``.
-
-    Computed from the memoized atom masks on every call, without a memo
-    of its own: the pointwise reference for ``entry_row``, which builds
-    the same masks a row at a time.
-    """
-    if len(tau) != len(phi):
-        raise InputError(f"type arity {len(tau)} does not match |phi|={len(phi)}")
-    full = ctx.graph.full_mask()
-    m = full
-    for atom, positive in zip(phi, tau):
-        am = atom_mask(ctx, atom, y)
-        m &= am if positive else full & ~am
-        if not m:
-            break
-    return m
-
-
-def eval_type(ctx: EvalContext, phi: tuple[Atom, ...], tau: PhiType,
-              x: int, y: int) -> bool:
-    return bool(type_mask(ctx, phi, tau, y) >> x & 1)
-
-
 def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
               items: Sequence[int]) -> list[int]:
     """The entry's witness mask at each of ``items``: every x whose type
@@ -229,7 +204,7 @@ def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
     each type's masks there are the AND, over the formulas, of the atom's
     row or of its complement, and the entry's are the OR over its types,
     each step one ``map`` over the missing items. So a row costs O(|entry|
-    * |phi|) C-level passes, not one ``type_mask`` call per (type, item).
+    * |phi|) C-level passes, not one pass per (type, item).
     """
     key = (phi, entry)
     memo = ctx._entry_masks.get(key)
@@ -256,28 +231,10 @@ def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
     return row
 
 
+# Only the tests call it; the benchmark's tracer still names it as a span.
 def entry_mask(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
                y: int) -> int:
     return entry_row(ctx, phi, entry, (y,))[0]
-
-
-def eval_gamma(ctx: EvalContext, phi: tuple[Atom, ...], pattern: Pattern,
-               vertices: Sequence[int]) -> tuple[bool, int | None]:
-    """Existential pattern evaluation.
-
-    True iff a single witness z satisfies entry_i(z, vertices[i]) for all
-    i; the smallest such z is returned. Witnesses range over the whole
-    vertex set, the tuple's own members included.
-    """
-    if len(vertices) != len(pattern):
-        raise InputError(f"tuple length {len(vertices)} does not match "
-                         f"pattern length {len(pattern)}")
-    m = ctx.graph.full_mask()
-    for entry, y in zip(pattern.entries, vertices):
-        m &= entry_mask(ctx, phi, entry, y)
-        if not m:
-            return False, None
-    return True, (m & -m).bit_length() - 1
 
 
 PATTERN_CAP = 100_000

@@ -226,11 +226,6 @@ def exact_distance_layer(g: Graph, sources: Iterable[int], i: int) -> frozenset[
     return frozenset()
 
 
-def all_pairs_distance(g: Graph) -> list[list[float]]:
-    """Dense distance table via n BFS runs. Rows follow vertex order."""
-    return [distances_from(g, (v,)) for v in range(g.n)]
-
-
 def is_distance_r_independent(
     g: Graph, members: Iterable[int], r: float
 ) -> tuple[bool, tuple[int, int] | None]:

@@ -1,4 +1,4 @@
-"""Indiscernibility checking, EM-type computation, and greedy extraction.
+"""Indiscernibility checking and greedy extraction.
 
 A sequence is indiscernible for a pattern when the pattern's existential
 truth is the same on every increasing tuple of matching length. The
@@ -20,25 +20,14 @@ time.
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
 each entry's row over the items and its all-but-one list, and each
-pattern prefix's true-tuple sweep. The refinement and the counterexample
-read these instead of computing them again. Each pattern is decided by
-the cheapest test that settles it (``_decide``): a pattern with a stored
-prefix that keeps no witness is constant False after at most k lookups,
-with no row read; a single entry whose first tuple is true takes one
-scan of its row; a longer one takes the false-tuple search; and a
-pattern whose first tuple is false costs one row step past its longest
-stored prefix. The refinement (``_make_homogeneous``) reads each entry's
-row over the items once, from the same cache, and then works on
-positions into those rows (``_refine``): a single entry is one scan of
-its row at the positions left, which gives both its constancy and its
-majority truth, and a head h of the Ramsey head chain passes on the
-witnesses ``alive & row0[h]`` and the positions after it. A recursive
-step reads no row and evaluates no mask; it decides its pattern on the
-rows restricted to its positions. The extractor refines the crop, its
-first window of items, and decides the whole input only when the
-refinement leaves the crop whole; since constancy is closed under
-subsequences, a pattern that varies on the crop refutes the whole input,
-which is then never scanned.
+pattern prefix's true-tuple sweep. Each pattern is decided by the
+cheapest test that settles it (``_decide``, ``_constancy``). The
+refinement (``_make_homogeneous``, ``_refine``) reads each entry's row
+once, from the same cache, and then works on positions into those rows.
+The extractor refines the crop, its first window of items, and decides
+the whole input only when the refinement leaves the crop whole; since
+constancy is closed under subsequences, a pattern that varies on the
+crop refutes the whole input, which is then never scanned.
 
 Before the per-pattern path, the extractor reads one exception table
 (``_decided_by_exceptions``) on the crop, again each time a refinement
@@ -90,21 +79,17 @@ m[j1] at every p1 before p2, one prefix AND. Every pair through a closed
 position keeps that witness, so a pair that keeps none joins two open
 positions, and scanning the open pairs is exact. On the sequences the
 extractor meets most positions close, and the rule costs O(s) mask
-operations where the branching made up to s children. Two O(k*s)
-prechecks settle most constant patterns before any node: a universal
-witness, and the one-exception cover that the paper's first theorem
-gives over an indiscernible sequence. The cover holds only where
-single exceptions explain the masks; where some witness changes type
-twice it fails, and the two-entry rule still decides a pattern of
-length 2 at the root. ``_false_search`` states the rules that prune the
-branching.
-Neither search has a node budget or an enumeration fallback, and the
-false-tuple search is still exponential in k in the worst case, which
-dense random masks reach.
+operations where the branching made up to s children. A universal
+witness, one O(k*s) precheck, settles many constant patterns before any
+node; the paper's first theorem is read in one place, the exception
+table above. ``_false_search`` states the rules that prune the
+branching. Neither search has a node budget or an enumeration fallback,
+and the false-tuple search is still exponential in k in the worst case,
+which dense random masks reach.
 
 Deciding constancy and building a counterexample are separate. The
-extraction pipeline (``extract_indiscernible``, the Ramsey refinement and
-``em_type``) only decides: it asks whether a tuple with the other truth
+extraction pipeline (``extract_indiscernible`` and the Ramsey
+refinement) only decides: it asks whether a tuple with the other truth
 exists and stops there. Only ``is_delta_indiscernible`` goes on to build
 the counterexample, the lexicographically smallest false tuple, which
 costs up to k*s further searches.
@@ -316,38 +301,6 @@ def _find_true_tuple(masks: list[list[int]], kept: int) -> tuple[int, ...]:
     return tuple(picks)
 
 
-def _one_exception_cover(masks: list[list[int]], alive0: int,
-                         excl_caches: list[list[int]]) -> bool:
-    """True when every increasing tuple keeps a witness because one of
-    its entries sits on a good position.
-
-    Position i is good for entry j when some alive witness lies in
-    masks[j][i] and, for every other entry j', in masks[j'] at every
-    position but i. Such a witness is kept by any tuple that puts j at i,
-    since the other entries sit on positions other than i. A greedy
-    leftmost placement looks for a tuple with every entry on a bad
-    position; when there is none, the cover holds.
-
-    ``excl_caches`` holds each entry's ``_all_but_one`` list.
-    """
-    s = len(masks[0])
-    prev = -1
-    for j, row in enumerate(masks):
-        others = excl_caches[:j] + excl_caches[j + 1:]
-        i = prev + 1
-        while i < s:
-            w = alive0 & row[i]
-            for col in others:
-                w &= col[i]
-            if not w:
-                break
-            i += 1
-        else:
-            return True
-        prev = i
-    return False
-
-
 def _pair_empties(alive: int, row1: list[int], row2: list[int],
                   adjacent: bool) -> bool:
     """Whether some pair of positions, i in ``row1`` and i2 in ``row2``,
@@ -411,17 +364,10 @@ def _false_search(masks: list[list[int]], alive0: int,
 
     ``excl_caches`` holds one ``_all_but_one`` list per entry. It holds no
     alive set, so callers share it across searches over the same rows.
-    Two prechecks read it first, in this order; each proves that every
-    increasing tuple keeps a witness:
-
-    - Universal witness: an alive witness that no position of any entry
-      removes. An entry's AND over every position is its all-but-one
-      list at position 0 ANDed with position 0.
-    - One-exception cover (``_one_exception_cover``, which says why it
-      is sound). On an indiscernible sequence in a stable class every
-      witness differs from its majority at no more than one position,
-      which is why the cover settles most of the patterns that the
-      universal witness leaves.
+    One precheck reads it first: a universal witness, an alive witness
+    that no position of any entry removes, proves that every increasing
+    tuple keeps a witness. An entry's AND over every position is its
+    all-but-one list at position 0 ANDed with position 0.
 
     Then witness branching, a depth-first bounded search tree for hitting
     sets: some free entry must remove the lowest alive witness z at a
@@ -457,8 +403,6 @@ def _false_search(masks: list[list[int]], alive0: int,
     for row, excl in zip(masks, excl_caches):
         surviving &= excl[0] & row[0]
     if surviving:
-        return None
-    if _one_exception_cover(masks, alive0, excl_caches):
         return None
     depth = len(masks)
     s = len(masks[0])
@@ -562,33 +506,53 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
         prev = p
 
 
-def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-            items: Seq[int], alive0: int, rows: dict) -> tuple[bool, bool]:
-    """Truth of the first tuple, and whether every increasing tuple has
-    that truth, without building a tuple.
+def _constancy(masks: list[list[int]], alive0: int,
+               excl_caches: list[list[int]] | None,
+               sweeps: list) -> tuple[bool, bool]:
+    """Truth of the first tuple on the rows ``masks``, and whether every
+    increasing tuple has that truth, without building a tuple.
 
-    Requires len(items) >= len(entries). ``rows`` is the per-items cache
-    of ``_entry_rows``.
-
-    The tests run cheapest first. No answer is stored, since no caller
-    decides a pattern twice on one ``rows``.
-
-    - Dead prefix: the reach sweep below depends only on the entries and
-      alive0, so each prefix's reach list is stored in ``rows`` under
-      (entries[:j], alive0). A stored prefix that keeps no witness keeps
-      none in any extension, so the pattern is constant False, settled
-      before any row is read.
     - First tuple true, one entry: constant exactly when every position
       keeps an alive witness, one scan of the row.
-    - First tuple true, longer: ``_false_search``.
+    - First tuple true, longer: ``_false_search`` on ``excl_caches``, one
+      ``_all_but_one`` list per entry, built here when None.
     - First tuple false: the pattern is constant exactly when no
       increasing tuple keeps a witness. After entries e_1..e_j, reach[i]
       holds the witnesses for which those entries fit into positions
-      below i, and reach[-1] the witnesses that some tuple keeps; the
-      sweep resumes from the longest stored prefix, so with patterns
-      enumerated shortest first a length-k pattern costs one row step
-      instead of k. ``is_delta_indiscernible`` reads the kept witnesses
-      from the stored (entries, alive0).
+      below i, and reach[-1] the witnesses that some tuple keeps.
+      ``sweeps`` stands for the first len(sweeps) entries and ends with
+      the reach after them, the only one read. The sweep resumes from
+      it, appends each new reach and stops at one that keeps no witness.
+    """
+    if _first_truth(masks, alive0):
+        if len(masks) == 1:
+            return True, all(map(alive0.__and__, masks[0]))
+        if excl_caches is None:
+            excl_caches = list(map(_all_but_one, masks))
+        return True, _false_search(masks, alive0, excl_caches) is None
+    reach = sweeps[-1] if sweeps else [alive0] * len(masks[0])
+    while len(sweeps) < len(masks) and reach[-1]:
+        reach = [0, *accumulate(map(and_, reach, masks[len(sweeps)]), or_)]
+        sweeps.append(reach)
+    return False, not reach[-1]
+
+
+def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
+            items: Seq[int], alive0: int, rows: dict) -> tuple[bool, bool]:
+    """``_constancy`` of the pattern ``entries`` over ``items``, on the
+    rows and sweeps that ``rows``, the per-items cache of
+    ``_entry_rows``, holds.
+
+    Requires len(items) >= len(entries). No answer is stored, since no
+    caller decides a pattern twice on one ``rows``. The reach sweep
+    depends only on the entries and alive0, so each prefix's reach list
+    is stored in ``rows`` under (entries[:j], alive0), and the sweep
+    resumes from the longest stored prefix: with patterns enumerated
+    shortest first a length-k pattern costs one row step instead of k.
+    A stored prefix that keeps no witness keeps none in any extension,
+    so the pattern is constant False, settled before any row is read.
+    ``is_delta_indiscernible`` reads the kept witnesses from the stored
+    (entries, alive0).
     """
     j = len(entries)
     while j and (reach := rows.get((entries[:j], alive0))) is None:
@@ -597,17 +561,11 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         return False, True
     got = _entry_rows(ctx, phi, entries, items, rows)
     masks, excl_caches = map(list, zip(*got))
-    if _first_truth(masks, alive0):
-        if len(masks) == 1:
-            return True, all(map(alive0.__and__, masks[0]))
-        return True, _false_search(masks, alive0, excl_caches) is None
-    if not j:
-        reach = [alive0] * len(items)
-    while j < len(entries) and reach[-1]:
-        reach = [0, *accumulate(map(and_, reach, masks[j]), or_)]
-        j += 1
-        rows[entries[:j], alive0] = reach
-    return False, not reach[-1]
+    sweeps = [reach] * j  # only the last one is read
+    answer = _constancy(masks, alive0, excl_caches, sweeps)
+    for j in range(j, len(sweeps)):
+        rows[entries[:j + 1], alive0] = sweeps[j]
+    return answer
 
 
 def is_delta_indiscernible(
@@ -645,51 +603,6 @@ def is_delta_indiscernible(
     return True, None
 
 
-def em_type(ctx: EvalContext, phi: tuple[Atom, ...], patterns: Seq[Pattern],
-            items: Seq[int]) -> list[Pattern]:
-    """Patterns true on every increasing tuple, vacuous truth included.
-
-    Taking a subsequence never removes a pattern from the result, because
-    the subsequence's tuples are a subset of the original's.
-    """
-    _check_items(ctx, items)
-    full = ctx.graph.full_mask()
-    rows: dict = {}
-    out = []
-    for pattern in patterns:
-        if len(items) < len(pattern):
-            out.append(pattern)
-            continue
-        t0, constant = _decide(ctx, phi, pattern.entries, items, full, rows)
-        if t0 and constant:
-            out.append(pattern)
-    return out
-
-
-def _majority(colors: list[bool]) -> bool:
-    trues = sum(colors)
-    falses = len(colors) - trues
-    if trues != falses:
-        return trues > falses
-    return colors[0]
-
-
-def _settle(masks: list[list[int]], alive0: int) -> tuple[bool, bool]:
-    """``_decide`` on rows of two entries or more that no cache holds:
-    the truth of the first tuple, and whether every increasing tuple has
-    it. A recursive refinement step asks it first, so that a sub-pattern
-    that is constant costs one decision and not a head chain."""
-    if _first_truth(masks, alive0):
-        excl_caches = list(map(_all_but_one, masks))
-        return True, _false_search(masks, alive0, excl_caches) is None
-    reach = [alive0] * len(masks[0])
-    for row in masks:
-        reach = [0, *accumulate(map(and_, reach, row), or_)]
-        if not reach[-1]:
-            break
-    return False, not reach[-1]
-
-
 def _refine(masks: list[list[int]], alive0: int, at: Seq[int],
             ) -> tuple[Seq[int], bool | None]:
     """Greedy Ramsey refinement of the pattern whose entries have the
@@ -698,48 +611,60 @@ def _refine(masks: list[list[int]], alive0: int, at: Seq[int],
     Returns the positions kept, ``at`` itself when the pattern is
     constant there, and the truth it has on them, or None when they are
     too few to carry any tuple. A single entry takes one scan of its row
-    at ``at``: it is constant when no position or every position misses
-    alive0, and otherwise the majority truth is kept, a tie going to the
-    first position's truth as in ``_majority``. A longer pattern is
-    decided on its rows at ``at``; when it varies, the head chain
-    refines the rest of the pattern after each head h, whose witnesses
-    are ``alive0 & masks[0][h]``, over the positions still left after h.
+    at ``at``, and ``_vote`` keeps the positions of one truth. A longer
+    pattern is decided on its rows at ``at``; when it varies, the head
+    chain refines the rest of the pattern after each head h, whose
+    witnesses are ``alive0 & masks[0][h]``, over the positions left
+    after h.
     """
     depth = len(masks)
     if len(at) < depth:
         return at, None
     if depth == 1:
-        hit = list(map(alive0.__and__, map(masks[0].__getitem__, at)))
-        misses = hit.count(0)
-        trues = len(hit) - misses
-        if not (misses and trues):
-            return at, not misses
-        keep = trues > misses if trues != misses else hit[0] != 0
-        return list(compress(at, hit if keep else map(not_, hit))), keep
-    t0, constant = _settle([list(map(row.__getitem__, at)) for row in masks],
-                           alive0)
+        return _vote(
+            at, list(map(alive0.__and__, map(masks[0].__getitem__, at))))
+    t0, constant = _constancy([list(map(row.__getitem__, at))
+                               for row in masks], alive0, None, [])
     if constant:
         return at, t0
     return _head_chain(masks, alive0, at)
 
 
+def _vote(heads: Seq[int], colors: list) -> tuple[Seq[int], bool]:
+    """The heads whose color has the majority truth, and that truth.
+
+    ``colors`` holds a truth, or a witness mask read as nonzero, for each
+    of the first len(colors) heads; a tie goes to the first head's. The
+    heads after them are too close to the end to start a tuple, so
+    keeping them never breaks constancy, and they are always kept. When
+    every color has one truth, ``heads`` itself is returned.
+    """
+    misses = colors.count(0)
+    trues = len(colors) - misses
+    if not (misses and trues):
+        return heads, not misses
+    keep = trues > misses if trues != misses else bool(colors[0])
+    return [*compress(heads, colors if keep else map(not_, colors)),
+            *heads[len(colors):]], keep
+
+
 def _head_chain(masks: list[list[int]], alive0: int, at: Seq[int],
-                ) -> tuple[list[int], bool]:
+                ) -> tuple[Seq[int], bool]:
     """``_refine`` of a pattern of two entries or more that varies on
     ``at``: the heads whose refined rest has the majority truth."""
     head_row, rest = masks[0], masks[1:]
-    heads: list[tuple[int, bool | None]] = []
+    heads: list[int] = []
+    colors: list[bool] = []
     work = at
-    while work:
-        h = work[0]
-        work, value = _refine(rest, alive0 & head_row[h], work[1:])
-        heads.append((h, value))
     # the chain starts with len(at) >= len(masks), so the first head
     # refines at least len(rest) positions and always gets a truth value
-    keep = _majority([c for _, c in heads if c is not None])
-    # uncolored heads sit at the chain's end; too few positions follow
-    # them to start a tuple, so keeping them never breaks constancy.
-    return [h for h, c in heads if c is None or c is keep], keep
+    while len(work) > len(rest):
+        h = work[0]
+        work, value = _refine(rest, alive0 & head_row[h], work[1:])
+        heads.append(h)
+        colors.append(value)
+    heads.extend(work)
+    return _vote(heads, colors)
 
 
 def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,

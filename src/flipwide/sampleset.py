@@ -27,6 +27,8 @@ alone, so the verifier does not depend on the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import BudgetExceeded, InputError, ModeError
 from .formulas import (
@@ -87,6 +89,7 @@ class SampleSetResult:
     s_of: tuple[int | None, ...]
 
 
+# Only the tests call it; the benchmark's tracer still names it as a span.
 def decompose_exceptional(
     g: Graph, samples: tuple[int, ...], balls: list[int], a: int,
 ) -> tuple[int, int, int] | None:
@@ -214,6 +217,21 @@ def _pick_sample(full: int, table: list[list[int]], marked: int,
     return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
 
 
+def _pick_fewest(full: int, table: list[list[int]], marked: int,
+                 ) -> tuple[int | None, list[int]]:
+    """Unmarked vertex equivalent to some sample over the fewest balls,
+    the lowest on ties, with those balls; (None, []) when every vertex
+    is marked. ``_pick_sample``'s bound of two rests on the paper's first
+    theorem, which holds over long sequences only, so a short sequence
+    falls back to this when no vertex meets that bound."""
+    hits = [reduce(or_, row, 0) for row in table]
+    pick = min(iter_bits(full & ~marked), default=None,
+               key=lambda v: sum(h >> v & 1 for h in hits))
+    if pick is None:
+        return None, []
+    return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
+
+
 def _check_disjoint(g: Graph, centers, radius: int) -> list[int]:
     balls = [ball_mask(g, c, radius) for c in centers]
     seen = 0
@@ -241,8 +259,9 @@ def build_sample_set(
     the graph has a single-sample certificate; ``ModeError`` if some vertex
     has only a split one. A failing round adds the lowest unmarked vertex
     that is inequivalent to every sample over all but at most two
-    surviving balls, then drops those outlier balls plus the ball holding
-    the new sample. Every round returns, raises or adds a sample, and
+    surviving balls, on a short sequence ``_pick_fewest``'s when none
+    is, then drops those outlier balls plus the ball holding the new
+    sample. Every round returns, raises or adds a sample, and
     the samples are the formulas of the patterns, so ``PATTERN_CAP``
     bounds the rounds: at pattern length 4 a build stops at its 5th sample.
 
@@ -294,6 +313,8 @@ def build_sample_set(
             return SampleSetResult(tuple(samples), tuple(survivors), ex, s_of)
 
         pick, outliers = _pick_sample(full, table, mask_of(samples))
+        if pick is None and len(survivors) < 2 * budget.max_pattern_length:
+            pick, outliers = _pick_fewest(full, table, mask_of(samples))
         if pick is None:
             raise BudgetExceeded(
                 "no vertex is inequivalent to the samples over all but two "

@@ -900,3 +900,29 @@ def test_repeated_main_calls_match_fresh_processes(script_env, capsys):
         assert code == fresh.returncode
         assert out == fresh.stdout
         assert timeless(err) == timeless(fresh.stderr)
+
+
+# ---------------------------------------------------------------- package
+
+def test_public_api_is_pinned():
+    # a public name that is added or removed is a deliberate edit here
+    assert sorted(flipwide.__all__) == [
+        "AlternationWitness", "Atom", "BipartitePattern", "BudgetExceeded",
+        "Counterexample", "DisjointFamilyInput", "EvalContext",
+        "ExceptionWitness", "ExtractionConfig", "ExtractionShortfall",
+        "Flip", "FlipSet", "FlipWideRequest", "FlipWideResult",
+        "FlipwideError", "Graph", "InputError", "InternalInvariantError",
+        "LevelTrace", "ModeError", "OracleReport", "Pattern", "PhiType",
+        "SampleBudget", "SampleSetResult", "TypeDecomposition",
+        "TypeFalsifier", "Witness", "all_phi_types", "alternation_rank",
+        "apply_flips", "ball", "ball_mask", "bipartite_canonical_pattern",
+        "build_sample_set", "decompose_sequence_types", "dist_atom",
+        "distances_from", "edge_atom", "entry_mask",
+        "enumerate_type_patterns", "eq_atom", "eq_class_mask", "errors",
+        "eval_atom", "exact_distance_layer", "exception_rank",
+        "extract_indiscernible", "flip_widen", "format_edge_list",
+        "formulas", "graphcore", "indiscernibles", "is_delta_indiscernible",
+        "is_distance_r_independent", "oracles", "order_property_witness",
+        "pairing_index_witness", "parse_edge_list", "phi_equivalent_over",
+        "sampleset", "shattering_witness", "type_pattern",
+        "verify_flip_wide", "verify_sample_set", "wideness"]

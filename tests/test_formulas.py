@@ -32,10 +32,10 @@ from flipwide import (
     phi_equivalent_over,
     type_pattern,
 )
-from flipwide.formulas import entry_mask, eval_gamma, eval_type, type_mask
+from flipwide.formulas import entry_mask
 from flipwide.generators import half_graph, path, random_bounded_degree
-from flipwide.graphcore import all_pairs_distance
 from flipwide.indiscernibles import ExtractionConfig
+from pointwise import all_pairs_distance, eval_gamma, eval_type, type_mask
 
 
 def brute_eval(ctx, atom, x, y):

@@ -31,11 +31,8 @@ from flipwide import (
 )
 from flipwide import graphcore
 from flipwide.generators import clique, complement, path, random_bounded_degree
-from flipwide.graphcore import (
-    MAX_VERTICES,
-    all_pairs_distance,
-    check_vertex_count,
-)
+from flipwide.graphcore import MAX_VERTICES, check_vertex_count
+from pointwise import all_pairs_distance
 
 
 def brute_flip(g: Graph, f: Flip) -> Graph:

@@ -17,7 +17,6 @@ from flipwide import (
     Pattern,
     dist_atom,
     edge_atom,
-    em_type,
     enumerate_type_patterns,
     eq_atom,
     extract_indiscernible,
@@ -26,8 +25,7 @@ from flipwide import (
     type_pattern,
 )
 from flipwide import formulas, indiscernibles, sampleset
-from flipwide.formulas import (all_phi_types, entry_mask, entry_row, eval_atom,
-                               eval_gamma, type_mask)
+from flipwide.formulas import all_phi_types, entry_mask, entry_row, eval_atom
 from flipwide.generators import (
     clique,
     complement,
@@ -51,11 +49,10 @@ from flipwide.indiscernibles import (
     _find_false_tuple,
     _find_true_tuple,
     _first_truth,
-    _majority,
     _make_homogeneous,
-    _one_exception_cover,
 )
 from flipwide.sampleset import DisjointFamilyInput, build_sample_set
+from pointwise import em_type, eval_gamma, type_mask
 
 EDGE = (edge_atom(),)
 PATS3 = enumerate_type_patterns(1, 3)
@@ -368,8 +365,8 @@ def _dense_mask_cases():
     witness on every tuple; the last case plants a false tuple in the
     density-0.9 masks by clearing quarter j of the witnesses from entry
     j's row at that tuple's position j. Density 0.95 has a universal
-    witness and a one-exception cover; 0.6, 0.9 and the planted case have
-    neither and reach the witness branching."""
+    witness; 0.6, 0.9 and the planted case have none and reach the
+    witness branching."""
     n, s, k = 400, 30, 4
     rng = random.Random(0)
     drawn = {density: [[sum(1 << z for z in range(n)
@@ -389,7 +386,7 @@ def test_dense_mask_searches_match_enumeration():
     # density-0.6 search makes 727 nodes, and the sibling bans take it
     # down to 581 (3,287 before the rule)
     alive0 = (1 << 400) - 1
-    found, covered, searched = [], [], []
+    found, searched = [], []
     for masks in _dense_mask_cases():
         want = _first_false_by_enumeration(masks, alive0)
         caches = [_all_but_one(r) for r in masks]
@@ -399,10 +396,7 @@ def test_dense_mask_searches_match_enumeration():
         assert _find_false_tuple(masks, alive0, caches) == want
         found.append(want is not None)
         searched.append(nodes)
-        covered.append(_one_exception_cover(masks, alive0, caches))
-        assert _no_universal_witness(masks, alive0) == (not covered[-1])
     assert found == [False, False, False, True]
-    assert covered == [False, False, True, False]
     assert searched[0] <= 600, searched
 
 
@@ -604,14 +598,18 @@ def _no_universal_witness(masks, alive0):
     return not alive0
 
 
-def test_one_exception_cover_matches_enumeration():
+def test_searches_match_enumeration_on_one_exception_covers():
+    # the masks the paper's first theorem explains, where every
+    # increasing tuple puts an entry on a position whose witness changes
+    # type nowhere else, are decided by the universal witness or by the
+    # search, with no precheck of their own
     outcomes = {"cover": 0, "cover_beyond_universal": 0, "no_cover": 0}
     for masks, _, alive0 in _random_mask_cases():
-        held = _one_exception_cover(masks, alive0,
-                                    [_all_but_one(row) for row in masks])
-        assert held == _cover_by_definition(masks, alive0)
-        if held:
+        if _cover_by_definition(masks, alive0):
+            caches = [_all_but_one(row) for row in masks]
             assert _first_false_by_enumeration(masks, alive0) is None
+            assert _false_search(masks, alive0, caches) is None
+            assert _find_false_tuple(masks, alive0, caches) is None
             outcomes["cover"] += 1
             if _no_universal_witness(masks, alive0):
                 outcomes["cover_beyond_universal"] += 1
@@ -620,18 +618,18 @@ def test_one_exception_cover_matches_enumeration():
     assert min(outcomes.values()) > 100, outcomes
 
 
-def test_cover_caches_shared_across_alive_sets():
+def test_search_caches_shared_across_alive_sets():
     # the all-but-one lists sit in _decide's rows and hold no alive set,
     # so searches under different alive sets may share them: here the
-    # searches and covers under a small alive set and under a larger one
-    # read the same lists, one list per row
+    # searches under a small alive set and under a larger one read the
+    # same lists, one list per row
     wide = (1 << 10) - 1
     for masks, caches, alive0 in _random_mask_cases():
         for alive in (alive0, wide, alive0):
-            no_false = _first_false_by_enumeration(masks, alive) is None
-            assert (_false_search(masks, alive, caches) is None) == no_false
-            assert (_one_exception_cover(masks, alive, caches)
-                    == _cover_by_definition(masks, alive))
+            want = _first_false_by_enumeration(masks, alive)
+            assert (_false_search(masks, alive, caches) is None) == (
+                want is None)
+            assert _find_false_tuple(masks, alive, caches) == want
 
 
 def _brute_indiscernible(ctx, phi, patterns, items):
@@ -974,6 +972,14 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
 # shared refinement caches and the single-entry row scan: the whole input
 # is decided first, every _make_homogeneous call starts a fresh cache, and
 # a single entry is decided by _decide and refined by _majority.
+
+def _majority(colors: list[bool]) -> bool:
+    trues = sum(colors)
+    falses = len(colors) - trues
+    if trues != falses:
+        return trues > falses
+    return colors[0]
+
 
 def _reference_decide(ctx, phi, entries, items, alive0, rows):
     got = _entry_rows(ctx, phi, entries, items, rows)

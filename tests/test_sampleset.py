@@ -32,6 +32,7 @@ from flipwide.generators import (
 from flipwide.graphcore import Graph, ball_mask, eq_class_mask
 from flipwide.sampleset import (
     _certificates,
+    _pick_fewest,
     _pick_sample,
     decompose_exceptional,
 )
@@ -287,6 +288,25 @@ def test_sample_pick_matches_per_vertex_loop(case):
     marked = sum(1 << s for s in samples)
     got = _pick_sample(g.full_mask(), class_table(g, samples, balls), marked)
     assert got == pick_by_vertex(g, samples, balls)
+
+
+@given(graph_samples_balls())
+def test_fewest_pick_matches_per_vertex_loop(case):
+    # the short-sequence fallback: the unmarked vertex equivalent to some
+    # sample over the fewest balls, the lowest on ties
+    g, samples, balls = case
+    marked = sum(1 << s for s in samples)
+    counted = [(sum(any(phi_equivalent_over(g, v, s, ball) for s in samples)
+                    for ball in balls), v)
+               for v in range(g.n) if v not in samples]
+    want = (None, [])
+    if counted:
+        v = min(counted)[1]
+        want = (v, [i for i, ball in enumerate(balls)
+                    if any(phi_equivalent_over(g, v, s, ball)
+                           for s in samples)])
+    got = _pick_fewest(g.full_mask(), class_table(g, samples, balls), marked)
+    assert got == want
 
 
 # ------------------------------------------------------------ validation

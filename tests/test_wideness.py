@@ -30,12 +30,14 @@ from flipwide import (
     verify_flip_wide,
 )
 from flipwide import wideness
+from flipwide.cli import main
 from flipwide.graphcore import (
     Flip,
     Graph,
     apply_flips,
     ball_mask,
     exact_distance_layer,
+    format_edge_list,
 )
 from flipwide.generators import (
     clique,
@@ -45,6 +47,7 @@ from flipwide.generators import (
     half_graph,
     matching,
     path,
+    power,
     random_bounded_degree,
     star_forest,
     subdivided_clique,
@@ -386,16 +389,9 @@ def stable_cases(draw):
     return g, draw(st.integers(1, 4))
 
 
-@given(stable_cases())
-@settings(max_examples=40, deadline=None)
-@example((complement(random_bounded_degree(60, 3, 1)), 4))
-@example((grid(8, 10), 3))
-def test_every_level_passes_the_independent_oracles(case):
-    """Each level's sample set passes ``verify_sample_set``, which
-    re-derives every certificate from ``phi_equivalent_over`` alone, and
-    the level-0 sequence has the ranks the paper predicts for a stable
-    class: alternation rank at most 2 and exception rank at most 1."""
-    g, r = case
+def _widen_checking_levels(g, r):
+    """``flip_widen`` on A = V with target 1, and each level's sample-set
+    build, every one checked by ``verify_sample_set``."""
     levels = []
 
     def recording(graph, inp, budget):
@@ -405,14 +401,74 @@ def test_every_level_passes_the_independent_oracles(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wideness, "build_sample_set", recording)
-        flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1))
+        res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1))
     for level, (graph, inp, built) in enumerate(levels):
         ok, why = verify_sample_set(graph, inp, built)
         assert ok, f"level {level}: {why}"
+    return res, levels
+
+
+@given(stable_cases())
+@settings(max_examples=40, deadline=None)
+@example((complement(random_bounded_degree(60, 3, 1)), 4))
+@example((grid(8, 10), 3))
+@example((random_bounded_degree(75, 4, 4338), 3))
+def test_every_level_passes_the_independent_oracles(case):
+    """Each level's sample set passes ``verify_sample_set``, which
+    re-derives every certificate from ``phi_equivalent_over`` alone, and
+    the level-0 sequence has the ranks the paper predicts for a stable
+    class: alternation rank at most 2 and exception rank at most 1."""
+    g, r = case
+    _, levels = _widen_checking_levels(g, r)
     if levels:
         survivors = levels[0][2].subseq
         assert alternation_rank(g, survivors)[0] <= 2
         assert exception_rank(g, survivors)[0] <= 1
+
+
+# ---------------------------------------------------- short-sequence stops
+
+# Bounded-degree graphs whose level-2 build once stopped: one sample, five
+# or fewer surviving balls, and every free vertex equivalent to the sample
+# over three of them or more. The at-most-two rule rests on the paper's
+# first theorem, which holds over long sequences only, so on fewer than
+# 2 * max_pattern_length balls the build takes the vertex equivalent over
+# the fewest.
+SHORT_SEQUENCE_STOPS = [((75, 4, 4338), 3), ((75, 4, 38), 3),
+                        ((75, 4, 38), 4), ((100, 4, 22), 3),
+                        ((100, 4, 22), 4), ((71, 4, 57163), 4)]
+
+
+@pytest.mark.parametrize("args, r", SHORT_SEQUENCE_STOPS,
+                         ids=[f"{n}-{d}-{seed}-r{r}"
+                              for (n, d, seed), r in SHORT_SEQUENCE_STOPS])
+def test_short_sequences_end_with_a_verified_result(args, r):
+    g = random_bounded_degree(*args)
+    res, levels = _widen_checking_levels(g, r)
+    ok, pair = verify_flip_wide(g, res, r)
+    assert ok and res.verified, pair
+    assert len(levels) >= 3
+
+
+# Inputs outside the stable classes still stop. The fallback above never
+# applies to the 11 surviving balls of subdivided_clique(12) at r=1, whose
+# stop test_no_candidate_sample_carries_level_state and the CLI tests pin;
+# these two stop with ModeError before the fallback could apply.
+@pytest.mark.parametrize("g, r, message", [
+    (half_graph(40), 2, "level 0: vertex 42 has no single"),
+    (power(path(60), 20), 2, "level 0: vertex 23 has no single"),
+], ids=["half_graph40", "power_path60_20"])
+def test_non_stable_inputs_still_stop(g, r, message, tmp_path, capsys):
+    with pytest.raises(ModeError) as exc:
+        flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1))
+    assert str(exc.value).startswith(message)
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(format_edge_list(g))
+    got = main(["flip-widen", "-g", str(graph_file), "-A", "all", "-r",
+                str(r), "-m", "1"])
+    cap = capsys.readouterr()
+    assert got == 2 and cap.out == ""
+    assert message in cap.err.splitlines()[0]
 
 
 def _results_digest(cases) -> str:
