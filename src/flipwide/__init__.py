@@ -76,4 +76,27 @@ from .wideness import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The exported names, a stated choice: every class and function imported
+# above, and the seven submodules they come from (not ``generators`` or
+# ``cli``).
+__all__ = [
+    "AlternationWitness", "Atom", "BipartitePattern", "BudgetExceeded",
+    "Counterexample", "DisjointFamilyInput", "EvalContext", "ExceptionWitness",
+    "ExtractionConfig", "ExtractionShortfall", "Flip", "FlipSet",
+    "FlipWideRequest", "FlipWideResult", "FlipwideError", "Graph",
+    "InputError", "InternalInvariantError", "LevelTrace", "ModeError",
+    "OracleReport", "Pattern", "PhiType", "SampleBudget", "SampleSetResult",
+    "TypeDecomposition", "TypeFalsifier", "Witness", "all_phi_types",
+    "alternation_rank", "apply_flips", "ball", "ball_mask",
+    "bipartite_canonical_pattern", "build_sample_set",
+    "decompose_sequence_types", "dist_atom", "distances_from", "edge_atom",
+    "entry_mask", "enumerate_type_patterns", "eq_atom", "eq_class_mask",
+    "eval_atom", "exact_distance_layer", "exception_rank",
+    "extract_indiscernible", "flip_widen", "format_edge_list",
+    "is_delta_indiscernible", "is_distance_r_independent",
+    "order_property_witness", "pairing_index_witness", "parse_edge_list",
+    "phi_equivalent_over", "shattering_witness", "type_pattern",
+    "verify_flip_wide", "verify_sample_set",
+    "errors", "formulas", "graphcore", "indiscernibles", "oracles",
+    "sampleset", "wideness",
+]

@@ -13,6 +13,7 @@ toggles every pair inside A.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -231,21 +232,33 @@ def is_distance_r_independent(
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check pairwise distance > r over all distinct members.
 
-    Returns (True, None) or (False, (u, v)) with a concrete violating pair.
-    ``r`` may be arbitrarily large; BFS stops at the graph's eccentricity.
+    Returns (True, None) or (False, (u, v)) with a concrete violating
+    pair: u is the lowest member whose radius-r ball holds another
+    member, v the lowest such member. Each member's ball grows in place
+    one frontier at a time, as in ``_bfs_levels``, so ``r`` may be
+    arbitrarily large: the growth stops at the graph's eccentricity. The
+    lowest out-of-range member raises ``InputError``.
     """
     vs = sorted(set(members))
-    for v in vs:
-        g.check_vertex(v)
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        g.check_vertex(vs[0] if vs[0] < 0 else vs[bisect_left(vs, g.n)])
+    rows = g.rows
     member_mask = mask_of(vs)
     for u in vs:
-        reach = 0
-        for level in _bfs_levels(g, 1 << u, r):
-            reach |= level
-        hit = reach & member_mask & ~(1 << u)
+        seen = frontier = 1 << u
+        dist = 0
+        while frontier and dist < r:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            dist += 1
+        hit = seen & member_mask & ~(1 << u)
         if hit:
-            v = (hit & -hit).bit_length() - 1
-            return False, (u, v)
+            return False, (u, (hit & -hit).bit_length() - 1)
     return True, None
 
 

@@ -8,18 +8,21 @@ most one, its exceptional position.
 Index convention: the exceptional index is 0-based; the sentinel value
 len(I) means no position is exceptional and one sample covers every ball.
 
-Each round works on one class table: for every surviving ball and
-sample, the mask of all vertices equivalent to the sample over the ball.
-These are the eq-atom masks of the round's ``EvalContext``, which the
-extraction has already memoised; ``graphcore.eq_class_mask`` computes
-each in O(|ball|) mask operations. Prefix and suffix intersections of
-that table yield every vertex's certificate at once, and saturating
-bitset counters pick the next sample. The center balls are computed once
-per build and handed to each round's context.
+Each round works on one class table, read as one row per sample over the
+surviving balls: entry i of sample p's row is the mask of all vertices
+equivalent to the sample over ball i. These are the eq-atom masks of the
+round's ``EvalContext``, which the extraction has already memoised, so a
+row costs one memo lookup; ``graphcore.eq_class_mask`` computes each in
+O(|ball|) mask operations. Saturating bitset counters over each row (the
+vertices inequivalent to the sample over at least one, and at least two,
+balls) give every vertex's certificate at once, and saturating counters
+over the union of the rows pick the next sample. The center balls are
+computed once per build and handed to each round's context.
 ``decompose_exceptional`` is the per-vertex definition of the weaker split
 certificate (one sample before the exceptional position, another after
-it); the kernel's coverage test is that definition, so a vertex without
-one makes the build pick another sample.
+it); when some vertex has no single-sample certificate, the kernel's
+coverage test is that definition, so a vertex without one makes the build
+pick another sample.
 ``verify_sample_set`` re-checks a result with ``phi_equivalent_over``
 alone, so the verifier does not depend on the kernel.
 """
@@ -34,7 +37,7 @@ from .errors import BudgetExceeded, InputError, ModeError
 from .formulas import (
     PATTERN_CAP,
     EvalContext,
-    atom_mask,
+    _atom_row,
     enumerate_type_patterns,
     eq_atom,
 )
@@ -134,79 +137,109 @@ def decompose_exceptional(
     return None
 
 
-def _certificates(full: int, table: list[list[int]],
-                  nsamples: int) -> list[tuple[int, int]] | None:
+def _certificates(full: int, cols: list[list[int]],
+                  count: int) -> list[tuple[int, int]] | None:
     """Every vertex's certificate (e, p), for all vertices at once.
 
-    Prefix and suffix intersections of the class table give, per sample,
-    the vertices equivalent to it over every ball before (after) each
-    position. A vertex gets the sentinel from the lowest sample covering
-    all balls, else the lowest sample p with exactly one bad ball e, the
-    vertex lying in prefix[e][p] & suffix[e+1][p]. None as soon as some
-    vertex has no ``decompose_exceptional`` split certificate, so the
-    build picks another sample; when split certificates cover every
-    vertex but some vertex has no single-sample one, ``ModeError`` names
-    the lowest such vertex.
+    ``cols[p]`` is sample p's row of the class table over the ``count``
+    balls. Saturating counters over that row (``once``, ``twice``) hold
+    the vertices inequivalent to the sample over at least one and at
+    least two balls, so a vertex has a single-sample certificate exactly
+    when it lies outside some sample's ``twice``. A vertex gets the
+    sentinel from the lowest sample it is never inequivalent to, else
+    the lowest sample p with exactly one bad ball e. Only when some
+    vertex has no single-sample certificate is the weaker
+    ``decompose_exceptional`` split cover built: None when it misses a
+    vertex too, so the build picks another sample, and otherwise
+    ``ModeError`` names the lowest vertex without a single-sample
+    certificate.
     """
-    count = len(table)
-    prefix = [[full] * nsamples]
-    for row in table:
-        prefix.append([a & m for a, m in zip(prefix[-1], row)])
-    suffix = [[full] * nsamples]
-    for row in reversed(table):
-        suffix.append([a & m for a, m in zip(suffix[-1], row)])
-    suffix.reverse()
-
-    def union(masks: list[int]) -> int:
-        out = 0
-        for m in masks:
-            out |= m
-        return out
-
-    covered = union(prefix[count])
-    for e in range(count):
-        covered |= union(prefix[e]) & union(suffix[e + 1])
-    if covered != full:
-        return None
-
-    n = full.bit_length()
-    e_of = [count] * n
-    p_of = [0] * n
-    left = full
-    for p, m in enumerate(prefix[count]):
-        for v in iter_bits(left & m):
-            p_of[v] = p
-        left &= ~m
-    for p in range(nsamples):
-        for e in range(count):
-            hit = left & prefix[e][p] & suffix[e + 1][p]
-            for v in iter_bits(hit):
-                e_of[v] = e
-                p_of[v] = p
-            left ^= hit
-    if left:
+    counters = []
+    cover = 0
+    for row in cols:
+        once = twice = 0
+        for m in row:
+            bad = full ^ m
+            twice |= once & bad
+            once |= bad
+        counters.append((once, twice))
+        cover |= full ^ twice
+    if cover != full:
+        if _split_cover(full, cols, count) != full:
+            return None
+        left = full & ~cover
         raise ModeError(
             f"vertex {(left & -left).bit_length() - 1} has no "
             f"single-sample certificate; the sequence is not stable "
             f"within these budgets")
+
+    # Every vertex starts at the sentinel with sample 0, so only the
+    # vertices of a later sample or with a bad ball are written.
+    n = full.bit_length()
+    e_of = [count] * n
+    p_of = [0] * n
+    left = full
+    for p, (once, _) in enumerate(counters):
+        hit = left & ~once
+        left ^= hit
+        if p:
+            for v in iter_bits(hit):
+                p_of[v] = p
+    for p, (row, (once, twice)) in enumerate(zip(cols, counters)):
+        hit = left & once & ~twice
+        if not hit:
+            continue
+        left ^= hit
+        if p:
+            for v in iter_bits(hit):
+                p_of[v] = p
+        for e, m in enumerate(row):
+            for v in iter_bits(hit & ~m):
+                e_of[v] = e
     return list(zip(e_of, p_of))
 
 
-def _pick_sample(full: int, table: list[list[int]], marked: int,
+def _split_cover(full: int, cols: list[list[int]], count: int) -> int:
+    """Every vertex with a ``decompose_exceptional`` split certificate:
+    equivalent to some sample over every ball before a position and to
+    some sample over every ball after it. ``prefix[e]`` (``suffix[e]``)
+    is the union, over the samples, of the vertices equivalent to the
+    sample over balls 0..e-1 (e..count-1)."""
+    end = full if cols else 0
+    prefix = [end] + [0] * count
+    suffix = [0] * count + [end]
+    for row in cols:
+        acc = full
+        for e, m in enumerate(row, 1):
+            acc &= m
+            prefix[e] |= acc
+        acc = full
+        for e in range(count - 1, -1, -1):
+            acc &= row[e]
+            suffix[e] |= acc
+    covered = prefix[count]
+    for e in range(count):
+        covered |= prefix[e] & suffix[e + 1]
+    return covered
+
+
+def _ball_hits(cols: list[list[int]]) -> list[int]:
+    """Per ball, every vertex equivalent to some sample over it."""
+    return [reduce(or_, ms) for ms in zip(*cols)]
+
+
+def _pick_sample(full: int, cols: list[list[int]], marked: int,
                  ) -> tuple[int | None, list[int]]:
     """Lowest unmarked vertex equivalent to some sample over at most two
     balls, with those balls; (None, []) when there is none.
 
-    Saturating bitset counters (at least one, two, three balls) count
-    every vertex's equivalent balls at once.
+    Saturating bitset counters (at least one, two, three balls) over the
+    union of the sample columns count every vertex's equivalent balls at
+    once.
     """
-    hits = []
+    hits = _ball_hits(cols)
     once = twice = thrice = 0
-    for row in table:
-        h = 0
-        for m in row:
-            h |= m
-        hits.append(h)
+    for h in hits:
         thrice |= twice & h
         twice |= once & h
         once |= h
@@ -217,14 +250,14 @@ def _pick_sample(full: int, table: list[list[int]], marked: int,
     return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
 
 
-def _pick_fewest(full: int, table: list[list[int]], marked: int,
+def _pick_fewest(full: int, cols: list[list[int]], marked: int,
                  ) -> tuple[int | None, list[int]]:
     """Unmarked vertex equivalent to some sample over the fewest balls,
     the lowest on ties, with those balls; (None, []) when every vertex
     is marked. ``_pick_sample``'s bound of two rests on the paper's first
     theorem, which holds over long sequences only, so a short sequence
     falls back to this when no vertex meets that bound."""
-    hits = [reduce(or_, row, 0) for row in table]
+    hits = _ball_hits(cols)
     pick = min(iter_bits(full & ~marked), default=None,
                key=lambda v: sum(h >> v & 1 for h in hits))
     if pick is None:
@@ -280,10 +313,10 @@ def build_sample_set(
     samples: list[int] = []
     survivors = list(inp.centers)
     while True:
-        # The class table: table[i][p] holds every vertex equivalent to
-        # samples[p] over the ball of survivors[i], the eq-atom masks the
-        # round's extraction has already memoised.
-        table: list[list[int]] = [[] for _ in survivors]
+        # The class table, one row per sample: cols[p][i] holds every
+        # vertex equivalent to samples[p] over the ball of survivors[i],
+        # the eq-atom masks the round's extraction has already memoised.
+        cols: list[list[int]] = [[] for _ in samples]
         if samples and survivors:
             ctx = EvalContext(g, tuple(samples), inp.half_radius,
                               balls=ball_of)
@@ -300,21 +333,21 @@ def build_sample_set(
                     diagnostic=_NOT_NIP) from exc
             survivors = extract_indiscernible(ctx, phi, patterns, survivors,
                                               cfg)
-            table = [[atom_mask(ctx, a, c) for a in phi] for c in survivors]
+            cols = [_atom_row(ctx, a, survivors) for a in phi]
 
         # Termination is tested before any length floor: with zero or one
         # surviving ball every vertex decomposes, so a heavily pruned
         # sequence ends the loop with a short honest result, not an error.
         # Without samples no vertex has a certificate, so round 0 picks.
-        certs = (_certificates(full, table, len(samples))
+        certs = (_certificates(full, cols, len(survivors))
                  if samples else None)
         if certs is not None:
             ex, s_of = zip(*certs)
             return SampleSetResult(tuple(samples), tuple(survivors), ex, s_of)
 
-        pick, outliers = _pick_sample(full, table, mask_of(samples))
+        pick, outliers = _pick_sample(full, cols, mask_of(samples))
         if pick is None and len(survivors) < 2 * budget.max_pattern_length:
-            pick, outliers = _pick_fewest(full, table, mask_of(samples))
+            pick, outliers = _pick_fewest(full, cols, mask_of(samples))
         if pick is None:
             raise BudgetExceeded(
                 "no vertex is inequivalent to the samples over all but two "

@@ -234,6 +234,55 @@ def test_independence_verdict_matches_pair_scan(g, data):
         assert u in members and v in members and d[u][v] <= r
 
 
+@st.composite
+def graphs_and_members(draw):
+    """A sparse graph on up to 100 vertices, so rows narrower and wider
+    than one 64-bit word, and a member list that may repeat ids."""
+    n = draw(st.integers(0, 100))
+    if n < 2:
+        g = Graph(n)
+    else:
+        ends = st.integers(0, n - 1)
+        g = Graph.from_edges(n, draw(st.lists(
+            st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+            max_size=2 * n)))
+    members = draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+    return g, members
+
+
+@given(graphs_and_members(), st.sampled_from((0, 1, 2, 3, 4, 5, math.inf)))
+@settings(max_examples=80)
+def test_independence_pair_matches_all_pairs_distances(case, r):
+    # the violating pair is the lowest member whose ball holds another
+    # member, with the lowest such member; a member in another component
+    # is never near, even at r = inf
+    g, members = case
+    d = all_pairs_distance(g)
+    vs = sorted(set(members))
+    want = (True, None)
+    for u in vs:
+        near = [v for v in vs if v != u and d[u][v] <= r
+                and d[u][v] < math.inf]
+        if near:
+            want = (False, (u, near[0]))
+            break
+    assert is_distance_r_independent(g, members, r) == want
+
+
+@given(graphs_and_members(), st.lists(st.integers(-5, 110), min_size=1,
+                                      max_size=4))
+def test_independence_names_the_lowest_bad_member(case, extra):
+    # every member is range-checked in sorted order before any ball grows
+    g, members = case
+    vs = sorted(set(members + extra))
+    bad = [v for v in vs if not 0 <= v < g.n]
+    if not bad:
+        return
+    with pytest.raises(InputError) as exc:
+        is_distance_r_independent(g, members + extra, 1)
+    assert str(exc.value) == f"vertex {bad[0]} out of range for n={g.n}"
+
+
 def test_huge_radius_stops_at_eccentricity():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     ok, _ = is_distance_r_independent(g, (0, 2), 10**6)

@@ -166,8 +166,9 @@ def test_decompose_degenerate():
 
 
 def class_table(g, samples, balls):
-    # table[i][p]: every vertex equivalent to samples[p] over balls[i]
-    return [[eq_class_mask(g, s, ball) for s in samples] for ball in balls]
+    # one row per sample, as the build reads it: table[p][i] holds every
+    # vertex equivalent to samples[p] over balls[i]
+    return [[eq_class_mask(g, s, ball) for ball in balls] for s in samples]
 
 
 def stable_certificate(g, samples, balls, a):
@@ -249,6 +250,7 @@ def pick_by_vertex(g, samples, balls):
           singleton_balls(0, 1)))
 @example((Graph.from_edges(10, [(0, 3), (0, 6), (1, 6), (3, 4)]), (1, 3, 4),
           singleton_balls(0, 1, 2, 3)))
+@example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
 def test_stable_certificates_match_per_vertex_reference(case):
     # the reference: None when some vertex has no split certificate;
     # else the split certificate where one sample covers both sides, and
@@ -256,33 +258,34 @@ def test_stable_certificates_match_per_vertex_reference(case):
     # example vertex 9's split certificate uses two samples, and samples 1
     # and 3 each miss it on one ball (1 and 0): the lower sample wins. In
     # the second every vertex has a split certificate, vertices 2 and 6
-    # no single-sample one.
+    # no single-sample one. In the third samples are present but no ball
+    # survives, so every vertex takes the sentinel with sample 0.
     g, samples, balls = case
     table = class_table(g, samples, balls)
     split = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
     if None in split:
-        assert _certificates(g.full_mask(), table, len(samples)) is None
+        assert _certificates(g.full_mask(), table, len(balls)) is None
         return
     want = [c[:2] if c[1] == c[2] else stable_certificate(g, samples, balls, a)
             for a, c in enumerate(split)]
     if None in want:
         with pytest.raises(ModeError, match=f"^vertex {want.index(None)} "
                            "has no single-sample certificate"):
-            _certificates(g.full_mask(), table, len(samples))
+            _certificates(g.full_mask(), table, len(balls))
     else:
-        assert _certificates(g.full_mask(), table, len(samples)) == want
+        assert _certificates(g.full_mask(), table, len(balls)) == want
 
 
 @pytest.mark.parametrize("survivors", [0, 1, 400])
 def test_no_certificates_without_samples(survivors):
     # build_sample_set skips the certificates in its sample-free round 0:
     # with no sample no vertex decomposes, however many balls survive
-    table = [[] for _ in range(survivors)]
     for n in (1, 2, 400):
-        assert _certificates((1 << n) - 1, table, 0) is None
+        assert _certificates((1 << n) - 1, [], survivors) is None
 
 
 @given(graph_samples_balls())
+@example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
 def test_sample_pick_matches_per_vertex_loop(case):
     g, samples, balls = case
     marked = sum(1 << s for s in samples)
@@ -291,6 +294,7 @@ def test_sample_pick_matches_per_vertex_loop(case):
 
 
 @given(graph_samples_balls())
+@example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
 def test_fewest_pick_matches_per_vertex_loop(case):
     # the short-sequence fallback: the unmarked vertex equivalent to some
     # sample over the fewest balls, the lowest on ties

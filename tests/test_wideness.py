@@ -450,6 +450,39 @@ def test_short_sequences_end_with_a_verified_result(args, r):
     assert len(levels) >= 3
 
 
+# The seeded soak: every bounded-degree input of these sizes, and the
+# sparse families beside them, ends with a result the verifier accepts.
+# About 2,900 runs in all, a little under 5 s on one core of a loaded
+# 2-core host.
+def _unverified(graphs) -> list[tuple[str, int]]:
+    """The (label, r) pairs, r = 1..4, whose result the verifier rejects."""
+    bad = []
+    for label, g in graphs:
+        for r in (1, 2, 3, 4):
+            res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1))
+            if not (res.verified and verify_flip_wide(g, res, r)[0]):
+                bad.append((label, r))
+    return bad
+
+
+@pytest.mark.parametrize("n", [40, 60, 75, 100])
+def test_seeded_soak_ends_verified(n):
+    assert _unverified((f"rbd({n}, {d}, {seed})",
+                        random_bounded_degree(n, d, seed))
+                       for d in (2, 3, 4) for seed in range(60)) == []
+
+
+def test_sparse_families_and_complements_end_verified():
+    graphs = [(f"path({n})", path(n)) for n in (40, 75, 100)]
+    graphs += [(f"grid{shape}", grid(*shape))
+               for shape in ((5, 8), (8, 10), (10, 10))]
+    graphs += [(f"matching({n})", matching(n)) for n in (20, 50)]
+    graphs += [(f"co-rbd({n}, {d}, {seed})",
+                complement(random_bounded_degree(n, d, seed)))
+               for n in (40, 60) for d in (2, 3, 4) for seed in (0, 1)]
+    assert _unverified(graphs) == []
+
+
 # Inputs outside the stable classes still stop. The fallback above never
 # applies to the 11 surviving balls of subdivided_clique(12) at r=1, whose
 # stop test_no_candidate_sample_carries_level_state and the CLI tests pin;
@@ -501,3 +534,16 @@ def test_benchmark_sized_results_are_pinned():
               (complement(random_bounded_degree(100, 3, 3)), 2, 3, whole)]
     assert _results_digest(cases) == (
         "0ef4fd0269f1cc976984367b9bad7a7c5685ccd047a83d6be1ed0891c0b3e97f")
+
+
+def test_homogeneous_results_are_pinned():
+    # flip_widen on cliques and edgeless graphs at the benchmark's (n, r)
+    # pairs, A in a seeded order: the constancy check, the certificates
+    # of every vertex and the independence checks, over rows narrower and
+    # wider than one 64-bit word
+    pairs = ((48, 1), (48, 2), (48, 4), (52, 1), (56, 2), (60, 1), (64, 1),
+             (68, 2), (72, 1))
+    cases = [(family(n), r, n * 10 + r, SampleBudget())
+             for family in (clique, edgeless) for n, r in pairs]
+    assert _results_digest(cases) == (
+        "82f45669d57d734fd92d511eb6aec0a607d5c80a47bbe43fbbe2ade29e744f24")
