@@ -234,8 +234,8 @@ def _pick_sample(full: int, cols: list[list[int]], marked: int,
     balls, with those balls; (None, []) when there is none.
 
     Saturating bitset counters (at least one, two, three balls) over the
-    union of the sample columns count every vertex's equivalent balls at
-    once.
+    per-ball union of the sample rows count every vertex's equivalent
+    balls at once.
     """
     hits = _ball_hits(cols)
     once = twice = thrice = 0
