@@ -5,19 +5,21 @@ used for indiscernibility.
 
 Evaluation is mask-based: for a fixed second argument y, each atom has a
 bitmask of satisfying first arguments, computed once and cached on the
-EvalContext, and so has each pattern entry. Pattern evaluation then
-reduces to AND/OR over masks. ``entry_row`` builds an entry's masks over
-a whole item list at once, from the atoms' rows over the items it has
-not seen yet. The pointwise definitions of types and patterns that it is
-checked against live in the tests (``tests/pointwise.py``).
+EvalContext. Pattern evaluation then reduces to AND/OR over masks.
+``type_rows`` builds every complete type's masks over a whole item list
+at once, by splitting the atoms' rows, and ``entry_row`` ORs the rows of
+an entry's types. Neither keeps what it builds: the caller that reads a
+row more than once keeps it. The pointwise definitions of types and
+patterns that they are checked against live in the tests
+(``tests/pointwise.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, product, repeat
-from operator import and_, is_, or_
+from operator import and_, is_, or_, xor
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InputError
@@ -115,15 +117,15 @@ class EvalContext:
     Balls are computed the first time a vertex needs one; ``balls`` may
     hand in balls already computed at ``ball_radius``, as vertex -> mask,
     and they are taken as given. Atom masks are memoized as one dict per
-    atom, and entry masks as one dict per (phi, entry), each from y to
-    mask, so a row over a sequence looks its dict up once and then reads
-    every item with one ``map``. Immutable after construction apart from
-    these memo tables; safe to share across threads for read-only
-    evaluation.
+    atom, from y to mask, so a row over a sequence looks its dict up once
+    and then reads every item with one ``map``; type and entry rows are
+    built from those rows and not memoized. Immutable after construction
+    apart from these memo tables; safe to share across threads for
+    read-only evaluation.
     """
 
     __slots__ = ("graph", "constants", "ball_radius", "_balls",
-                 "_atom_masks", "_entry_masks")
+                 "_atom_masks")
 
     def __init__(self, graph: Graph, constants: Sequence[int] = (),
                  ball_radius: int = 1, *,
@@ -137,7 +139,6 @@ class EvalContext:
         self.ball_radius = ball_radius
         self._balls: dict[int, int] = dict(balls) if balls else {}
         self._atom_masks: dict = {}
-        self._entry_masks: dict = {}
 
     def constant(self, index: int) -> int:
         if not 0 <= index < len(self.constants):
@@ -194,41 +195,48 @@ def eval_atom(ctx: EvalContext, atom: Atom, x: int, y: int) -> bool:
     return bool(atom_mask(ctx, atom, y) >> x & 1)
 
 
+def type_rows(ctx: EvalContext, phi: tuple[Atom, ...],
+              items: Sequence[int]) -> list[list[int]]:
+    """Every complete type's witness mask at each of ``items``, one row
+    per type in ``all_phi_types(len(phi))`` order.
+
+    The first atom's row and its complement are the two types over it;
+    each further atom splits every row into the witnesses inside its row
+    and those outside, which keeps the order of ``all_phi_types``. One
+    ``_atom_row`` per atom and 2^(|phi|+1) - 2 ``map`` passes build every
+    row, however many types are empty.
+    """
+    if not phi:
+        raise InputError("need at least one formula, got 0")
+    full = ctx.graph.full_mask()
+    first = _atom_row(ctx, phi[0], items)
+    # atom masks lie within ``full``, so xor is its complement
+    rows = [first, list(map(full.__xor__, first))]
+    for atom in phi[1:]:
+        am = _atom_row(ctx, atom, items)
+        split = []
+        for row in rows:
+            inside = list(map(and_, row, am))
+            split += inside, list(map(xor, row, inside))
+        rows = split
+    return rows
+
+
 def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
               items: Sequence[int]) -> list[int]:
     """The entry's witness mask at each of ``items``: every x whose type
-    over ``phi`` at y lies in ``entry``.
-
-    The memo for (phi, entry) is looked up once per call and read for
-    every item with one ``map``. The items it misses are filled together:
-    each type's masks there are the AND, over the formulas, of the atom's
-    row or of its complement, and the entry's are the OR over its types,
-    each step one ``map`` over the missing items. So a row costs O(|entry|
-    * |phi|) C-level passes, not one pass per (type, item).
-    """
-    key = (phi, entry)
-    memo = ctx._entry_masks.get(key)
-    if memo is None:
-        memo = ctx._entry_masks[key] = {}
-    row = list(map(memo.get, items))
-    if None in row:
-        missing = list(compress(items, map(is_, row, repeat(None))))
-        full = ctx.graph.full_mask()
-        atom_rows = [_atom_row(ctx, atom, missing) for atom in phi]
-        fill = None
-        for tau in entry:
-            if len(tau) != len(phi):
-                raise InputError(f"type arity {len(tau)} does not match "
-                                 f"|phi|={len(phi)}")
-            m = None
-            for am, positive in zip(atom_rows, tau):
-                # atom masks lie within ``full``, so xor is its complement
-                part = am if positive else map(full.__xor__, am)
-                m = list(part) if m is None else list(map(and_, m, part))
-            fill = m if fill is None else list(map(or_, fill, m))
-        memo.update(zip(missing, fill))
-        row = list(map(memo.__getitem__, items))
-    return row
+    over ``phi`` at y lies in ``entry``, the OR of its types' rows from
+    ``type_rows``."""
+    rows = type_rows(ctx, phi, items)
+    picked = []
+    for tau in entry:
+        if len(tau) != len(phi):
+            raise InputError(f"type arity {len(tau)} does not match "
+                             f"|phi|={len(phi)}")
+        # all_phi_types counts in binary, True as 0, first formula highest
+        picked.append(rows[sum(1 << i for i, positive
+                               in enumerate(reversed(tau)) if not positive)])
+    return reduce(lambda acc, row: list(map(or_, acc, row)), picked)
 
 
 # Only the tests call it; the benchmark's tracer still names it as a span.

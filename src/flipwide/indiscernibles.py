@@ -8,19 +8,20 @@ tuples with different truth.
 The cost model rides on witness masks. For a pattern entry e and a
 sequence element y, mask(e, y) is the bitmask of witnesses z satisfying
 e(z, y); the truth of a tuple is "the AND of its entry masks is nonzero".
-Masks are keyed by vertex, so they are shared across every refinement
-round of the extractor. The layer works on whole rows: an entry's row
-over an item list is built in O(|entry| * |phi|) C-level passes
-(``formulas.entry_row``), and every later step is a ``map``, an
-``accumulate`` or a ``compress`` over rows or over lists of positions
-into them, with Python-level loops only over heads, search nodes and
-positions where something changes. No step evaluates one vertex at a
-time.
+Atom masks are keyed by vertex, so they are shared across every
+refinement round of the extractor. The layer works on whole rows: every
+type's row over an item list comes from one split of the atoms' rows,
+2^(|phi|+1) - 2 C-level passes (``formulas.type_rows``), and every later
+step is a ``map``, an ``accumulate`` or a ``compress`` over rows or over
+lists of positions into them, with Python-level loops only over heads,
+search nodes, the exception table's counters and positions where
+something changes. No step evaluates one vertex at a time.
 
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
-each entry's row over the items and its all-but-one list, and each
-pattern prefix's true-tuple sweep. Each pattern is decided by the
+each entry's row over the items, filled for every type at once, its
+all-but-one list, built only when the false-tuple search needs it, and
+each pattern prefix's true-tuple sweep. Each pattern is decided by the
 cheapest test that settles it (``_decide``, ``_constancy``). The
 refinement (``_make_homogeneous``, ``_refine``) reads each entry's row
 once, from the same cache, and then works on positions into those rows.
@@ -56,13 +57,25 @@ single-type pattern is decided by one rule, each an exact criterion:
 - Any other single-type pattern needs a witness that changes type twice
   and never holds.
 
+The table is read off the type rows with two saturating counters per
+type t (``_table_decides``). With bad[p] the witnesses that are not t at
+item p, ``once`` collects those in some bad[p] and ``twice`` those in two.
+A witness has at most one non-t item exactly when it is outside
+``twice``, it is t at every item exactly when it is outside ``once``, and
+one in ``once`` but not ``twice`` changes type at the one position p with
+bad[p]. So every witness has one exception at most exactly when the
+union over t of the witnesses outside ``twice`` is every witness, and
+E[t][u] holds the positions p where some witness of ``once`` minus
+``twice`` lies in bad[p] and in u's row.
+
 A pattern with union entries is an OR of single-type ones, so it is
 constant when they all are. A yes therefore proves every pattern up to
 the longest one given constant, the same answer the per-pattern path
-gives, and costs O(T^2 * s) mask operations for T types instead of one
-decision per pattern. A no only means that the table cannot tell: some
-witness changes type twice, or some single-type pattern varies, which
-need not refute the patterns given; the per-pattern path then decides.
+gives, and costs O(T * s) mask operations for the counters and
+O(T^2 * s) for the table, for T types, instead of one decision per
+pattern. A no only means that the table cannot tell: some witness
+changes type twice, or some single-type pattern varies, which need not
+refute the patterns given; the per-pattern path then decides.
 
 For a pattern of length k over a sequence of length s with n witnesses,
 a true tuple is found by one k*s bitset sweep. A false tuple is found, or
@@ -99,14 +112,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress
-from operator import and_, attrgetter, invert, not_, or_
+from operator import and_, attrgetter, not_, or_
 from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
 from .formulas import (PATTERN_CAP, Atom, EvalContext, Pattern,
-                       all_phi_types, entry_row, enumerate_type_patterns)
+                       all_phi_types, entry_row, enumerate_type_patterns,
+                       type_rows)
 
 
 @dataclass(frozen=True)
@@ -155,28 +169,48 @@ def _all_but_one(row: list[int]) -> list[int]:
     return list(map(and_, pre, suf[1:]))
 
 
+@lru_cache(maxsize=8)
+def _single_entries(phi_count: int) -> tuple[frozenset, ...]:
+    """Each type's singleton entry, in ``all_phi_types`` order."""
+    return tuple(frozenset((t,)) for t in all_phi_types(phi_count))
+
+
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-                items: Seq[int], rows: dict,
-                ) -> list[tuple[list[int], list[int]]]:
-    """Each entry's witness masks over ``items`` with its ``_all_but_one``
-    list, both built together on the entry's first use and only read
-    afterwards.
+                items: Seq[int], rows: dict) -> list[list]:
+    """Each entry's cell over ``items``: a list of its witness masks and
+    its ``_all_but_one`` list, None until ``_exclusions`` first needs it.
 
     ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
-    keeps both per entry, so every pattern scanned over the same items
-    shares them. ``_decide`` keeps its prefix sweeps in the same dict,
-    keyed by (entries prefix, alive0); nothing else is stored there.
-    Everything in it is a function of its key and of those items, so a
-    caller may share it across patterns and witness sets but must start
-    a new one whenever the items change."""
+    keeps one cell per entry, so every pattern scanned over the same items
+    shares it. The first single-type entry asked for fills every
+    single-type entry's cell from one ``type_rows`` call; an entry with
+    several types takes the OR of its types' rows. ``_decide`` keeps its
+    prefix sweeps in the same dict, keyed by (entries prefix, alive0);
+    nothing else is stored there. Everything in it is a function of its
+    key and of those items, so a caller may share it across patterns and
+    witness sets but must start a new one whenever the items change."""
     out = []
     for e in entries:
-        got = rows.get(e)
-        if got is None:
-            row = entry_row(ctx, phi, e, items)
-            got = rows[e] = (row, _all_but_one(row))
-        out.append(got)
+        cell = rows.get(e)
+        if cell is None:
+            if len(e) == 1 and len(next(iter(e))) == len(phi):
+                for single, row in zip(_single_entries(len(phi)),
+                                       type_rows(ctx, phi, items)):
+                    rows.setdefault(single, [row, None])
+                cell = rows.get(e)
+            if cell is None:
+                cell = rows[e] = [entry_row(ctx, phi, e, items), None]
+        out.append(cell)
     return out
+
+
+def _exclusions(cells: list[list]) -> list[list[int]]:
+    """Each cell's ``_all_but_one`` list, built into the cell on first
+    use: only the false-tuple search reads one."""
+    for cell in cells:
+        if cell[1] is None:
+            cell[1] = _all_but_one(cell[0])
+    return [cell[1] for cell in cells]
 
 
 def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
@@ -184,48 +218,74 @@ def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
     """True when every pattern of length <= k over ``phi`` is constant on
     ``items``, read off the exception table; False when it cannot tell.
 
-    It can tell only when every witness has one type at every item but
-    one at most. ``table[t, u]`` is E[t][u], a bitmask of positions, and
-    the module docstring gives the rules that decide each single-type
-    pattern from it. t^l is constant for every l <= k when it is for
-    l = k, so only t^k is checked.
-
-    Each type's row and all-but-one list come from ``_entry_rows`` on
-    ``rows``, the cache for ``items``, so the refinement that may follow
-    reads them instead of building them again.
+    Each type's row comes from ``_entry_rows`` on ``rows``, the cache for
+    ``items``, so the refinement that may follow reads them instead of
+    building them again; ``_table_decides`` reads the table off them.
     """
-    s = len(items)
+    if min(k, len(items) - 1) < 1:
+        return True
+    cells = _entry_rows(ctx, phi, _single_entries(len(phi)), items, rows)
+    return _table_decides([row for row, _ in cells], k,
+                          ctx.graph.full_mask())
+
+
+def _table_decides(by_type: list[list[int]], k: int, full: int) -> bool:
+    """``_decided_by_exceptions`` on ``by_type``, one row per type over
+    the same items, which partition the witnesses ``full`` at each item.
+
+    The module docstring gives the counter argument and the rules. The
+    loop keeps the complements of ``once`` and ``twice`` within ``full``:
+    ``every``, the witnesses t at every item so far, and ``but_one``,
+    those t at all of them but one at most. Both only shrink, so the loop
+    stops once ``but_one`` is empty. ``table[t, u]`` is E[t][u], a bitmask
+    of positions. t^l is constant for every l <= k when it is for l = k,
+    so only t^k is checked.
+    """
+    s = len(by_type[0])
     k = min(k, s - 1)  # a pattern of length >= s has one tuple at most
     if k < 1:
         return True
-    singles = [frozenset((t,)) for t in all_phi_types(len(phi))]
-    got = _entry_rows(ctx, phi, singles, items, rows)
-    by_type = [row for row, _ in got]
     if not all(all(row) or not any(row) for row in by_type):
         return False
     if k == 1:
         return True
-    # excl[p] holds the witnesses that are t at every item but p; unless
-    # every witness lies in one of them, some witness changes type twice
-    if reduce(or_, chain.from_iterable(excl for _, excl in got)) \
-            != ctx.graph.full_mask():
+    counted = {}
+    covered = 0
+    for t, row in enumerate(by_type):
+        # a type with no witness at any item has none to count
+        if row[0]:
+            every = but_one = full
+            for m in row:
+                but_one &= every | m
+                if not but_one:
+                    break
+                every &= m
+            counted[t] = every, but_one
+            covered |= but_one
+    # unless every witness is one type at every item but one at most, some
+    # witness changes type twice
+    if covered != full:
         return False
     table: dict[tuple[int, int], int] = {}
     positions = range(s)
-    for t, (row, excl) in enumerate(got):
-        # the witnesses t at every item but p that change type there
-        moved = list(map(and_, excl, map(invert, row)))
-        changes = s - moved.count(0)
-        if not changes:
+    for t, (every, but_one) in counted.items():
+        # the witnesses not t at one item only, at the item where each
+        # changes type
+        changed_once = but_one ^ every
+        if not changed_once:
             continue
+        moved = list(map(changed_once.__and__,
+                         map(full.__xor__, by_type[t])))
+        changes = s - moved.count(0)
         # t^k varies: no witness is t at every item, and a tuple can
         # cover every position where a t-witness changes type
-        if not excl[0] & row[0] and changes <= k:
+        if not every and changes <= k:
             return False
-        for u, other in enumerate(by_type):
+        for u in counted:
             if u != t:
                 at = sum(map((1).__lshift__,
-                             compress(positions, map(and_, moved, other))))
+                             compress(positions, map(and_, moved,
+                                                     by_type[u]))))
                 if at:
                     table[t, u] = at
     last = (1 << s) - 1
@@ -506,16 +566,16 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
         prev = p
 
 
-def _constancy(masks: list[list[int]], alive0: int,
-               excl_caches: list[list[int]] | None,
+def _constancy(cells: list[list], alive0: int,
                sweeps: list) -> tuple[bool, bool]:
-    """Truth of the first tuple on the rows ``masks``, and whether every
-    increasing tuple has that truth, without building a tuple.
+    """Truth of the first tuple on the rows of ``cells``, one
+    ``_entry_rows`` cell per entry, and whether every increasing tuple
+    has that truth, without building a tuple.
 
     - First tuple true, one entry: constant exactly when every position
       keeps an alive witness, one scan of the row.
-    - First tuple true, longer: ``_false_search`` on ``excl_caches``, one
-      ``_all_but_one`` list per entry, built here when None.
+    - First tuple true, longer: ``_false_search`` on the cells'
+      ``_all_but_one`` lists (``_exclusions``).
     - First tuple false: the pattern is constant exactly when no
       increasing tuple keeps a witness. After entries e_1..e_j, reach[i]
       holds the witnesses for which those entries fit into positions
@@ -524,12 +584,11 @@ def _constancy(masks: list[list[int]], alive0: int,
       the reach after them, the only one read. The sweep resumes from
       it, appends each new reach and stops at one that keeps no witness.
     """
+    masks = [row for row, _ in cells]
     if _first_truth(masks, alive0):
         if len(masks) == 1:
             return True, all(map(alive0.__and__, masks[0]))
-        if excl_caches is None:
-            excl_caches = list(map(_all_but_one, masks))
-        return True, _false_search(masks, alive0, excl_caches) is None
+        return True, _false_search(masks, alive0, _exclusions(cells)) is None
     reach = sweeps[-1] if sweeps else [alive0] * len(masks[0])
     while len(sweeps) < len(masks) and reach[-1]:
         reach = [0, *accumulate(map(and_, reach, masks[len(sweeps)]), or_)]
@@ -559,10 +618,9 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         j -= 1
     if j and not reach[-1]:
         return False, True
-    got = _entry_rows(ctx, phi, entries, items, rows)
-    masks, excl_caches = map(list, zip(*got))
+    cells = _entry_rows(ctx, phi, entries, items, rows)
     sweeps = [reach] * j  # only the last one is read
-    answer = _constancy(masks, alive0, excl_caches, sweeps)
+    answer = _constancy(cells, alive0, sweeps)
     for j in range(j, len(sweeps)):
         rows[entries[:j + 1], alive0] = sweeps[j]
     return answer
@@ -589,10 +647,10 @@ def is_delta_indiscernible(
         t0, constant = _decide(ctx, phi, entries, items, full, rows)
         if constant:
             continue
-        got = _entry_rows(ctx, phi, entries, items, rows)
-        masks, excl_caches = map(list, zip(*got))
+        cells = _entry_rows(ctx, phi, entries, items, rows)
+        masks = [row for row, _ in cells]
         if t0:
-            bad = _find_false_tuple(masks, full, excl_caches)
+            bad = _find_false_tuple(masks, full, _exclusions(cells))
         else:
             bad = _find_true_tuple(masks, rows[entries, full][-1])
         other = tuple(items[idx] for idx in bad)
@@ -623,8 +681,8 @@ def _refine(masks: list[list[int]], alive0: int, at: Seq[int],
     if depth == 1:
         return _vote(
             at, list(map(alive0.__and__, map(masks[0].__getitem__, at))))
-    t0, constant = _constancy([list(map(row.__getitem__, at))
-                               for row in masks], alive0, None, [])
+    t0, constant = _constancy([[list(map(row.__getitem__, at)), None]
+                               for row in masks], alive0, [])
     if constant:
         return at, t0
     return _head_chain(masks, alive0, at)

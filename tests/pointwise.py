@@ -1,6 +1,6 @@
 """Pointwise reference definitions that the tests check the package against.
 
-The package evaluates formulas a row at a time (``formulas.entry_row``)
+The package evaluates formulas a row at a time (``formulas.type_rows``)
 and decides whole type patterns at once; these helpers state the same
 things one vertex, one pair or one tuple at a time, so a test can compare
 the two. None of them is part of the package's API.

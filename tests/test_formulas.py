@@ -3,6 +3,7 @@ single-type patterns generate indiscernibility for arbitrary entry sets."""
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from itertools import combinations, product
@@ -32,7 +33,7 @@ from flipwide import (
     phi_equivalent_over,
     type_pattern,
 )
-from flipwide.formulas import entry_mask
+from flipwide.formulas import entry_mask, type_rows
 from flipwide.generators import half_graph, path, random_bounded_degree
 from flipwide.indiscernibles import ExtractionConfig
 from pointwise import all_pairs_distance, eval_gamma, eval_type, type_mask
@@ -118,6 +119,31 @@ def test_entry_mask_is_union_of_types():
     for y in range(g.n):
         assert entry_mask(ctx, phi, e, y) == g.full_mask()
         assert type_mask(ctx, phi, (True,), y) == g.rows[y]
+
+
+def test_type_rows_match_pointwise_type_masks():
+    # every type's row, in all_phi_types order, is the pointwise type mask
+    # of a context of its own, for edge, dist and eq atoms, |phi| 1 to 4,
+    # on a fresh atom memo and on item lists it holds in part
+    rng = random.Random(20241)
+    kinds = (edge_atom(), dist_atom(), eq_atom(0), eq_atom(1), eq_atom(2))
+    for seed in range(10):
+        g = random_bounded_degree(16, 1 + seed % 4, seed)
+        consts = rng.sample(range(g.n), 3)
+        ctx, ref = (EvalContext(g, consts, ball_radius=1 + seed % 2)
+                    for _ in range(2))
+        for count in range(1, 5):
+            phi = tuple(rng.sample(kinds, count))
+            types = all_phi_types(count)
+            for size in (0, rng.randint(1, 6), g.n):
+                items = rng.sample(range(g.n), size)
+                rows = type_rows(ctx, phi, items)
+                assert len(rows) == len(types)
+                for tau, row in zip(types, rows):
+                    assert row == [type_mask(ref, phi, tau, y) for y in items]
+    with pytest.raises(InputError,
+                       match=r"^need at least one formula, got 0$"):
+        type_rows(EvalContext(path(3)), (), [0])
 
 
 def test_gamma_matches_brute_witness_search():

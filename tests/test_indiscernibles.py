@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 import sys
 from functools import reduce
-from itertools import accumulate, combinations, product
-from operator import and_, or_
+from itertools import accumulate, chain, combinations, compress, product
+from operator import and_, invert, or_
 from unittest.mock import patch
 
 import pytest
@@ -25,7 +27,8 @@ from flipwide import (
     type_pattern,
 )
 from flipwide import formulas, indiscernibles, sampleset
-from flipwide.formulas import all_phi_types, entry_mask, entry_row, eval_atom
+from flipwide.formulas import (all_phi_types, entry_mask, entry_row, eval_atom,
+                               type_rows)
 from flipwide.generators import (
     clique,
     complement,
@@ -784,9 +787,9 @@ def test_refinement_truth_matches_brute_force(seed, n, d, use_eq, data):
 
 
 def test_refinement_reads_each_entry_row_once(monkeypatch):
-    # the refinement reads each entry's row over the items once, through
+    # the refinement builds the type rows over the items once, through
     # the cache, and then works on positions into those rows: no
-    # entry_mask call, and no row over a shorter item list, at any depth
+    # entry_mask call, and no rows over a shorter item list, at any depth
     heads = []
     reads = []
 
@@ -794,12 +797,12 @@ def test_refinement_reads_each_entry_row_once(monkeypatch):
         heads.append(y)
         return entry_mask(ctx, phi, entry, y)
 
-    def counting_row(ctx, phi, entry, items):
-        reads.append((entry, tuple(items)))
-        return entry_row(ctx, phi, entry, items)
+    def counting_rows(ctx, phi, items):
+        reads.append(tuple(items))
+        return type_rows(ctx, phi, items)
 
     monkeypatch.setattr(formulas, "entry_mask", counting_mask)
-    monkeypatch.setattr(indiscernibles, "entry_row", counting_row)
+    monkeypatch.setattr(indiscernibles, "type_rows", counting_rows)
     # a path with an isolated vertex 6: no pattern below is constant
     g = Graph.from_edges(7, [(v, v + 1) for v in range(5)])
     ctx = edge_ctx(g)
@@ -808,14 +811,13 @@ def test_refinement_reads_each_entry_row_once(monkeypatch):
     out, value = _make_homogeneous(ctx, EDGE, (adj,), items, g.full_mask(),
                                    {})
     assert (out, value) == ([0, 1, 2, 3, 4, 5], True)
-    assert reads == [(adj, tuple(items))]
+    assert reads == [tuple(items)]
     for entries in ((adj, adj), (adj, non, adj), (non, adj, non, adj)):
         reads.clear()
         out, value = _make_homogeneous(ctx, EDGE, entries, items,
                                        g.full_mask(), {})
         assert value is not None and len(out) < len(items)
-        assert len(reads) == len(set(reads)) and set(reads) == {
-            (e, tuple(items)) for e in entries}
+        assert reads == [tuple(items)]
     assert heads == []
 
 
@@ -982,10 +984,10 @@ def _majority(colors: list[bool]) -> bool:
 
 
 def _reference_decide(ctx, phi, entries, items, alive0, rows):
-    got = _entry_rows(ctx, phi, entries, items, rows)
-    masks, excl_caches = map(list, zip(*got))
+    masks = [row for row, _ in _entry_rows(ctx, phi, entries, items, rows)]
     if _first_truth(masks, alive0):
-        return True, _false_search(masks, alive0, excl_caches) is None
+        return True, _false_search(
+            masks, alive0, list(map(_all_but_one, masks))) is None
     reach = [alive0] * len(items)
     for row in masks:
         reach = [0, *accumulate(map(and_, reach, row), or_)]
@@ -1341,3 +1343,143 @@ def test_exception_table_is_exact_on_one_change_structures(s):
         _check_table_by_enumeration(edge_ctx(_one_change_graph(s, picked)),
                                     EDGE, (), list(range(s)), outcomes)
     assert min(outcomes.values()) > 100, outcomes
+
+
+# The exception table as it stood before the saturating counters: each
+# type's all-but-one list over its row, the union of those lists for the
+# witnesses with one change at most, and excl[p] & ~row[p] for the
+# witnesses that change type at p.
+
+def _reference_table(by_type, k, full):
+    s = len(by_type[0])
+    k = min(k, s - 1)
+    if k < 1:
+        return True
+    if not all(all(row) or not any(row) for row in by_type):
+        return False
+    if k == 1:
+        return True
+    excls = list(map(_all_but_one, by_type))
+    if reduce(or_, chain.from_iterable(excls)) != full:
+        return False
+    table = {}
+    positions = range(s)
+    for t, (row, excl) in enumerate(zip(by_type, excls)):
+        moved = list(map(and_, excl, map(invert, row)))
+        changes = s - moved.count(0)
+        if not changes:
+            continue
+        if not excl[0] & row[0] and changes <= k:
+            return False
+        for u, other in enumerate(by_type):
+            if u != t:
+                at = sum(map((1).__lshift__,
+                             compress(positions, map(and_, moved, other))))
+                if at:
+                    table[t, u] = at
+    last = (1 << s) - 1
+    for a, b in {*table, *((b, a) for a, b in table)}:
+        second, first = table.get((a, b), 0), table.get((b, a), 0)
+        free = ~first & last >> 1
+        lo = (free & -free).bit_length() - 1
+        if ((second >> 1 or first & last >> 1)
+                and free and (~second & last) >> lo + 1):
+            return False
+    if k >= 3:
+        span = (1 << s - 2) - 1
+        for at in table.values():
+            for place in range(3):
+                if at & span << place not in (0, span << place):
+                    return False
+    return True
+
+
+def test_counter_table_matches_all_but_one_table():
+    # random type rows over s items, s <= k included: each witness has a
+    # main type and changes it to another witness's main type at a few
+    # positions, mostly once at most, so that rows reach every rule of
+    # the table and not only the two-changes test
+    deep = {True: 0, False: 0}
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, database=None)
+    def check(data):
+        n = data.draw(st.integers(1, 10))
+        types = 2 ** data.draw(st.integers(1, 3))
+        s = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, 5))
+        main = data.draw(st.lists(st.integers(0, types - 1), min_size=n,
+                                  max_size=n))
+        seq = [[t] * s for t in main]
+        for z in range(n):
+            for _ in range(data.draw(st.sampled_from((0, 1, 1, 2)))):
+                seq[z][data.draw(st.integers(0, s - 1))] = data.draw(
+                    st.sampled_from(main))
+        by_type = [[sum(1 << z for z in range(n) if seq[z][p] == t)
+                    for p in range(s)] for t in range(types)]
+        full = (1 << n) - 1
+        got = indiscernibles._table_decides(by_type, k, full)
+        assert got == _reference_table(by_type, k, full)
+        # past the length-1 rule, where the counters are read
+        if min(k, s - 1) >= 2 and _reference_table(by_type, 1, full):
+            deep[got] += 1
+
+    check()
+    assert min(deep.values()) > 10, deep
+
+
+def test_table_read_builds_no_all_but_one_list(monkeypatch):
+    # the table reads rows and counters alone; an all-but-one list is
+    # built only for the false-tuple search
+    built = []
+
+    def counting(row):
+        built.append(len(row))
+        return _all_but_one(row)
+
+    monkeypatch.setattr(indiscernibles, "_all_but_one", counting)
+    answers = set()
+    for g, phi, consts in ((clique(30), EDGE, ()), (path(30), EDGE, ()),
+                           (random_bounded_degree(60, 3, 1),
+                            (eq_atom(0), eq_atom(1)), (5, 17)),
+                           (matching(20), (edge_atom(), dist_atom()), ())):
+        ctx = EvalContext(g, consts)
+        for k in (1, 2, 3, 4):
+            rows: dict = {}
+            answers.add(indiscernibles._decided_by_exceptions(
+                ctx, phi, k, list(range(g.n)), rows))
+            assert all(excl is None for _, excl in rows.values())
+    assert answers == {True, False} and built == []
+
+
+def test_eq_extraction_outputs_are_pinned():
+    # extract_indiscernible under eq atoms over 1 to 4 constants, up to 16
+    # type rows, on seeded bounded-degree graphs and on cliques, with and
+    # without the window: however the rows and the exception table are
+    # built, these outputs stay as they are
+    h = hashlib.sha256()
+    graphs = [random_bounded_degree(n, 3, seed)
+              for n, seed in ((60, 1), (120, 2), (200, 3))]
+    graphs += [clique(30), clique(70)]
+    for index, g in enumerate(graphs):
+        rng = random.Random(index)
+        for count in range(1, 5):
+            consts = rng.sample(range(g.n), count)
+            phi = tuple(eq_atom(i) for i in range(count))
+            for alpha, k in ((1, 3 if count < 4 else 2), (2, 2)):
+                ctx = EvalContext(g, consts, alpha)
+                items = list(range(g.n))
+                rng.shuffle(items)
+                for window in (DEFAULT_WINDOW, None):
+                    try:
+                        out = ["ok", extract_indiscernible(
+                            ctx, phi, enumerate_type_patterns(count, k),
+                            items, ExtractionConfig(4, window))]
+                    except ExtractionShortfall as err:
+                        blocking = err.blocking_pattern
+                        out = ["short", err.achieved,
+                               blocking and [sorted(e)
+                                             for e in blocking.entries]]
+                    h.update(json.dumps(out).encode())
+    assert h.hexdigest() == (
+        "e12ff306b394cd927d47357effab4da1d98944726b502c5fd796f8db6b218c47")
