@@ -168,18 +168,9 @@ def _atom_masks_at(ctx: EvalContext, atom: Atom, ys) -> list[int]:
     return [eq_class_mask(ctx.graph, const, ctx.ball(y)) for y in ys]
 
 
-def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
-    """Bitmask of all x with atom(x, y), cached in the atom's dict by y."""
-    memo = ctx._atom_masks.setdefault(atom, {})
-    got = memo.get(y)
-    if got is None:
-        got = memo[y] = _atom_masks_at(ctx, atom, (y,))[0]
-    return got
-
-
-def _atom_row(ctx: EvalContext, atom: Atom, ys: list[int]) -> list[int]:
-    """``atom_mask`` at each of ``ys``, with one memo lookup for the list
-    and the missing masks computed together."""
+def _atom_row(ctx: EvalContext, atom: Atom, ys: Sequence[int]) -> list[int]:
+    """The atom's mask at each of ``ys``, from its memo: one lookup of the
+    atom's dict for the list, and the missing masks computed together."""
     memo = ctx._atom_masks.setdefault(atom, {})
     row = list(map(memo.get, ys))
     if None in row:
@@ -187,6 +178,11 @@ def _atom_row(ctx: EvalContext, atom: Atom, ys: list[int]) -> list[int]:
         memo.update(zip(missing, _atom_masks_at(ctx, atom, missing)))
         row = list(map(memo.__getitem__, ys))
     return row
+
+
+def atom_mask(ctx: EvalContext, atom: Atom, y: int) -> int:
+    """Bitmask of all x with atom(x, y), cached in the atom's dict by y."""
+    return _atom_row(ctx, atom, (y,))[0]
 
 
 def eval_atom(ctx: EvalContext, atom: Atom, x: int, y: int) -> bool:
@@ -227,6 +223,8 @@ def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
     """The entry's witness mask at each of ``items``: every x whose type
     over ``phi`` at y lies in ``entry``, the OR of its types' rows from
     ``type_rows``."""
+    if not entry:
+        raise InputError("an entry must be a nonempty type set")
     rows = type_rows(ctx, phi, items)
     picked = []
     for tau in entry:
@@ -242,10 +240,18 @@ def entry_row(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
 # Only the tests call it; the benchmark's tracer still names it as a span.
 def entry_mask(ctx: EvalContext, phi: tuple[Atom, ...], entry: frozenset,
                y: int) -> int:
+    ctx.graph.check_vertex(y)
     return entry_row(ctx, phi, entry, (y,))[0]
 
 
 PATTERN_CAP = 100_000
+
+
+@lru_cache(maxsize=8)
+def _single_entries(phi_count: int) -> tuple[frozenset, ...]:
+    """Each type's singleton entry, in ``all_phi_types`` order: the one
+    builder of them, so entry-keyed caches meet the same objects."""
+    return tuple(frozenset((t,)) for t in all_phi_types(phi_count))
 
 
 @lru_cache(maxsize=8)
@@ -258,13 +264,13 @@ def enumerate_type_patterns(phi_count: int, k: int) -> tuple[Pattern, ...]:
     sum over l of (2^phi_count)^l; a count above ``PATTERN_CAP`` raises
     before any type or pattern is built (at k = 4: from phi_count 5 on).
 
-    Each type's singleton entry is built once and shared by every pattern
-    that uses it, so entry-keyed caches hash and compare each entry by
-    identity. The result is memoised per (phi_count, k) and is immutable,
-    so every caller gets the same tuple; errors are not cached. The memo
-    holds at most 8 results. The largest under the cap, (4, 4), is 69,904
-    patterns in about 11 MB; a construction run asks for at most four
-    (phi_count 1..4 at one k).
+    Each type's singleton entry comes from ``_single_entries`` and is
+    shared by every pattern that uses it, so entry-keyed caches hash and
+    compare each entry by identity. The result is memoised per
+    (phi_count, k) and is immutable, so every caller gets the same tuple;
+    errors are not cached. The memo holds at most 8 results. The largest
+    under the cap, (4, 4), is 69,904 patterns in about 11 MB; a
+    construction run asks for at most four (phi_count 1..4 at one k).
     """
     if k < 1:
         raise InputError(f"max pattern length must be >= 1, got {k}")
@@ -275,6 +281,6 @@ def enumerate_type_patterns(phi_count: int, k: int) -> tuple[Pattern, ...]:
             raise BudgetExceeded(
                 f"type patterns over {phi_count} formulas up to length {k} "
                 f"exceed the cap of {PATTERN_CAP}; lower k or |phi|")
-    entries = [frozenset((t,)) for t in all_phi_types(phi_count)]
+    entries = _single_entries(phi_count)
     return tuple(Pattern(combo) for length in range(1, k + 1)
                  for combo in product(entries, repeat=length))

@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -207,8 +207,18 @@ def ball(g: Graph, v: int, radius: int) -> frozenset[int]:
     return frozenset(iter_bits(ball_mask(g, v, radius)))
 
 
+def _check_vertices(g: Graph, vs: Collection[int]) -> None:
+    """Raise ``InputError`` naming the lowest of ``vs`` out of range, as
+    ``is_distance_r_independent`` does with its sorted members."""
+    if vs and (min(vs) < 0 or max(vs) >= g.n):
+        g.check_vertex(min(v for v in vs if not 0 <= v < g.n))
+
+
 def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:
-    """Multi-source BFS distances; unreachable vertices get math.inf."""
+    """Multi-source BFS distances; unreachable vertices get math.inf. The
+    lowest out-of-range source raises ``InputError``."""
+    sources = tuple(sources)
+    _check_vertices(g, sources)
     start = mask_of(sources)
     dist: list[float] = [INF] * g.n
     for d, level in enumerate(_bfs_levels(g, start)):
@@ -218,9 +228,12 @@ def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:
 
 
 def exact_distance_layer(g: Graph, sources: Iterable[int], i: int) -> frozenset[int]:
-    """Vertices at distance exactly ``i`` from the source set."""
+    """Vertices at distance exactly ``i`` from the source set. The lowest
+    out-of-range source raises ``InputError``."""
     if i < 0:
         raise InputError(f"layer index must be nonnegative, got {i}")
+    sources = tuple(sources)
+    _check_vertices(g, sources)
     levels = _bfs_levels(g, mask_of(sources), i)
     if i < len(levels):
         return frozenset(iter_bits(levels[i]))

@@ -19,8 +19,7 @@ something changes. No step evaluates one vertex at a time.
 
 A round decides every type pattern up to length k on one sequence, and
 the patterns share work through one cache per item list (``_entry_rows``):
-each entry's row over the items, filled for every type at once, its
-all-but-one list, built only when the false-tuple search needs it, and
+each entry's row over the items, filled for every type at once, and
 each pattern prefix's true-tuple sweep. Each pattern is decided by the
 cheapest test that settles it (``_decide``, ``_constancy``). The
 refinement (``_make_homogeneous``, ``_refine``) reads each entry's row
@@ -93,8 +92,8 @@ position keeps that witness, so a pair that keeps none joins two open
 positions, and scanning the open pairs is exact. On the sequences the
 extractor meets most positions close, and the rule costs O(s) mask
 operations where the branching made up to s children. A universal
-witness, one O(k*s) precheck, settles many constant patterns before any
-node; the paper's first theorem is read in one place, the exception
+witness, one AND over every row, settles many constant patterns before
+any node; the paper's first theorem is read in one place, the exception
 table above. ``_false_search`` states the rules that prune the
 branching. Neither search has a node budget or an enumeration fallback,
 and the false-tuple search is still exponential in k in the worst case,
@@ -112,14 +111,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain, compress
 from operator import and_, attrgetter, not_, or_
 from typing import Callable, Sequence as Seq
 
 from .errors import ExtractionShortfall, InputError, InternalInvariantError
 from .formulas import (PATTERN_CAP, Atom, EvalContext, Pattern,
-                       all_phi_types, entry_row, enumerate_type_patterns,
+                       _single_entries, entry_row, enumerate_type_patterns,
                        type_rows)
 
 
@@ -159,31 +158,14 @@ def _check_items(ctx: EvalContext, items: Seq[int]) -> None:
         ctx.graph.check_vertex(max(items))
 
 
-def _all_but_one(row: list[int]) -> list[int]:
-    """Per position i, the AND of ``row`` over every position but i, from
-    one prefix and one suffix intersection (-1, every bit, when the row
-    has a single position)."""
-    pre = list(accumulate(row, and_, initial=-1))
-    suf = list(accumulate(reversed(row), and_, initial=-1))
-    suf.reverse()
-    return list(map(and_, pre, suf[1:]))
-
-
-@lru_cache(maxsize=8)
-def _single_entries(phi_count: int) -> tuple[frozenset, ...]:
-    """Each type's singleton entry, in ``all_phi_types`` order."""
-    return tuple(frozenset((t,)) for t in all_phi_types(phi_count))
-
-
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
-                items: Seq[int], rows: dict) -> list[list]:
-    """Each entry's cell over ``items``: a list of its witness masks and
-    its ``_all_but_one`` list, None until ``_exclusions`` first needs it.
+                items: Seq[int], rows: dict) -> list[list[int]]:
+    """Each entry's row over ``items``: its witness mask at each item.
 
     ``rows`` is a cache for one (ctx, phi, items): keyed by entry, it
-    keeps one cell per entry, so every pattern scanned over the same items
+    keeps one row per entry, so every pattern scanned over the same items
     shares it. The first single-type entry asked for fills every
-    single-type entry's cell from one ``type_rows`` call; an entry with
+    single-type entry's row from one ``type_rows`` call; an entry with
     several types takes the OR of its types' rows. ``_decide`` keeps its
     prefix sweeps in the same dict, keyed by (entries prefix, alive0);
     nothing else is stored there. Everything in it is a function of its
@@ -191,26 +173,17 @@ def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
     witness sets but must start a new one whenever the items change."""
     out = []
     for e in entries:
-        cell = rows.get(e)
-        if cell is None:
+        row = rows.get(e)
+        if row is None:
             if len(e) == 1 and len(next(iter(e))) == len(phi):
-                for single, row in zip(_single_entries(len(phi)),
-                                       type_rows(ctx, phi, items)):
-                    rows.setdefault(single, [row, None])
-                cell = rows.get(e)
-            if cell is None:
-                cell = rows[e] = [entry_row(ctx, phi, e, items), None]
-        out.append(cell)
+                for single, type_row in zip(_single_entries(len(phi)),
+                                            type_rows(ctx, phi, items)):
+                    rows.setdefault(single, type_row)
+                row = rows.get(e)
+            if row is None:
+                row = rows[e] = entry_row(ctx, phi, e, items)
+        out.append(row)
     return out
-
-
-def _exclusions(cells: list[list]) -> list[list[int]]:
-    """Each cell's ``_all_but_one`` list, built into the cell on first
-    use: only the false-tuple search reads one."""
-    for cell in cells:
-        if cell[1] is None:
-            cell[1] = _all_but_one(cell[0])
-    return [cell[1] for cell in cells]
 
 
 def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
@@ -224,9 +197,9 @@ def _decided_by_exceptions(ctx: EvalContext, phi: tuple[Atom, ...], k: int,
     """
     if min(k, len(items) - 1) < 1:
         return True
-    cells = _entry_rows(ctx, phi, _single_entries(len(phi)), items, rows)
-    return _table_decides([row for row, _ in cells], k,
-                          ctx.graph.full_mask())
+    return _table_decides(
+        _entry_rows(ctx, phi, _single_entries(len(phi)), items, rows), k,
+        ctx.graph.full_mask())
 
 
 def _table_decides(by_type: list[list[int]], k: int, full: int) -> bool:
@@ -414,20 +387,16 @@ def _pair_empties(alive: int, row1: list[int], row2: list[int],
     return False
 
 
-def _false_search(masks: list[list[int]], alive0: int,
-                  excl_caches: list[list[int]],
-                  ) -> Callable[[int, int, int], bool] | None:
+def _false_search(masks: list[list[int]],
+                  alive0: int) -> Callable[[int, int, int], bool] | None:
     """Decide whether some increasing tuple has an empty witness
     intersection: None when every increasing tuple keeps a witness,
     otherwise the search's ``completes``, which ``_find_false_tuple``
     reuses to build the smallest such tuple.
 
-    ``excl_caches`` holds one ``_all_but_one`` list per entry. It holds no
-    alive set, so callers share it across searches over the same rows.
-    One precheck reads it first: a universal witness, an alive witness
-    that no position of any entry removes, proves that every increasing
-    tuple keeps a witness. An entry's AND over every position is its
-    all-but-one list at position 0 ANDed with position 0.
+    One precheck comes first: a universal witness, an alive witness that
+    no position of any entry removes, one AND over every row, proves that
+    every increasing tuple keeps a witness.
 
     Then witness branching, a depth-first bounded search tree for hitting
     sets: some free entry must remove the lowest alive witness z at a
@@ -459,10 +428,7 @@ def _false_search(masks: list[list[int]], alive0: int,
     first time that witness is branched on and kept for this call,
     ``completes`` included.
     """
-    surviving = alive0
-    for row, excl in zip(masks, excl_caches):
-        surviving &= excl[0] & row[0]
-    if surviving:
+    if reduce(and_, chain.from_iterable(masks), alive0):
         return None
     depth = len(masks)
     s = len(masks[0])
@@ -532,9 +498,8 @@ def _false_search(masks: list[list[int]], alive0: int,
     return completes if completes(0, -1, alive0) else None
 
 
-def _find_false_tuple(masks: list[list[int]], alive0: int,
-                      excl_caches: list[list[int]],
-                      ) -> tuple[int, ...] | None:
+def _find_false_tuple(masks: list[list[int]],
+                      alive0: int) -> tuple[int, ...] | None:
     """Lexicographically smallest increasing tuple whose witness
     intersection is empty, or None when every increasing tuple keeps a
     witness.
@@ -543,7 +508,7 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
     fixed left to right: each candidate prefix is kept when its
     ``completes`` finds a completion, over the same kill positions.
     """
-    completes = _false_search(masks, alive0, excl_caches)
+    completes = _false_search(masks, alive0)
     if completes is None:
         return None
     depth = len(masks)
@@ -566,16 +531,15 @@ def _find_false_tuple(masks: list[list[int]], alive0: int,
         prev = p
 
 
-def _constancy(cells: list[list], alive0: int,
+def _constancy(masks: list[list[int]], alive0: int,
                sweeps: list) -> tuple[bool, bool]:
-    """Truth of the first tuple on the rows of ``cells``, one
-    ``_entry_rows`` cell per entry, and whether every increasing tuple
-    has that truth, without building a tuple.
+    """Truth of the first tuple on ``masks``, one row per entry, and
+    whether every increasing tuple has that truth, without building a
+    tuple.
 
     - First tuple true, one entry: constant exactly when every position
       keeps an alive witness, one scan of the row.
-    - First tuple true, longer: ``_false_search`` on the cells'
-      ``_all_but_one`` lists (``_exclusions``).
+    - First tuple true, longer: ``_false_search`` on the rows.
     - First tuple false: the pattern is constant exactly when no
       increasing tuple keeps a witness. After entries e_1..e_j, reach[i]
       holds the witnesses for which those entries fit into positions
@@ -584,11 +548,10 @@ def _constancy(cells: list[list], alive0: int,
       the reach after them, the only one read. The sweep resumes from
       it, appends each new reach and stops at one that keeps no witness.
     """
-    masks = [row for row, _ in cells]
     if _first_truth(masks, alive0):
         if len(masks) == 1:
             return True, all(map(alive0.__and__, masks[0]))
-        return True, _false_search(masks, alive0, _exclusions(cells)) is None
+        return True, _false_search(masks, alive0) is None
     reach = sweeps[-1] if sweeps else [alive0] * len(masks[0])
     while len(sweeps) < len(masks) and reach[-1]:
         reach = [0, *accumulate(map(and_, reach, masks[len(sweeps)]), or_)]
@@ -618,9 +581,9 @@ def _decide(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         j -= 1
     if j and not reach[-1]:
         return False, True
-    cells = _entry_rows(ctx, phi, entries, items, rows)
+    masks = _entry_rows(ctx, phi, entries, items, rows)
     sweeps = [reach] * j  # only the last one is read
-    answer = _constancy(cells, alive0, sweeps)
+    answer = _constancy(masks, alive0, sweeps)
     for j in range(j, len(sweeps)):
         rows[entries[:j + 1], alive0] = sweeps[j]
     return answer
@@ -647,10 +610,9 @@ def is_delta_indiscernible(
         t0, constant = _decide(ctx, phi, entries, items, full, rows)
         if constant:
             continue
-        cells = _entry_rows(ctx, phi, entries, items, rows)
-        masks = [row for row, _ in cells]
+        masks = _entry_rows(ctx, phi, entries, items, rows)
         if t0:
-            bad = _find_false_tuple(masks, full, _exclusions(cells))
+            bad = _find_false_tuple(masks, full)
         else:
             bad = _find_true_tuple(masks, rows[entries, full][-1])
         other = tuple(items[idx] for idx in bad)
@@ -681,7 +643,7 @@ def _refine(masks: list[list[int]], alive0: int, at: Seq[int],
     if depth == 1:
         return _vote(
             at, list(map(alive0.__and__, map(masks[0].__getitem__, at))))
-    t0, constant = _constancy([[list(map(row.__getitem__, at)), None]
+    t0, constant = _constancy([list(map(row.__getitem__, at))
                                for row in masks], alive0, [])
     if constant:
         return at, t0
@@ -748,7 +710,7 @@ def _make_homogeneous(ctx: EvalContext, phi: tuple[Atom, ...], entries,
         t0, constant = _decide(ctx, phi, entries, items, alive0, rows)
         if constant:
             return items, t0
-    masks = [row for row, _ in _entry_rows(ctx, phi, entries, items, rows)]
+    masks = _entry_rows(ctx, phi, entries, items, rows)
     everything = range(len(items))
     if depth == 1:
         at, value = _refine(masks, alive0, everything)

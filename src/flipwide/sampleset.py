@@ -365,10 +365,11 @@ def verify_sample_set(
 ) -> tuple[bool, str | None]:
     """Re-check every promise of a result by direct evaluation.
 
-    Covers: subsequence shape, ball disjointness, samples clear of all
-    balls, pairwise sample inequivalence over each ball, the containment
-    rule, and each vertex's equivalence to its sample over every ball but
-    its exceptional one. Returns (False, description) on the first failure.
+    Covers: subsequence shape, ball disjointness, samples in range and
+    clear of all balls, pairwise sample inequivalence over each ball, the
+    containment rule, and each vertex's equivalence to its sample over
+    every ball but its exceptional one. Returns (False, description) on
+    the first failure.
     """
     sub = result.subseq
     it = iter(inp.centers)
@@ -380,6 +381,9 @@ def verify_sample_set(
         return False, str(exc)
     count = len(balls)
 
+    for s in result.samples:
+        if not 0 <= s < g.n:
+            return False, f"sample {s} out of range for n={g.n}"
     union = 0
     for ball in balls:
         union |= ball

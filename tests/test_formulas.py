@@ -33,6 +33,7 @@ from flipwide import (
     phi_equivalent_over,
     type_pattern,
 )
+from flipwide import formulas
 from flipwide.formulas import entry_mask, type_rows
 from flipwide.generators import half_graph, path, random_bounded_degree
 from flipwide.indiscernibles import ExtractionConfig
@@ -119,6 +120,54 @@ def test_entry_mask_is_union_of_types():
     for y in range(g.n):
         assert entry_mask(ctx, phi, e, y) == g.full_mask()
         assert type_mask(ctx, phi, (True,), y) == g.rows[y]
+
+
+@pytest.mark.parametrize("y", [-1, 5, 9])
+def test_entry_mask_rejects_out_of_range_vertices(y):
+    # -1 must not read the last vertex's row, nor 9 raise IndexError
+    ctx = EvalContext(path(5))
+    with pytest.raises(InputError,
+                       match=rf"^vertex {y} out of range for n=5$"):
+        entry_mask(ctx, (edge_atom(),), frozenset([(True,)]), y)
+
+
+def test_empty_entry_rejected():
+    ctx = EvalContext(path(5))
+    for read in (lambda: entry_mask(ctx, (edge_atom(),), frozenset(), 0),
+                 lambda: formulas.entry_row(ctx, (edge_atom(),), frozenset(),
+                                            [0, 1])):
+        with pytest.raises(InputError,
+                           match=r"^an entry must be a nonempty type set$"):
+            read()
+
+
+def test_atom_mask_and_atom_row_share_one_memo(monkeypatch):
+    # one function reads the atom memo: a mask that a row computed is not
+    # computed again by atom_mask, and a row computes only the masks that
+    # atom_mask did not
+    computed = []
+    real = formulas._atom_masks_at
+
+    def counting(ctx, atom, ys):
+        computed.extend(ys)
+        return real(ctx, atom, ys)
+
+    monkeypatch.setattr(formulas, "_atom_masks_at", counting)
+    g = random_bounded_degree(20, 3, 1)
+    ctx = EvalContext(g, (0, 7), 1)
+    everything = list(range(g.n))
+    for atom in (edge_atom(), dist_atom(), eq_atom(1)):
+        computed.clear()
+        row = formulas._atom_row(ctx, atom, everything)
+        assert computed == everything
+        assert [formulas.atom_mask(ctx, atom, y) for y in everything] == row
+        assert computed == everything
+    fresh = EvalContext(g, (0, 7), 1)
+    computed.clear()
+    mask = formulas.atom_mask(fresh, eq_atom(0), 3)
+    assert computed == [3]
+    assert formulas._atom_row(fresh, eq_atom(0), everything)[3] == mask
+    assert computed == everything[3:4] + everything[:3] + everything[4:]
 
 
 def test_type_rows_match_pointwise_type_masks():
@@ -240,6 +289,18 @@ def test_type_patterns_are_one_shared_immutable_list():
     entries = {id(e) for p in pats for e in p.entries}
     assert len(entries) == len(all_phi_types(2))
     assert len(enumerate_type_patterns(4, 4)) == 69_904
+
+
+def test_type_pattern_entries_are_the_single_entries():
+    # singleton entries have one builder: the enumeration's entries are
+    # the objects that entry-keyed row caches are filled under
+    for m in range(1, 5):
+        singles = formulas._single_entries(m)
+        assert singles == tuple(frozenset([t]) for t in all_phi_types(m))
+        for k in (1, 2):
+            entries = {id(e) for p in enumerate_type_patterns(m, k)
+                       for e in p.entries}
+            assert entries == set(map(id, singles))
 
 
 def test_over_cap_type_patterns_raise_on_every_call():

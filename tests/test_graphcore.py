@@ -283,6 +283,24 @@ def test_independence_names_the_lowest_bad_member(case, extra):
     assert str(exc.value) == f"vertex {bad[0]} out of range for n={g.n}"
 
 
+@pytest.mark.parametrize("sources,bad", [
+    ((-1,), -1), ((5,), 5), ((3, 9, -2, 6), -2), ((0, 7, 5), 5),
+], ids=["negative", "past-n", "lowest-negative", "lowest-past-n"])
+def test_bfs_names_the_lowest_bad_source(sources, bad):
+    # as for independence, the lowest out-of-range source is named before
+    # any mask is built: not a negative shift count, nor an index past
+    # the rows
+    g = path(5)
+    for run in (lambda: distances_from(g, sources),
+                lambda: exact_distance_layer(g, sources, 1)):
+        with pytest.raises(InputError,
+                           match=rf"^vertex {bad} out of range for n=5$"):
+            run()
+    # sources may come as any iterable, read once
+    assert distances_from(g, iter((0, 4))) == [0, 1, 2, 1, 0]
+    assert exact_distance_layer(g, iter((0, 4)), 1) == {1, 3}
+
+
 def test_huge_radius_stops_at_eccentricity():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     ok, _ = is_distance_r_independent(g, (0, 2), 10**6)

@@ -44,7 +44,6 @@ from flipwide.graphcore import Graph, mask_of
 from flipwide.indiscernibles import (
     DEFAULT_WINDOW,
     ExtractionConfig,
-    _all_but_one,
     _check_items,
     _decide,
     _entry_rows,
@@ -311,20 +310,14 @@ def _kept_by_enumeration(masks, alive0):
 
 
 def _random_mask_cases():
-    """Random witness masks with their all-but-one lists, and alive sets.
+    """Random witness masks and alive sets.
 
-    Rows come from a small pool, so one row may sit at several entries,
-    and each row's all-but-one list is built once with the row and shared
-    by every search over it, whatever its alive set, as in
-    is_delta_indiscernible. Each draw comes twice: as drawn, and with some
-    entries' rows swapped for one-hot rows {y_p} or co-one-hot rows (every
-    witness but y_p) over one random position-to-witness map, the two
-    classes of a clique. One density per draw never puts those two shapes
-    side by side.
+    Rows come from a small pool, so one row may sit at several entries.
+    Each draw comes twice: as drawn, and with some entries' rows swapped
+    for one-hot rows {y_p} or co-one-hot rows (every witness but y_p) over
+    one random position-to-witness map, the two classes of a clique. One
+    density per draw never puts those two shapes side by side.
     """
-    def built(row):
-        return row, _all_but_one(row)
-
     rng = random.Random(20221)
     shapes = random.Random(20222)
     for _ in range(3000):
@@ -332,27 +325,25 @@ def _random_mask_cases():
         s = rng.randint(1, 9)
         k = rng.randint(1, min(4, s))
         density = rng.choice((0.2, 0.5, 0.8, 0.9, 0.97))
-        pool = [built([sum(1 << z for z in range(n) if rng.random() < density)
-                       for _ in range(s)]) for _ in range(rng.randint(1, k))]
+        pool = [[sum(1 << z for z in range(n) if rng.random() < density)
+                 for _ in range(s)] for _ in range(rng.randint(1, k))]
         picks = [rng.choice(pool) for _ in range(k)]
         ys = [shapes.randrange(n) for _ in range(s)]
-        one_hot = built([1 << y for y in ys])
-        co_one_hot = built([((1 << n) - 1) ^ (1 << y) for y in ys])
+        one_hot = [1 << y for y in ys]
+        co_one_hot = [((1 << n) - 1) ^ (1 << y) for y in ys]
         mixed = [shapes.choice((one_hot, co_one_hot, pick)) for pick in picks]
         for _ in range(2):
             alive0 = sum(1 << z for z in range(n) if rng.random() < 0.8)
             for rows in (picks, mixed):
-                yield [row for row, _ in rows], [c for _, c in rows], alive0
+                yield rows, alive0
 
 
 def test_tuple_searches_match_enumeration():
     outcomes = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
-    for masks, caches, alive0 in _random_mask_cases():
+    for masks, alive0 in _random_mask_cases():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
-        assert _find_false_tuple(
-            masks, alive0, [_all_but_one(r) for r in masks]) == want_false
-        assert _find_false_tuple(masks, alive0, caches) == want_false
+        assert _find_false_tuple(masks, alive0) == want_false
         kept = _kept_by_enumeration(masks, alive0)
         assert bool(kept) == (want_true is not None)
         if kept:
@@ -392,11 +383,10 @@ def test_dense_mask_searches_match_enumeration():
     found, searched = [], []
     for masks in _dense_mask_cases():
         want = _first_false_by_enumeration(masks, alive0)
-        caches = [_all_but_one(r) for r in masks]
         has_false, nodes = _search_nodes(
-            lambda: _false_search(masks, alive0, caches))
+            lambda: _false_search(masks, alive0))
         assert (has_false is not None) == (want is not None)
-        assert _find_false_tuple(masks, alive0, caches) == want
+        assert _find_false_tuple(masks, alive0) == want
         found.append(want is not None)
         searched.append(nodes)
     assert found == [False, False, False, True]
@@ -495,12 +485,11 @@ def test_two_entry_rule_ignores_bans():
         k = rng.choice((3, 4))
         masks, alive0 = _random_search_masks(rng, k)
         want = _first_false_by_enumeration(masks, alive0)
-        caches = [_all_but_one(r) for r in masks]
         has_false, nodes = _settled_nodes(
-            lambda: _false_search(masks, alive0, caches))
+            lambda: _false_search(masks, alive0))
         assert (has_false is not None) == (want is not None)
         got, more = _settled_nodes(
-            lambda: _find_false_tuple(masks, alive0, caches))
+            lambda: _find_false_tuple(masks, alive0))
         assert got == want
         banned_seen = width_one = False
         for node in nodes + more:
@@ -555,11 +544,10 @@ def test_two_entry_rule_matches_enumeration():
     for _ in range(800):
         k = rng.choice((2, 3, 4))
         masks, alive0 = _random_search_masks(rng, k)
-        caches = [_all_but_one(r) for r in masks]
         _, nodes = _settled_nodes(
-            lambda: _false_search(masks, alive0, caches))
+            lambda: _false_search(masks, alive0))
         _, more = _settled_nodes(
-            lambda: _find_false_tuple(masks, alive0, caches))
+            lambda: _find_false_tuple(masks, alive0))
         for node in nodes + more:
             free, placements = _node_pairs(node)
             assert node["found"] == any(not kept for _, kept in placements)
@@ -607,12 +595,11 @@ def test_searches_match_enumeration_on_one_exception_covers():
     # type nowhere else, are decided by the universal witness or by the
     # search, with no precheck of their own
     outcomes = {"cover": 0, "cover_beyond_universal": 0, "no_cover": 0}
-    for masks, _, alive0 in _random_mask_cases():
+    for masks, alive0 in _random_mask_cases():
         if _cover_by_definition(masks, alive0):
-            caches = [_all_but_one(row) for row in masks]
             assert _first_false_by_enumeration(masks, alive0) is None
-            assert _false_search(masks, alive0, caches) is None
-            assert _find_false_tuple(masks, alive0, caches) is None
+            assert _false_search(masks, alive0) is None
+            assert _find_false_tuple(masks, alive0) is None
             outcomes["cover"] += 1
             if _no_universal_witness(masks, alive0):
                 outcomes["cover_beyond_universal"] += 1
@@ -621,18 +608,16 @@ def test_searches_match_enumeration_on_one_exception_covers():
     assert min(outcomes.values()) > 100, outcomes
 
 
-def test_search_caches_shared_across_alive_sets():
-    # the all-but-one lists sit in _decide's rows and hold no alive set,
-    # so searches under different alive sets may share them: here the
-    # searches under a small alive set and under a larger one read the
-    # same lists, one list per row
+def test_searches_match_enumeration_across_alive_sets():
+    # the rows in _decide's cache hold no alive set, so searches under
+    # different alive sets read the same rows: here a small alive set, the
+    # full one, and the small one again
     wide = (1 << 10) - 1
-    for masks, caches, alive0 in _random_mask_cases():
+    for masks, alive0 in _random_mask_cases():
         for alive in (alive0, wide, alive0):
             want = _first_false_by_enumeration(masks, alive)
-            assert (_false_search(masks, alive, caches) is None) == (
-                want is None)
-            assert _find_false_tuple(masks, alive, caches) == want
+            assert (_false_search(masks, alive) is None) == (want is None)
+            assert _find_false_tuple(masks, alive) == want
 
 
 def _brute_indiscernible(ctx, phi, patterns, items):
@@ -722,18 +707,15 @@ def test_constancy_past_the_enumeration_cliff():
 
 
 def test_decisions_match_enumeration():
-    # the decisions and the construction that follows read the same
-    # shared caches, as in is_delta_indiscernible
+    # the decision and the construction that follows read the same rows,
+    # as in is_delta_indiscernible
     decided = {"false": 0, "no_false": 0, "true": 0, "no_true": 0}
-    for masks, caches, alive0 in _random_mask_cases():
+    for masks, alive0 in _random_mask_cases():
         want_false = _first_false_by_enumeration(masks, alive0)
         want_true = _first_true_by_witness_walk(masks, alive0)
         has_false = want_false is not None
-        assert (_false_search(masks, alive0, [_all_but_one(r) for r in masks])
-                is not None) == has_false
-        assert (_false_search(masks, alive0, caches)
-                is not None) == has_false
-        assert _find_false_tuple(masks, alive0, caches) == want_false
+        assert (_false_search(masks, alive0) is not None) == has_false
+        assert _find_false_tuple(masks, alive0) == want_false
         decided["false" if has_false else "no_false"] += 1
         decided["true" if want_true else "no_true"] += 1
     assert min(decided.values()) > 100, decided
@@ -953,12 +935,12 @@ def test_level_zero_build_settles_each_pattern_once(monkeypatch):
         assert not (current and current[1])
         return _entry_rows(ctx, phi, entries, items, rows)
 
-    def recording_search(masks, alive0, excl_caches):
+    def recording_search(masks, alive0):
         assert len(masks) > 1
         assert current[0] not in searched
         searched.add(current[0])
         seen["search"] += 1
-        return _false_search(masks, alive0, excl_caches)
+        return _false_search(masks, alive0)
 
     monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
     monkeypatch.setattr(indiscernibles, "_entry_rows", recording_rows)
@@ -984,10 +966,9 @@ def _majority(colors: list[bool]) -> bool:
 
 
 def _reference_decide(ctx, phi, entries, items, alive0, rows):
-    masks = [row for row, _ in _entry_rows(ctx, phi, entries, items, rows)]
+    masks = _entry_rows(ctx, phi, entries, items, rows)
     if _first_truth(masks, alive0):
-        return True, _false_search(
-            masks, alive0, list(map(_all_but_one, masks))) is None
+        return True, _false_search(masks, alive0) is None
     reach = [alive0] * len(items)
     for row in masks:
         reach = [0, *accumulate(map(and_, reach, row), or_)]
@@ -1350,6 +1331,16 @@ def test_exception_table_is_exact_on_one_change_structures(s):
 # witnesses with one change at most, and excl[p] & ~row[p] for the
 # witnesses that change type at p.
 
+def _all_but_one(row):
+    """Per position i, the AND of ``row`` over every position but i, from
+    one prefix and one suffix intersection (-1, every bit, when the row
+    has a single position)."""
+    pre = list(accumulate(row, and_, initial=-1))
+    suf = list(accumulate(reversed(row), and_, initial=-1))
+    suf.reverse()
+    return list(map(and_, pre, suf[1:]))
+
+
 def _reference_table(by_type, k, full):
     s = len(by_type[0])
     k = min(k, s - 1)
@@ -1426,30 +1417,6 @@ def test_counter_table_matches_all_but_one_table():
 
     check()
     assert min(deep.values()) > 10, deep
-
-
-def test_table_read_builds_no_all_but_one_list(monkeypatch):
-    # the table reads rows and counters alone; an all-but-one list is
-    # built only for the false-tuple search
-    built = []
-
-    def counting(row):
-        built.append(len(row))
-        return _all_but_one(row)
-
-    monkeypatch.setattr(indiscernibles, "_all_but_one", counting)
-    answers = set()
-    for g, phi, consts in ((clique(30), EDGE, ()), (path(30), EDGE, ()),
-                           (random_bounded_degree(60, 3, 1),
-                            (eq_atom(0), eq_atom(1)), (5, 17)),
-                           (matching(20), (edge_atom(), dist_atom()), ())):
-        ctx = EvalContext(g, consts)
-        for k in (1, 2, 3, 4):
-            rows: dict = {}
-            answers.add(indiscernibles._decided_by_exceptions(
-                ctx, phi, k, list(range(g.n)), rows))
-            assert all(excl is None for _, excl in rows.values())
-    assert answers == {True, False} and built == []
 
 
 def test_eq_extraction_outputs_are_pinned():

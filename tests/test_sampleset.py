@@ -17,6 +17,7 @@ from flipwide import (
     InputError,
     ModeError,
     SampleBudget,
+    SampleSetResult,
     build_sample_set,
     phi_equivalent_over,
     verify_sample_set,
@@ -454,3 +455,19 @@ def test_verify_rejects_overlapping_balls():
     bad = dataclasses.replace(res, subseq=(0, 1))
     assert verify_sample_set(g, inp, bad) == (
         False, "radius-1 balls of centers 0 and 1 overlap")
+
+
+@pytest.mark.parametrize("samples,subseq,ex", [
+    ((9,), (0,), (0, 0, 0, 0, 0)),
+    ((9,), (0, 4), (0, 2, 2, 2, 1)),
+    ((-1,), (0,), (0, 0, 0, 0, 0)),
+], ids=["past-n-accepted", "past-n-indexed", "negative"])
+def test_verify_names_a_sample_out_of_range(samples, subseq, ex):
+    # a sample outside 0..n-1 is named before any equivalence check: it
+    # must not pass when no equivalence reads it, index past the rows, or
+    # shift a mask by a negative count
+    g = path(5)
+    inp = DisjointFamilyInput((0, 4), 0)
+    bad = SampleSetResult(samples, subseq, ex, (0,) * 5)
+    assert verify_sample_set(g, inp, bad) == (
+        False, f"sample {samples[0]} out of range for n=5")
