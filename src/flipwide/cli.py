@@ -193,8 +193,10 @@ def _cmd_extract(args) -> int:
             constants = tuple(int(c) for c in args.constants.split(","))
         except ValueError as exc:
             raise InputError(f"--constants: {exc}") from None
-        phi = tuple(eq_atom(i) for i in range(len(constants)))
-    ctx = EvalContext(g, constants, 1 if args.alpha is None else args.alpha)
+        phi = tuple(map(eq_atom, constants))
+    ctx = EvalContext(g, 1 if args.alpha is None else args.alpha)
+    for c in constants:
+        g.check_vertex(c)
     patterns = enumerate_type_patterns(len(phi), args.k)
     cfg = ExtractionConfig(target_length=args.target, window=args.window)
     out = extract_indiscernible(ctx, phi, patterns, seq, cfg)

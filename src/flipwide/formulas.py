@@ -4,8 +4,9 @@ complete types over a formula set, and the existential pattern formulas
 used for indiscernibility.
 
 Evaluation is mask-based: for a fixed second argument y, each atom has a
-bitmask of satisfying first arguments, computed once and cached on the
-EvalContext. Pattern evaluation then reduces to AND/OR over masks.
+bitmask of satisfying first arguments, computed once and cached in the
+EvalContext's one atom memo, where the balls are the dist_leq atom's row.
+Pattern evaluation then reduces to AND/OR over masks.
 ``type_rows`` builds every complete type's masks over a whole item list
 at once, by splitting the atoms' rows, and ``entry_row`` ORs the rows of
 an entry's types. Neither keeps what it builds: the caller that reads a
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, product, repeat
 from operator import and_, is_, or_, xor
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError
 from .graphcore import Graph, ball_mask, eq_class_mask
@@ -36,8 +37,8 @@ class Atom:
     """One binary atomic formula phi(x, y).
 
     kind "edge": adjacency. kind "dist_leq": dist(x, y) <= the context's
-    ball radius. kind "eq_nbhd": x is edge-equivalent to constant
-    ``const`` over the ball of y (see graphcore.phi_equivalent_over).
+    ball radius. kind "eq_nbhd": x is edge-equivalent to the constant
+    vertex ``const`` over the ball of y (see graphcore.phi_equivalent_over).
 
     Atoms key the mask memos, so the hash is computed once instead of on
     every lookup. It is built from ints alone, the kind's code and the
@@ -51,9 +52,9 @@ class Atom:
         if self.kind not in _KIND_CODES:
             raise InputError(f"unknown atom kind {self.kind!r}")
         if self.kind == EQ_NBHD and self.const is None:
-            raise InputError("eq_nbhd atom needs a constant index")
+            raise InputError("eq_nbhd atom needs a constant vertex")
         if self.kind != EQ_NBHD and self.const is not None:
-            raise InputError(f"{self.kind} atom takes no constant index")
+            raise InputError(f"{self.kind} atom takes no constant vertex")
         object.__setattr__(self, "_hash",
                            hash((_KIND_CODES[self.kind], self.const or 0)))
 
@@ -61,16 +62,20 @@ class Atom:
         return self._hash
 
 
+# The balls are this atom's row in the context's memo.
+_BALL = Atom(DIST_LEQ)
+
+
 def edge_atom() -> Atom:
     return Atom(EDGE)
 
 
 def dist_atom() -> Atom:
-    return Atom(DIST_LEQ)
+    return _BALL
 
 
-def eq_atom(const_index: int) -> Atom:
-    return Atom(EQ_NBHD, const_index)
+def eq_atom(vertex: int) -> Atom:
+    return Atom(EQ_NBHD, vertex)
 
 
 # A complete type over a formula list: one polarity per formula, aligned
@@ -112,66 +117,53 @@ def type_pattern(types: Iterable[PhiType]) -> Pattern:
 
 
 class EvalContext:
-    """Graph plus marked constants and per-vertex memo tables.
+    """Graph, ball radius and one atom memo.
 
-    Balls are computed the first time a vertex needs one; ``balls`` may
-    hand in balls already computed at ``ball_radius``, as vertex -> mask,
-    and they are taken as given. Atom masks are memoized as one dict per
-    atom, from y to mask, so a row over a sequence looks its dict up once
-    and then reads every item with one ``map``; type and entry rows are
-    built from those rows and not memoized. Immutable after construction
-    apart from these memo tables; safe to share across threads for
-    read-only evaluation.
+    Atom masks are memoized as one dict per atom, from y to mask, so a row
+    over a sequence looks its dict up once and then reads every item with
+    one ``map``; the balls are the dist_leq atom's row, computed the first
+    time a vertex needs one. Type and entry rows are built from those rows
+    and not memoized. Immutable after construction apart from the memo;
+    safe to share across threads for read-only evaluation.
     """
 
-    __slots__ = ("graph", "constants", "ball_radius", "_balls",
-                 "_atom_masks")
+    __slots__ = ("graph", "ball_radius", "_atom_masks")
 
-    def __init__(self, graph: Graph, constants: Sequence[int] = (),
-                 ball_radius: int = 1, *,
-                 balls: Mapping[int, int] | None = None):
+    def __init__(self, graph: Graph, ball_radius: int = 1):
         if ball_radius < 0:
             raise InputError(f"ball radius must be nonnegative, got {ball_radius}")
-        for c in constants:
-            graph.check_vertex(c)
         self.graph = graph
-        self.constants = tuple(constants)
         self.ball_radius = ball_radius
-        self._balls: dict[int, int] = dict(balls) if balls else {}
         self._atom_masks: dict = {}
-
-    def constant(self, index: int) -> int:
-        if not 0 <= index < len(self.constants):
-            raise InputError(f"constant index {index} out of range "
-                             f"(have {len(self.constants)})")
-        return self.constants[index]
-
-    def ball(self, y: int) -> int:
-        """Mask of the radius-``ball_radius`` ball around y, cached."""
-        got = self._balls.get(y)
-        if got is None:
-            got = self._balls[y] = ball_mask(self.graph, y, self.ball_radius)
-        return got
 
 
 def _atom_masks_at(ctx: EvalContext, atom: Atom, ys) -> list[int]:
-    """The atom's masks at each of ``ys``, computed without the memo.
+    """The atom's masks at each of ``ys``, computed without its own memo.
 
     An eq_nbhd mask is the constant's class under ``eq_class_mask`` over
-    the ball of y: O(|ball|) mask operations, not a pass over the graph.
+    the ball of y, read from the dist_leq row: O(|ball|) mask operations,
+    not a pass over the graph.
     """
+    g = ctx.graph
     if atom.kind == EDGE:
-        return list(map(ctx.graph.rows.__getitem__, ys))
+        return list(map(g.rows.__getitem__, ys))
     if atom.kind == DIST_LEQ:
-        return list(map(ctx.ball, ys))
-    const = ctx.constant(atom.const)
-    return [eq_class_mask(ctx.graph, const, ctx.ball(y)) for y in ys]
+        return [ball_mask(g, y, ctx.ball_radius) for y in ys]
+    g.check_vertex(atom.const)
+    return [eq_class_mask(g, atom.const, ball)
+            for ball in _atom_row(ctx, _BALL, ys)]
 
 
 def _atom_row(ctx: EvalContext, atom: Atom, ys: Sequence[int]) -> list[int]:
     """The atom's mask at each of ``ys``, from its memo: one lookup of the
-    atom's dict for the list, and the missing masks computed together."""
-    memo = ctx._atom_masks.setdefault(atom, {})
+    atom's dict for the list, and the missing masks computed together. An
+    atom new to the memo enters it once its first row is computed, so one
+    that fails (an eq atom naming a vertex out of range) leaves no entry."""
+    memo = ctx._atom_masks.get(atom)
+    if memo is None:
+        row = _atom_masks_at(ctx, atom, ys)
+        ctx._atom_masks[atom] = dict(zip(ys, row))
+        return row
     row = list(map(memo.get, ys))
     if None in row:
         missing = list(compress(ys, map(is_, row, repeat(None))))

@@ -8,16 +8,17 @@ most one, its exceptional position.
 Index convention: the exceptional index is 0-based; the sentinel value
 len(I) means no position is exceptional and one sample covers every ball.
 
-Each round works on one class table, read as one row per sample over the
-surviving balls: entry i of sample p's row is the mask of all vertices
-equivalent to the sample over ball i. These are the eq-atom masks of the
-round's ``EvalContext``, which the extraction has already memoised, so a
-row costs one memo lookup; ``graphcore.eq_class_mask`` computes each in
-O(|ball|) mask operations. Saturating bitset counters over each row (the
-vertices inequivalent to the sample over at least one, and at least two,
-balls) give every vertex's certificate at once, and saturating counters
-over the union of the rows pick the next sample. The center balls are
-computed once per build and handed to each round's context.
+A build keeps one ``EvalContext``: the center balls are its dist_leq row,
+and each round's formulas are one eq atom per sample vertex, so each
+(sample, center) mask is computed once per build. Each round works on one
+class table, read as one row per sample over the surviving balls: entry i
+of sample p's row, the sample's eq-atom row, is the mask of all vertices
+equivalent to the sample over ball i, which the extraction has already
+memoised; ``graphcore.eq_class_mask`` computes each in O(|ball|) mask
+operations. Saturating bitset counters over each row (the vertices
+inequivalent to the sample over at least one, and at least two, balls)
+give every vertex's certificate at once, and saturating counters over the
+union of the rows pick the next sample.
 ``decompose_exceptional`` is the per-vertex definition of the weaker split
 certificate (one sample before the exceptional position, another after
 it); when some vertex has no single-sample certificate, the kernel's
@@ -38,6 +39,7 @@ from .formulas import (
     PATTERN_CAP,
     EvalContext,
     _atom_row,
+    dist_atom,
     enumerate_type_patterns,
     eq_atom,
 )
@@ -265,8 +267,9 @@ def _pick_fewest(full: int, cols: list[list[int]], marked: int,
     return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
 
 
-def _check_disjoint(g: Graph, centers, radius: int) -> list[int]:
-    balls = [ball_mask(g, c, radius) for c in centers]
+def _check_disjoint(centers, balls: list[int], radius: int) -> None:
+    """Raise ``InputError`` naming the first center whose ball (aligned
+    in ``balls``) meets an earlier one, and that one."""
     seen = 0
     for c, ball in zip(centers, balls):
         if seen & ball:
@@ -275,7 +278,6 @@ def _check_disjoint(g: Graph, centers, radius: int) -> list[int]:
             raise InputError(
                 f"radius-{radius} balls of centers {other} and {c} overlap")
         seen |= ball
-    return balls
 
 
 def build_sample_set(
@@ -302,8 +304,10 @@ def build_sample_set(
     partial (samples, survivors) state; at that point the input sequence
     behaves like a non-NIP family.
     """
-    ball_of = dict(zip(inp.centers,
-                       _check_disjoint(g, inp.centers, inp.half_radius)))
+    ctx = EvalContext(g, inp.half_radius)
+    ball = dist_atom()
+    _check_disjoint(inp.centers, _atom_row(ctx, ball, inp.centers),
+                    inp.half_radius)
     n = g.n
     if not inp.centers:
         return SampleSetResult((), (), (0,) * n, (None,) * n)
@@ -315,12 +319,10 @@ def build_sample_set(
     while True:
         # The class table, one row per sample: cols[p][i] holds every
         # vertex equivalent to samples[p] over the ball of survivors[i],
-        # the eq-atom masks the round's extraction has already memoised.
+        # the sample's eq-atom row, which the extraction has memoised.
         cols: list[list[int]] = [[] for _ in samples]
         if samples and survivors:
-            ctx = EvalContext(g, tuple(samples), inp.half_radius,
-                              balls=ball_of)
-            phi = tuple(eq_atom(j) for j in range(len(samples)))
+            phi = tuple(map(eq_atom, samples))
             try:
                 patterns = enumerate_type_patterns(len(samples),
                                                    budget.max_pattern_length)
@@ -354,8 +356,8 @@ def build_sample_set(
                 "balls", partial=(tuple(samples), tuple(survivors)),
                 diagnostic=_NOT_NIP)
         drop = set(outliers)
-        drop.update(i for i, c in enumerate(survivors)
-                    if ball_of[c] >> pick & 1)
+        drop.update(i for i, b in enumerate(_atom_row(ctx, ball, survivors))
+                    if b >> pick & 1)
         survivors = [c for i, c in enumerate(survivors) if i not in drop]
         samples.append(pick)
 
@@ -376,7 +378,8 @@ def verify_sample_set(
     if not all(c in it for c in sub):
         return False, "subsequence is not an ordered subsequence of the centers"
     try:
-        balls = _check_disjoint(g, sub, inp.half_radius)
+        balls = [ball_mask(g, c, inp.half_radius) for c in sub]
+        _check_disjoint(sub, balls, inp.half_radius)
     except InputError as exc:
         return False, str(exc)
     count = len(balls)

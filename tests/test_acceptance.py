@@ -142,7 +142,7 @@ def test_criterion_02_extraction_soundness():
                 ctx = EvalContext(g)
                 phi = (edge_atom(),)
             else:
-                ctx = EvalContext(g, (0, 1), 1)
+                ctx = EvalContext(g, 1)
                 phi = (eq_atom(0), eq_atom(1))
             patterns = enumerate_type_patterns(len(phi), 3)
             cfg = ExtractionConfig(target_length=12)

@@ -264,6 +264,20 @@ def test_extract_malformed_constants(graph_file, capsys, constants):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra,want", [
+    ([], "vertex 99 out of range for n=6"),
+    (["--alpha", "-1"], "ball radius must be nonnegative, got -1"),
+    (["--k", "0"], "vertex 99 out of range for n=6"),
+], ids=["constant", "radius-first", "k-last"])
+def test_extract_eq_error_order(graph_file, capsys, extra, want):
+    # the radius is checked first, then each constant, then --k
+    code, out, err = run(
+        ["extract", "-g", graph_file(path(6)), "--phi", "eq",
+         "--constants", "0,99", "-m", "1", "--seq", "all"] + extra, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("flags", [["--k", "100000"],
                                    ["--phi", "eq", "--constants",
                                     ",".join(["1"] * 40)]],

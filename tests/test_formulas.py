@@ -37,6 +37,7 @@ from flipwide import formulas
 from flipwide.formulas import entry_mask, type_rows
 from flipwide.generators import half_graph, path, random_bounded_degree
 from flipwide.indiscernibles import ExtractionConfig
+from flipwide.oracles import decompose_sequence_types
 from pointwise import all_pairs_distance, eval_gamma, eval_type, type_mask
 
 
@@ -46,7 +47,7 @@ def brute_eval(ctx, atom, x, y):
         return g.adj(x, y)
     if atom.kind == "dist_leq":
         return all_pairs_distance(g)[x][y] <= ctx.ball_radius
-    c = ctx.constants[atom.const]
+    c = atom.const
     ball = {u for u in range(g.n)
             if all_pairs_distance(g)[y][u] <= ctx.ball_radius}
     if (x in ball) != (c in ball):
@@ -63,8 +64,9 @@ FIXED = [
 
 @pytest.mark.parametrize("g,constants,radius", FIXED)
 def test_atoms_match_definition(g, constants, radius):
-    ctx = EvalContext(g, constants, radius)
-    atoms = [edge_atom(), dist_atom(), eq_atom(0), eq_atom(1)]
+    ctx = EvalContext(g, radius)
+    atoms = [edge_atom(), dist_atom(), eq_atom(constants[0]),
+             eq_atom(constants[1])]
     for atom in atoms:
         for x in range(g.n):
             for y in range(g.n):
@@ -75,9 +77,29 @@ def test_atoms_match_definition(g, constants, radius):
                          ids=["edge", "dist", "eq"])
 @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (5, 0), (0, 5)])
 def test_eval_atom_rejects_out_of_range_vertices(atom, x, y):
-    ctx = EvalContext(path(5), (0,), 1)
+    ctx = EvalContext(path(5), 1)
     with pytest.raises(InputError, match="out of range"):
         eval_atom(ctx, atom, x, y)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_eq_atom_rejects_a_vertex_out_of_range(bad):
+    # an eq atom names its constant vertex; one outside the graph raises
+    # wherever the atom is first read, and leaves no memo entry behind
+    atom = eq_atom(bad)
+    reads = (
+        lambda ctx: eval_atom(ctx, atom, 0, 1),
+        lambda ctx: extract_indiscernible(
+            ctx, (atom,), enumerate_type_patterns(1, 2), list(range(5)),
+            ExtractionConfig(target_length=1)),
+        lambda ctx: decompose_sequence_types(ctx, (atom,), [0, 1, 2], 3),
+    )
+    for read in reads:
+        ctx = EvalContext(path(5), 1)
+        with pytest.raises(InputError,
+                           match=rf"^vertex {bad} out of range for n=5$"):
+            read(ctx)
+        assert atom not in ctx._atom_masks
 
 
 @given(st.data())
@@ -90,18 +112,18 @@ def test_eq_atoms_match_phi_equivalent_over(data):
     constants = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                    max_size=3))
     radius = data.draw(st.integers(0, 2))
-    ctx = EvalContext(g, constants, radius)
-    for i, c in enumerate(constants):
+    ctx = EvalContext(g, radius)
+    for c in constants:
         for y in range(n):
             ball = ball_mask(g, y, radius)
             for x in range(n):
-                assert eval_atom(ctx, eq_atom(i), x, y) == \
+                assert eval_atom(ctx, eq_atom(c), x, y) == \
                     phi_equivalent_over(g, x, c, ball)
 
 
 def test_types_partition_every_pair():
     g = random_bounded_degree(8, 3, 1)
-    ctx = EvalContext(g, (0,), 1)
+    ctx = EvalContext(g, 1)
     phi = (edge_atom(), eq_atom(0))
     types = all_phi_types(2)
     assert len(types) == 4
@@ -154,15 +176,17 @@ def test_atom_mask_and_atom_row_share_one_memo(monkeypatch):
 
     monkeypatch.setattr(formulas, "_atom_masks_at", counting)
     g = random_bounded_degree(20, 3, 1)
-    ctx = EvalContext(g, (0, 7), 1)
+    ctx = EvalContext(g, 1)
     everything = list(range(g.n))
-    for atom in (edge_atom(), dist_atom(), eq_atom(1)):
+    for atom in (edge_atom(), dist_atom(), eq_atom(7)):
         computed.clear()
         row = formulas._atom_row(ctx, atom, everything)
         assert computed == everything
         assert [formulas.atom_mask(ctx, atom, y) for y in everything] == row
         assert computed == everything
-    fresh = EvalContext(g, (0, 7), 1)
+    fresh = EvalContext(g, 1)
+    # the eq masks read the balls' row; fill it first
+    formulas._atom_row(fresh, dist_atom(), everything)
     computed.clear()
     mask = formulas.atom_mask(fresh, eq_atom(0), 3)
     assert computed == [3]
@@ -175,11 +199,11 @@ def test_type_rows_match_pointwise_type_masks():
     # of a context of its own, for edge, dist and eq atoms, |phi| 1 to 4,
     # on a fresh atom memo and on item lists it holds in part
     rng = random.Random(20241)
-    kinds = (edge_atom(), dist_atom(), eq_atom(0), eq_atom(1), eq_atom(2))
     for seed in range(10):
         g = random_bounded_degree(16, 1 + seed % 4, seed)
         consts = rng.sample(range(g.n), 3)
-        ctx, ref = (EvalContext(g, consts, ball_radius=1 + seed % 2)
+        kinds = (edge_atom(), dist_atom()) + tuple(map(eq_atom, consts))
+        ctx, ref = (EvalContext(g, ball_radius=1 + seed % 2)
                     for _ in range(2))
         for count in range(1, 5):
             phi = tuple(rng.sample(kinds, count))
@@ -329,8 +353,8 @@ def test_single_type_patterns_generate_all_combinations(g, constants, k):
     """A sequence indiscernible for single-type patterns stays
     indiscernible for every disjunction-entry pattern of the same length.
     """
-    ctx = EvalContext(g, constants, 1)
-    phi = (edge_atom(),) + tuple(eq_atom(i) for i in range(len(constants)))
+    ctx = EvalContext(g, 1)
+    phi = (edge_atom(),) + tuple(map(eq_atom, constants))
     gens = enumerate_type_patterns(len(phi), k)
     cfg = ExtractionConfig(target_length=3, window=None)
     seq = extract_indiscernible(ctx, phi, gens, list(range(g.n)), cfg)
@@ -350,7 +374,7 @@ def test_generation_claim_on_random_graphs(bits, radius):
     pairs = list(combinations(range(6), 2))
     edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
     g = Graph.from_edges(6, edges)
-    ctx = EvalContext(g, (0,), radius)
+    ctx = EvalContext(g, radius)
     phi = (edge_atom(), eq_atom(0))
     gens = enumerate_type_patterns(2, 2)
     cfg = ExtractionConfig(target_length=1, window=None)
@@ -364,11 +388,7 @@ def test_generation_claim_on_random_graphs(bits, radius):
 def test_context_validates_inputs():
     g = path(4)
     with pytest.raises(InputError):
-        EvalContext(g, (9,))
-    with pytest.raises(InputError):
-        EvalContext(g, (), -1)
-    ctx = EvalContext(g, (0,))
-    with pytest.raises(InputError):
-        ctx.constant(1)
+        EvalContext(g, -1)
+    ctx = EvalContext(g)
     with pytest.raises(InputError):
         eval_gamma(ctx, (edge_atom(),), type_pattern([(True,)]), (0, 1))

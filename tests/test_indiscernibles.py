@@ -209,9 +209,9 @@ def test_entry_rows_match_pointwise_type_masks():
     rng = random.Random(20233)
     for seed in range(12):
         g = random_bounded_degree(14, 1 + seed % 4, seed)
-        ctx, ref = (EvalContext(g, (0, 13), ball_radius=1 + seed % 2)
+        ctx, ref = (EvalContext(g, ball_radius=1 + seed % 2)
                     for _ in range(2))
-        phi = ((edge_atom(), dist_atom(), eq_atom(1)) if seed % 3 else
+        phi = ((edge_atom(), dist_atom(), eq_atom(13)) if seed % 3 else
                (eq_atom(0), edge_atom()))
         types = all_phi_types(len(phi))
         for _ in range(6):
@@ -636,8 +636,8 @@ def _brute_indiscernible(ctx, phi, patterns, items):
 def test_indiscernibility_matches_brute_force(seed, n, d, use_eq, data):
     g = random_bounded_degree(n, d, seed)
     if use_eq:
-        ctx = EvalContext(g, (0, n - 1), ball_radius=1)
-        phi = (eq_atom(0), eq_atom(1))
+        ctx = EvalContext(g, ball_radius=1)
+        phi = (eq_atom(0), eq_atom(n - 1))
         pool = list(range(1, n - 1))
     else:
         ctx = edge_ctx(g)
@@ -677,8 +677,8 @@ def test_target_one_never_falls_short(seed, n, d, use_eq, k, data):
     if data.draw(st.booleans()):
         g = complement(g)
     if use_eq:
-        ctx = EvalContext(g, (0, n - 1), ball_radius=1)
-        phi = (eq_atom(0), eq_atom(1))
+        ctx = EvalContext(g, ball_radius=1)
+        phi = (eq_atom(0), eq_atom(n - 1))
     else:
         ctx = edge_ctx(g)
         phi = EDGE
@@ -696,7 +696,7 @@ def test_constancy_past_the_enumeration_cliff():
     # a dense constant sequence past the size where a node-budgeted
     # search gives up and enumerates every increasing k-tuple, which
     # takes tens of seconds at these sizes; no time is asserted
-    ctx = EvalContext(clique(150), (0, 1), ball_radius=0)
+    ctx = EvalContext(clique(150), ball_radius=0)
     phi = (eq_atom(0), eq_atom(1))
     patterns = enumerate_type_patterns(2, 4)
     assert is_delta_indiscernible(ctx, phi, patterns,
@@ -726,8 +726,8 @@ def _random_ctx(seed, n, d, use_eq):
     constants sit at both ends and stay out of the item pool."""
     g = random_bounded_degree(n, d, seed)
     if use_eq:
-        return (EvalContext(g, (0, n - 1), ball_radius=1),
-                (eq_atom(0), eq_atom(1)), list(range(1, n - 1)))
+        return (EvalContext(g, ball_radius=1),
+                (eq_atom(0), eq_atom(n - 1)), list(range(1, n - 1)))
     return edge_ctx(g), EDGE, list(range(n))
 
 
@@ -1050,7 +1050,7 @@ def _assert_extraction_matches_reference(ctx, phi, patterns, items, cfg):
 def test_extraction_matches_reference(seed, n, d, use_eq, k, data):
     ctx, phi, pool = _random_ctx(seed, n, d, use_eq)
     if data.draw(st.booleans()):
-        ctx = EvalContext(complement(ctx.graph), ctx.constants, 1)
+        ctx = EvalContext(complement(ctx.graph), 1)
     items = data.draw(st.permutations(pool))[:data.draw(
         st.integers(1, len(pool)))]
     window = data.draw(st.none() | st.integers(1, len(pool)))
@@ -1088,7 +1088,7 @@ def test_single_entry_refinement_matches_reference():
     for g in graphs:
         full = g.full_mask()
         for ctx, phi, pool in ((edge_ctx(g), EDGE, list(range(g.n))),
-                               (EvalContext(g, (0,), ball_radius=1),
+                               (EvalContext(g, ball_radius=1),
                                 (eq_atom(0),), list(range(1, g.n)))):
             for pattern in enumerate_type_patterns(len(phi), 1):
                 entries = pattern.entries
@@ -1256,10 +1256,10 @@ def _table_case(data):
     if kind == "eq":
         consts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
                                     max_size=2, unique=True))
-        ctx = EvalContext(g, consts, radius)
-        phi = tuple(eq_atom(i) for i in range(len(consts)))
+        ctx = EvalContext(g, radius)
+        phi = tuple(map(eq_atom, consts))
     else:
-        ctx = EvalContext(g, (), radius)
+        ctx = EvalContext(g, radius)
         phi = {"edge": EDGE, "dist": (dist_atom(),),
                "edge+dist": (edge_atom(), dist_atom())}[kind]
     size = data.draw(st.sampled_from([1, 2, 3]) | st.integers(4, 10))
@@ -1432,9 +1432,9 @@ def test_eq_extraction_outputs_are_pinned():
         rng = random.Random(index)
         for count in range(1, 5):
             consts = rng.sample(range(g.n), count)
-            phi = tuple(eq_atom(i) for i in range(count))
+            phi = tuple(map(eq_atom, consts))
             for alpha, k in ((1, 3 if count < 4 else 2), (2, 2)):
-                ctx = EvalContext(g, consts, alpha)
+                ctx = EvalContext(g, alpha)
                 items = list(range(g.n))
                 rng.shuffle(items)
                 for window in (DEFAULT_WINDOW, None):

@@ -14,14 +14,17 @@ from hypothesis import strategies as st
 from flipwide import (
     BudgetExceeded,
     DisjointFamilyInput,
+    FlipWideRequest,
     InputError,
     ModeError,
     SampleBudget,
     SampleSetResult,
     build_sample_set,
+    flip_widen,
     phi_equivalent_over,
     verify_sample_set,
 )
+from flipwide import formulas, wideness
 from flipwide.generators import (
     clique,
     edgeless,
@@ -471,3 +474,28 @@ def test_verify_names_a_sample_out_of_range(samples, subseq, ex):
     bad = SampleSetResult(samples, subseq, ex, (0,) * 5)
     assert verify_sample_set(g, inp, bad) == (
         False, f"sample {samples[0]} out of range for n=5")
+
+
+def test_build_computes_each_eq_mask_once(monkeypatch):
+    # a build keeps one context, so a (sample, ball) eq mask that an
+    # earlier round computed is read from its memo in every later round
+    made = []
+    per_build = []
+    real_mask = formulas.eq_class_mask
+    real_build = wideness.build_sample_set
+
+    def counting_mask(g, const, ball):
+        made.append((const, ball))
+        return real_mask(g, const, ball)
+
+    def counting_build(*args):
+        made.clear()
+        out = real_build(*args)
+        per_build.append(list(made))
+        return out
+
+    monkeypatch.setattr(formulas, "eq_class_mask", counting_mask)
+    monkeypatch.setattr(wideness, "build_sample_set", counting_build)
+    flip_widen(FlipWideRequest(clique(48), tuple(range(48)), 2, 1))
+    assert any(per_build)
+    assert [len(m) for m in per_build] == [len(set(m)) for m in per_build]
