@@ -6,6 +6,8 @@ used for indiscernibility.
 Evaluation is mask-based: for a fixed second argument y, each atom has a
 bitmask of satisfying first arguments, computed once and cached in the
 EvalContext's one atom memo, where the balls are the dist_leq atom's row.
+At ball radius 0 the ball and eq masks are read off the adjacency rows;
+at larger radii an eq mask is ``graphcore.eq_class_mask`` over the ball.
 Pattern evaluation then reduces to AND/OR over masks.
 ``type_rows`` builds every complete type's masks over a whole item list
 at once, by splitting the atoms' rows, and ``entry_row`` ORs the rows of
@@ -140,18 +142,34 @@ class EvalContext:
 def _atom_masks_at(ctx: EvalContext, atom: Atom, ys) -> list[int]:
     """The atom's masks at each of ``ys``, computed without its own memo.
 
-    An eq_nbhd mask is the constant's class under ``eq_class_mask`` over
-    the ball of y, read from the dist_leq row: O(|ball|) mask operations,
-    not a pass over the graph.
+    At ball radius 0 each ball is one vertex, so after one range check of
+    ``ys`` both ball atoms are read off the adjacency rows: the dist_leq
+    mask at y is ``1 << y``, and the eq_nbhd mask of the constant s is
+    that ball when y == s, else the vertices other than y that match s's
+    adjacency to y: ``rows[y]`` when s ~ y, else y's non-neighbours.
+    At larger radii an eq_nbhd mask is the constant's class under
+    ``eq_class_mask`` over the ball of y, read from the dist_leq row:
+    O(|ball|) mask operations, not a pass over the graph.
     """
     g = ctx.graph
     if atom.kind == EDGE:
         return list(map(g.rows.__getitem__, ys))
+    s = atom.const
+    if atom.kind == EQ_NBHD:
+        g.check_vertex(s)
+    if ctx.ball_radius:
+        if atom.kind == DIST_LEQ:
+            return [ball_mask(g, y, ctx.ball_radius) for y in ys]
+        return [eq_class_mask(g, s, ball)
+                for ball in _atom_row(ctx, _BALL, ys)]
+    g.check_vertices(ys)
     if atom.kind == DIST_LEQ:
-        return [ball_mask(g, y, ctx.ball_radius) for y in ys]
-    g.check_vertex(atom.const)
-    return [eq_class_mask(g, atom.const, ball)
-            for ball in _atom_row(ctx, _BALL, ys)]
+        return [1 << y for y in ys]
+    rows = g.rows
+    srow = rows[s]
+    full = g.full_mask()
+    return [rows[y] if srow >> y & 1 else
+            1 << y if y == s else full ^ rows[y] ^ 1 << y for y in ys]
 
 
 def _atom_row(ctx: EvalContext, atom: Atom, ys: Sequence[int]) -> list[int]:

@@ -118,6 +118,13 @@ class Graph:
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
 
+    def check_vertices(self, vs: Sequence[int]) -> None:
+        """``check_vertex`` on each of ``vs`` in order, so the first out of
+        range is named; one min/max pass when none is."""
+        if vs and (min(vs) < 0 or max(vs) >= self.n):
+            for v in vs:
+                self.check_vertex(v)
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

@@ -14,11 +14,12 @@ and each round's formulas are one eq atom per sample vertex, so each
 class table, read as one row per sample over the surviving balls: entry i
 of sample p's row, the sample's eq-atom row, is the mask of all vertices
 equivalent to the sample over ball i, which the extraction has already
-memoised; ``graphcore.eq_class_mask`` computes each in O(|ball|) mask
-operations. Saturating bitset counters over each row (the vertices
-inequivalent to the sample over at least one, and at least two, balls)
-give every vertex's certificate at once, and saturating counters over the
-union of the rows pick the next sample.
+memoised. At half radius 0 each mask is read off the ball vertex's
+adjacency row; at larger radii ``graphcore.eq_class_mask`` computes it
+in O(|ball|) mask operations. Saturating bitset counters over each row
+(the vertices inequivalent to the sample over at least one, and at least
+two, balls) give every vertex's certificate at once, and saturating
+counters over the union of the rows pick the next sample.
 ``decompose_exceptional`` is the per-vertex definition of the weaker split
 certificate (one sample before the exceptional position, another after
 it); when some vertex has no single-sample certificate, the kernel's
@@ -196,8 +197,11 @@ def _certificates(full: int, cols: list[list[int]],
             for v in iter_bits(hit):
                 p_of[v] = p
         for e, m in enumerate(row):
-            for v in iter_bits(hit & ~m):
-                e_of[v] = e
+            bad = hit & ~m
+            while bad:
+                low = bad & -bad
+                e_of[low.bit_length() - 1] = e
+                bad ^= low
     return list(zip(e_of, p_of))
 
 

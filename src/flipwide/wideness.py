@@ -18,16 +18,17 @@ Each level is checked in the input graph under the flips accumulated so far.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .errors import BudgetExceeded, InputError, InternalInvariantError, ModeError
 from .graphcore import (
     Flip,
     FlipSet,
     Graph,
+    _bfs_levels,
     apply_flips,
     ball_mask,
-    distances_from,
-    exact_distance_layer,
     is_distance_r_independent,
     iter_bits,
     mask_of,
@@ -59,8 +60,7 @@ class FlipWideRequest:
             raise InputError("target size must be positive")
         if len(set(self.a_set)) != len(self.a_set):
             raise InputError("a_set must be pairwise distinct")
-        for v in self.a_set:
-            self.graph.check_vertex(v)
+        self.graph.check_vertices(self.a_set)
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,18 @@ class FlipWideResult:
 
 def _even_level_flips(g: Graph, nxt: tuple[int, ...], samples, s_of,
                       i: int) -> list[Flip]:
-    layer = mask_of(exact_distance_layer(g, nxt, i))
+    """The even-level flips: every layer vertex, at distance exactly i
+    from ``nxt`` (level i of one BFS), is colored by its sample and its
+    adjacency trace to the samples."""
+    levels = _bfs_levels(g, mask_of(nxt), i)
+    layer = levels[i] if i < len(levels) else 0
     if not layer or not samples:
         return []
     rows = g.rows
     groups: dict[tuple[int, int], list[int]] = {}
     claimed = 0
     for a in nxt:
-        own = ball_mask(g, a, i)
+        own = ball_mask(g, a, i) if i else 1 << a
         twice = own & layer & claimed
         if twice:
             raise InternalInvariantError(
@@ -112,13 +116,24 @@ def _even_level_flips(g: Graph, nxt: tuple[int, ...], samples, s_of,
 
 def _odd_level_flips(g: Graph, nxt: tuple[int, ...], samples, s_of,
                      i: int) -> list[Flip]:
-    dist = distances_from(g, nxt)
+    """The odd-level flips: sample j's assigned vertices beyond distance i
+    from ``nxt`` against its neighbours at distance exactly i, both read
+    from the BFS levels 0..i and one owner mask per sample."""
+    if not samples:
+        return []
+    levels = _bfs_levels(g, mask_of(nxt), i)
+    within = reduce(or_, levels)
+    layer = levels[i] if i < len(levels) else 0
+    owners = [0] * len(samples)
+    for a, j in enumerate(s_of):
+        owners[j] |= 1 << a
+    rows = g.rows
     flips = []
     for j, s in enumerate(samples):
-        far = [a for a in range(g.n) if s_of[a] == j and dist[a] >= i + 1]
-        near = [v for v in iter_bits(g.rows[s]) if dist[v] == i]
+        far = owners[j] & ~within
+        near = rows[s] & layer
         if far and near:
-            flips.append(Flip(far, near))
+            flips.append(Flip(iter_bits(far), iter_bits(near)))
     return flips
 
 
@@ -198,7 +213,6 @@ def verify_flip_wide(g: Graph, result: FlipWideResult,
     """
     if len(set(result.b_set)) != len(result.b_set):
         raise InputError("b_set must be pairwise distinct")
-    for v in result.b_set:
-        g.check_vertex(v)
+    g.check_vertices(result.b_set)
     flipped = apply_flips(g, result.flip_set)
     return is_distance_r_independent(flipped, result.b_set, r)

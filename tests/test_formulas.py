@@ -35,7 +35,8 @@ from flipwide import (
 )
 from flipwide import formulas
 from flipwide.formulas import entry_mask, type_rows
-from flipwide.generators import half_graph, path, random_bounded_degree
+from flipwide.generators import complement, half_graph, path, random_bounded_degree
+from flipwide.graphcore import eq_class_mask
 from flipwide.indiscernibles import ExtractionConfig
 from flipwide.oracles import decompose_sequence_types
 from pointwise import all_pairs_distance, eval_gamma, eval_type, type_mask
@@ -119,6 +120,60 @@ def test_eq_atoms_match_phi_equivalent_over(data):
             for x in range(n):
                 assert eval_atom(ctx, eq_atom(c), x, y) == \
                     phi_equivalent_over(g, x, c, ball)
+
+
+@st.composite
+def row_cases(draw):
+    """A graph on 1..10 vertices, as drawn, complemented or with 1..3
+    isolated vertices added; a sample vertex; and an item list, repeats
+    allowed, that holds the sample among the other items."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs),
+                                          unique=True)) if pairs else [])
+    shape = draw(st.sampled_from(["drawn", "complement", "isolated"]))
+    if shape == "complement":
+        g = complement(g)
+    elif shape == "isolated":
+        extra = draw(st.integers(1, 3))
+        g = Graph(n + extra, g.rows + (0,) * extra)
+    s = draw(st.integers(0, g.n - 1))
+    items = draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    items.insert(draw(st.integers(0, len(items))), s)
+    return g, s, items
+
+
+@given(row_cases(), st.integers(0, 1))
+def test_ball_and_eq_rows_match_the_kernels(case, radius):
+    # the rows read off the adjacency rows at ball radius 0, and the
+    # kernels' rows at radius 1, are ball_mask and eq_class_mask per item,
+    # and the eq row is phi_equivalent_over pointwise
+    g, s, items = case
+    ctx = EvalContext(g, radius)
+    balls = [ball_mask(g, y, radius) for y in items]
+    assert formulas._atom_masks_at(ctx, dist_atom(), items) == balls
+    eqs = formulas._atom_masks_at(ctx, eq_atom(s), items)
+    assert eqs == [eq_class_mask(g, s, ball) for ball in balls]
+    for eq, ball in zip(eqs, balls):
+        assert [eq >> x & 1 for x in range(g.n)] == [
+            phi_equivalent_over(g, x, s, ball) for x in range(g.n)]
+
+
+@pytest.mark.parametrize("atom", [dist_atom(), eq_atom(2)], ids=["dist", "eq"])
+@pytest.mark.parametrize("items, named", [
+    ([3, 12, -1], 12),
+    ([3, -1, 12], -1),
+    ([9, 10], 10),
+])
+def test_radius_zero_rows_name_the_first_item_out_of_range(atom, items,
+                                                           named):
+    # one range check covers a radius-0 row; an item out of range raises
+    # for the first such item in the row's order, as a per-item check would
+    ctx = EvalContext(path(10), 0)
+    with pytest.raises(InputError,
+                       match=rf"^vertex {named} out of range for n=10$"):
+        formulas._atom_row(ctx, atom, items)
+    assert atom not in ctx._atom_masks
 
 
 def test_types_partition_every_pair():

@@ -478,15 +478,17 @@ def test_verify_names_a_sample_out_of_range(samples, subseq, ex):
 
 def test_build_computes_each_eq_mask_once(monkeypatch):
     # a build keeps one context, so a (sample, ball) eq mask that an
-    # earlier round computed is read from its memo in every later round
+    # earlier round computed is read from its memo in every later round;
+    # the spy counts every (atom, y) mask the build computes, since at
+    # half radius 0 no eq mask goes through ``eq_class_mask``
     made = []
     per_build = []
-    real_mask = formulas.eq_class_mask
+    real_masks = formulas._atom_masks_at
     real_build = wideness.build_sample_set
 
-    def counting_mask(g, const, ball):
-        made.append((const, ball))
-        return real_mask(g, const, ball)
+    def counting_masks(ctx, atom, ys):
+        made.extend((atom, y) for y in ys)
+        return real_masks(ctx, atom, ys)
 
     def counting_build(*args):
         made.clear()
@@ -494,7 +496,7 @@ def test_build_computes_each_eq_mask_once(monkeypatch):
         per_build.append(list(made))
         return out
 
-    monkeypatch.setattr(formulas, "eq_class_mask", counting_mask)
+    monkeypatch.setattr(formulas, "_atom_masks_at", counting_masks)
     monkeypatch.setattr(wideness, "build_sample_set", counting_build)
     flip_widen(FlipWideRequest(clique(48), tuple(range(48)), 2, 1))
     assert any(per_build)

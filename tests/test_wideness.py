@@ -36,8 +36,10 @@ from flipwide.graphcore import (
     Graph,
     apply_flips,
     ball_mask,
+    distances_from,
     exact_distance_layer,
     format_edge_list,
+    iter_bits,
 )
 from flipwide.generators import (
     clique,
@@ -53,7 +55,11 @@ from flipwide.generators import (
     subdivided_clique,
 )
 from flipwide.sampleset import build_sample_set, verify_sample_set
-from flipwide.wideness import _even_level_flips, _xor_accumulate
+from flipwide.wideness import (
+    _even_level_flips,
+    _odd_level_flips,
+    _xor_accumulate,
+)
 
 
 def widen(g, r, m=8, **kw):
@@ -208,6 +214,22 @@ def test_request_validation():
         FlipWideRequest(g, (9,), 1, 1)
 
 
+@pytest.mark.parametrize("ids, named", [
+    ((5, 500, -1), 500),
+    ((5, -1, 500), -1),
+    ((9, 10), 10),
+])
+def test_range_errors_name_the_first_vertex_out_of_range(ids, named):
+    # the request and the verifier name the first id out of range in the
+    # order given, not the lowest
+    g = clique(10)
+    message = rf"^vertex {named} out of range for n=10$"
+    with pytest.raises(InputError, match=message):
+        FlipWideRequest(g, ids, 1, 1)
+    with pytest.raises(InputError, match=message):
+        verify_flip_wide(g, FlipWideResult(ids, (), 1, (), True, False), 1)
+
+
 def test_budget_error_carries_level_state():
     g = complement(path(40))
     req = FlipWideRequest(g, tuple(range(g.n)), 2, 1,
@@ -281,7 +303,7 @@ def test_dropped_accumulated_flip_fails_the_level_check(monkeypatch):
         widen(clique(20), 1)
 
 
-# ------------------------------------- even-level flips against pair scan
+# ------------------------ level flips against pair scan and distance list
 
 def _pairwise_even_level_flips(g, nxt, samples, s_of, i):
     """The even-level construction as a scan over every pair of layer
@@ -322,6 +344,19 @@ def _pairwise_even_level_flips(g, nxt, samples, s_of, i):
             if related(c1, c2)]
 
 
+def _distance_list_odd_level_flips(g, nxt, samples, s_of, i):
+    """The odd-level construction from a per-vertex distance list and one
+    pass over the vertices per sample."""
+    dist = distances_from(g, nxt)
+    flips = []
+    for j, s in enumerate(samples):
+        far = [a for a in range(g.n) if s_of[a] == j and dist[a] >= i + 1]
+        near = [v for v in iter_bits(g.rows[s]) if dist[v] == i]
+        if far and near:
+            flips.append(Flip(far, near))
+    return flips
+
+
 def _outcome(build, *args):
     try:
         return build(*args)
@@ -330,7 +365,7 @@ def _outcome(build, *args):
 
 
 @st.composite
-def even_level_inputs(draw):
+def level_inputs(draw, max_i=1):
     n = draw(st.integers(2, 10))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex)
@@ -339,8 +374,8 @@ def even_level_inputs(draw):
     samples = draw(st.lists(vertex, min_size=1, max_size=3, unique=True))
     s_of = draw(st.lists(st.integers(0, len(samples) - 1),
                          min_size=n, max_size=n))
-    # radius 2 leaves the layer empty on most graphs this small
-    i = draw(st.integers(0, 1))
+    # radius 2 leaves the even layer empty on most graphs this small
+    i = draw(st.integers(0, max_i))
     return Graph.from_edges(n, edges), tuple(nxt), tuple(samples), s_of, i
 
 
@@ -353,7 +388,7 @@ OVERLAPPING = (Graph.from_edges(3, [(0, 1), (1, 2)]), (0, 2), (0,),
                [0, 0, 0], 1)
 
 
-@given(even_level_inputs())
+@given(level_inputs())
 @settings(max_examples=300)
 @example(ASYMMETRIC)
 @example(OVERLAPPING)
@@ -369,6 +404,12 @@ def test_even_level_flips_match_pair_scan(args):
 def test_even_level_flips_name_the_failure(args, message):
     with pytest.raises(InternalInvariantError, match=message):
         _even_level_flips(*args)
+
+
+@given(level_inputs(max_i=3))
+@settings(max_examples=300)
+def test_odd_level_flips_match_distance_list(args):
+    assert _odd_level_flips(*args) == _distance_list_odd_level_flips(*args)
 
 
 # ------------------------------------------ every level against the oracles
