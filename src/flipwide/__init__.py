@@ -6,7 +6,6 @@ from .errors import (
     FlipwideError,
     InputError,
     InternalInvariantError,
-    ModeError,
 )
 from .formulas import (
     Atom,
@@ -84,8 +83,8 @@ __all__ = [
     "Counterexample", "DisjointFamilyInput", "EvalContext", "ExceptionWitness",
     "ExtractionConfig", "ExtractionShortfall", "Flip", "FlipSet",
     "FlipWideRequest", "FlipWideResult", "FlipwideError", "Graph",
-    "InputError", "InternalInvariantError", "LevelTrace", "ModeError",
-    "OracleReport", "Pattern", "PhiType", "SampleBudget", "SampleSetResult",
+    "InputError", "InternalInvariantError", "LevelTrace", "OracleReport",
+    "Pattern", "PhiType", "SampleBudget", "SampleSetResult",
     "TypeDecomposition", "TypeFalsifier", "Witness", "all_phi_types",
     "alternation_rank", "apply_flips", "ball", "ball_mask",
     "bipartite_canonical_pattern", "build_sample_set",

@@ -21,7 +21,6 @@ from .errors import (
     ExtractionShortfall,
     InputError,
     InternalInvariantError,
-    ModeError,
 )
 from .formulas import EvalContext, edge_atom, enumerate_type_patterns, eq_atom
 from .generators import FAMILIES
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
         if diag:
             print(f"diagnostic: {diag}", file=sys.stderr)
         return 3
-    except (InternalInvariantError, ModeError) as exc:
+    except InternalInvariantError as exc:
         print(f"verification: {exc}", file=sys.stderr)
         return 2
 

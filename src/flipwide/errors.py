@@ -40,13 +40,6 @@ class ExtractionShortfall(FlipwideError):
         self.blocking_pattern = blocking_pattern
 
 
-class ModeError(FlipwideError):
-    """The sample set admits no single-sample certificates: every vertex
-    has a split certificate (one sample before its exceptional ball,
-    another after it), but some vertex has no single sample covering every
-    ball but one."""
-
-
 class InternalInvariantError(FlipwideError):
     """An invariant the algorithm is supposed to maintain was violated.
 

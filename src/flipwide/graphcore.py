@@ -8,6 +8,10 @@ A flip (A, B) toggles exactly the unordered pairs {u, v}, u != v, with
 (u, v) in (A x B) union (B x A). Membership is a predicate on the pair, so
 a pair covered by both orderings is still toggled only once, and A == B
 toggles every pair inside A.
+
+Per-vertex counts over a list of masks are kept bit-sliced
+(``_bit_planes``) and read by threshold (``_at_least``); the oracles'
+ranks and the sample-set build's pick share them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,41 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _bit_planes(masks) -> list[int]:
+    """Per-vertex counts of the masks holding each vertex, bit-sliced.
+
+    Bit k of vertex b's count is bit b of ``planes[k]``. Each mask is
+    added by ripple carry, so it costs O(log len(masks)) big-int
+    operations for all vertices at once.
+    """
+    planes: list[int] = []
+    for carry in masks:
+        for k, p in enumerate(planes):
+            planes[k] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def _at_least(planes: list[int], c: int, full: int) -> int:
+    """Mask of the vertices in ``full`` whose bit-sliced count is >= c."""
+    if c >> len(planes):
+        return 0
+    above, equal = 0, full
+    for k in range(len(planes) - 1, -1, -1):
+        p = planes[k]
+        if c >> k & 1:
+            equal &= p
+        else:
+            above |= equal & p
+            equal &= ~p
+    return above | equal
 
 
 class Graph:

@@ -30,9 +30,9 @@ constancy is closed under subsequences, a pattern that varies on the
 crop refutes the whole input, which is then never scanned.
 
 Before the per-pattern path, the extractor reads one exception table
-(``_decided_by_exceptions``) on the crop, again each time a refinement
-shrinks the survivors, and on the whole input before
-``is_delta_indiscernible``. The paper's first theorem says that over a
+(``_decided_by_exceptions``) on the crop and again each time a
+refinement shrinks the survivors, and ``is_delta_indiscernible`` reads
+it on its whole input before deciding any pattern. The paper's first theorem says that over a
 long indiscernible sequence in a monadically stable class every witness
 has the same type at every item but one at most. When that holds on s
 items, each witness has a main type t and at most one exception, a type
@@ -153,9 +153,7 @@ class ExtractionConfig:
 def _check_items(ctx: EvalContext, items: Seq[int]) -> None:
     if len(set(items)) != len(items):
         raise InputError("sequence items must be pairwise distinct")
-    if items:
-        ctx.graph.check_vertex(min(items))
-        ctx.graph.check_vertex(max(items))
+    ctx.graph.check_vertices(items)
 
 
 def _entry_rows(ctx: EvalContext, phi: tuple[Atom, ...], entries,
@@ -595,13 +593,18 @@ def is_delta_indiscernible(
 ) -> tuple[bool, Counterexample | None]:
     """Exact check: every pattern constant on all increasing tuples.
 
-    Patterns longer than the sequence hold vacuously. On failure the
-    returned counterexample carries one true and one false tuple for the
-    offending pattern.
+    Patterns longer than the sequence hold vacuously. The exception table
+    is read first, up to the longest pattern given: a yes proves every
+    pattern constant, and a no leaves each pattern to ``_decide`` on the
+    same row cache. On failure the returned counterexample carries one
+    true and one false tuple for the offending pattern.
     """
     _check_items(ctx, items)
-    full = ctx.graph.full_mask()
     rows: dict = {}
+    if _decided_by_exceptions(ctx, phi, _by_length(phi, patterns)[1], items,
+                              rows):
+        return True, None
+    full = ctx.graph.full_mask()
     for pattern in patterns:
         depth = len(pattern)
         if len(items) < depth:
@@ -738,9 +741,9 @@ def extract_indiscernible(
     The refinement is the crop's indiscernibility check: it leaves the
     crop whole exactly when every pattern is constant there. The crop is
     a subsequence, so a pattern that is not constant there is not
-    constant on the whole input, and the whole input is decided, by the
-    exception table and then by ``is_delta_indiscernible``, only when the
-    refinement leaves the crop whole. The table is read on the crop
+    constant on the whole input, and the whole input is decided, by
+    ``is_delta_indiscernible``, which reads the exception table first,
+    only when the refinement leaves the crop whole. The table is read on the crop
     first and again whenever the survivors shrink; a yes ends the
     refinement, which would leave constant patterns' survivors as they
     are. Each pattern's top-level refinement shares one ``_decide`` cache
@@ -770,7 +773,6 @@ def extract_indiscernible(
                     break
     if survivors is crop and (
             len(crop) == len(items)
-            or _decided_by_exceptions(ctx, phi, k, items, {})
             or is_delta_indiscernible(ctx, phi, patterns, items)[0]):
         return list(items)
     if len(survivors) < cfg.target_length:

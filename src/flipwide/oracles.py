@@ -33,7 +33,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalInvariantError
 from .formulas import Atom, EvalContext, PhiType, eval_atom
-from .graphcore import Graph, iter_bits, mask_of
+from .graphcore import Graph, _at_least, _bit_planes, iter_bits, mask_of
 
 EXHAUSTIVE = "exhaustive"
 BUDGET = "budget"
@@ -75,41 +75,6 @@ class Witness:
 class OracleReport:
     witness: object | None
     search: str
-
-
-def _bit_planes(masks) -> list[int]:
-    """Per-vertex counts of the masks holding each vertex, bit-sliced.
-
-    Bit k of vertex b's count is bit b of ``planes[k]``. Each mask is
-    added by ripple carry, so it costs O(log len(masks)) big-int
-    operations for all vertices at once.
-    """
-    planes: list[int] = []
-    for carry in masks:
-        for k, p in enumerate(planes):
-            planes[k] = p ^ carry
-            carry &= p
-            if not carry:
-                break
-        else:
-            if carry:
-                planes.append(carry)
-    return planes
-
-
-def _at_least(planes: list[int], c: int, full: int) -> int:
-    """Mask of the vertices in ``full`` whose bit-sliced count is >= c."""
-    if c >> len(planes):
-        return 0
-    above, equal = 0, full
-    for k in range(len(planes) - 1, -1, -1):
-        p = planes[k]
-        if c >> k & 1:
-            equal &= p
-        else:
-            above |= equal & p
-            equal &= ~p
-    return above | equal
 
 
 def _columns(g: Graph, seq) -> list[int]:

@@ -18,13 +18,13 @@ memoised. At half radius 0 each mask is read off the ball vertex's
 adjacency row; at larger radii ``graphcore.eq_class_mask`` computes it
 in O(|ball|) mask operations. Saturating bitset counters over each row
 (the vertices inequivalent to the sample over at least one, and at least
-two, balls) give every vertex's certificate at once, and saturating
-counters over the union of the rows pick the next sample.
+two, balls) give every vertex's certificate at once; a vertex without
+one makes the build pick another sample. The pick reads every vertex's
+count of balls over which it is equivalent to some sample, bit-sliced
+(``graphcore._bit_planes``), by threshold.
 ``decompose_exceptional`` is the per-vertex definition of the weaker split
 certificate (one sample before the exceptional position, another after
-it); when some vertex has no single-sample certificate, the kernel's
-coverage test is that definition, so a vertex without one makes the build
-pick another sample.
+it), which the build does not read.
 ``verify_sample_set`` re-checks a result with ``phi_equivalent_over``
 alone, so the verifier does not depend on the kernel.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import BudgetExceeded, InputError, ModeError
+from .errors import BudgetExceeded, InputError
 from .formulas import (
     PATTERN_CAP,
     EvalContext,
@@ -44,10 +44,18 @@ from .formulas import (
     enumerate_type_patterns,
     eq_atom,
 )
-from .graphcore import Graph, ball_mask, iter_bits, mask_of, phi_equivalent_over
+from .graphcore import (
+    Graph,
+    _at_least,
+    _bit_planes,
+    ball_mask,
+    iter_bits,
+    mask_of,
+    phi_equivalent_over,
+)
 from .indiscernibles import DEFAULT_WINDOW, ExtractionConfig, extract_indiscernible
 
-_NOT_NIP = "class likely not monadically NIP at these budgets"
+_NOT_STABLE = "class likely not monadically stable at these budgets"
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,10 @@ class SampleBudget:
     """The settings of ``build_sample_set``: type patterns of length
     1..``max_pattern_length`` for the indiscernibility check, and the
     extraction ``window`` (None for no crop). ``PATTERN_CAP`` bounds the
-    number of samples: at most 4 when the pattern length is 4."""
+    number of samples: at most 4 when the pattern length is 4. A
+    sequence of fewer than twice ``max_pattern_length`` balls is short,
+    and its sample pick may take a vertex over more than two balls. Both
+    stops, the cap and no candidate sample, raise ``BudgetExceeded``."""
 
     max_pattern_length: int = 4
     window: int | None = DEFAULT_WINDOW
@@ -95,7 +106,8 @@ class SampleSetResult:
     s_of: tuple[int | None, ...]
 
 
-# Only the tests call it; the benchmark's tracer still names it as a span.
+# The build does not read it: only the tests call it, and the benchmark's
+# tracer still names it as a span.
 def decompose_exceptional(
     g: Graph, samples: tuple[int, ...], balls: list[int], a: int,
 ) -> tuple[int, int, int] | None:
@@ -150,12 +162,9 @@ def _certificates(full: int, cols: list[list[int]],
     least two balls, so a vertex has a single-sample certificate exactly
     when it lies outside some sample's ``twice``. A vertex gets the
     sentinel from the lowest sample it is never inequivalent to, else
-    the lowest sample p with exactly one bad ball e. Only when some
-    vertex has no single-sample certificate is the weaker
-    ``decompose_exceptional`` split cover built: None when it misses a
-    vertex too, so the build picks another sample, and otherwise
-    ``ModeError`` names the lowest vertex without a single-sample
-    certificate.
+    the lowest sample p with exactly one bad ball e. None when some
+    vertex has no single-sample certificate, so the build picks another
+    sample.
     """
     counters = []
     cover = 0
@@ -168,13 +177,7 @@ def _certificates(full: int, cols: list[list[int]],
         counters.append((once, twice))
         cover |= full ^ twice
     if cover != full:
-        if _split_cover(full, cols, count) != full:
-            return None
-        left = full & ~cover
-        raise ModeError(
-            f"vertex {(left & -left).bit_length() - 1} has no "
-            f"single-sample certificate; the sequence is not stable "
-            f"within these budgets")
+        return None
 
     # Every vertex starts at the sentinel with sample 0, so only the
     # vertices of a later sample or with a bad ball are written.
@@ -205,70 +208,27 @@ def _certificates(full: int, cols: list[list[int]],
     return list(zip(e_of, p_of))
 
 
-def _split_cover(full: int, cols: list[list[int]], count: int) -> int:
-    """Every vertex with a ``decompose_exceptional`` split certificate:
-    equivalent to some sample over every ball before a position and to
-    some sample over every ball after it. ``prefix[e]`` (``suffix[e]``)
-    is the union, over the samples, of the vertices equivalent to the
-    sample over balls 0..e-1 (e..count-1)."""
-    end = full if cols else 0
-    prefix = [end] + [0] * count
-    suffix = [0] * count + [end]
-    for row in cols:
-        acc = full
-        for e, m in enumerate(row, 1):
-            acc &= m
-            prefix[e] |= acc
-        acc = full
-        for e in range(count - 1, -1, -1):
-            acc &= row[e]
-            suffix[e] |= acc
-    covered = prefix[count]
-    for e in range(count):
-        covered |= prefix[e] & suffix[e + 1]
-    return covered
-
-
-def _ball_hits(cols: list[list[int]]) -> list[int]:
-    """Per ball, every vertex equivalent to some sample over it."""
-    return [reduce(or_, ms) for ms in zip(*cols)]
-
-
 def _pick_sample(full: int, cols: list[list[int]], marked: int,
-                 ) -> tuple[int | None, list[int]]:
+                 short: bool) -> tuple[int | None, list[int]]:
     """Lowest unmarked vertex equivalent to some sample over at most two
     balls, with those balls; (None, []) when there is none.
 
-    Saturating bitset counters (at least one, two, three balls) over the
-    per-ball union of the sample rows count every vertex's equivalent
-    balls at once.
+    The bound of two rests on the paper's first theorem, which holds over
+    long sequences only, so on a ``short`` sequence, when no vertex meets
+    it, the lowest unmarked vertex at the smallest count is taken. Each
+    vertex's count of balls over which it is equivalent to some sample
+    is bit-sliced over the per-ball union of the sample rows, and the
+    bound is one threshold on it, raised one ball at a time when short.
     """
-    hits = _ball_hits(cols)
-    once = twice = thrice = 0
-    for h in hits:
-        thrice |= twice & h
-        twice |= once & h
-        once |= h
-    free = full & ~thrice & ~marked
-    if not free:
-        return None, []
-    pick = (free & -free).bit_length() - 1
-    return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
-
-
-def _pick_fewest(full: int, cols: list[list[int]], marked: int,
-                 ) -> tuple[int | None, list[int]]:
-    """Unmarked vertex equivalent to some sample over the fewest balls,
-    the lowest on ties, with those balls; (None, []) when every vertex
-    is marked. ``_pick_sample``'s bound of two rests on the paper's first
-    theorem, which holds over long sequences only, so a short sequence
-    falls back to this when no vertex meets that bound."""
-    hits = _ball_hits(cols)
-    pick = min(iter_bits(full & ~marked), default=None,
-               key=lambda v: sum(h >> v & 1 for h in hits))
-    if pick is None:
-        return None, []
-    return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
+    hits = [reduce(or_, ms) for ms in zip(*cols)]
+    planes = _bit_planes(hits)
+    free = full & ~marked
+    for bound in range(2, max(len(hits), 2) + 1 if short else 3):
+        low = free & ~_at_least(planes, bound + 1, full)
+        if low:
+            pick = (low & -low).bit_length() - 1
+            return pick, [i for i, h in enumerate(hits) if h >> pick & 1]
+    return None, []
 
 
 def _check_disjoint(centers, balls: list[int], radius: int) -> None:
@@ -295,18 +255,19 @@ def build_sample_set(
     indiscernible subsequence of the survivors under the equivalence
     formulas (extraction target 1, ``budget.window`` crop, type patterns
     up to ``budget.max_pattern_length``), and stops once every vertex of
-    the graph has a single-sample certificate; ``ModeError`` if some vertex
-    has only a split one. A failing round adds the lowest unmarked vertex
-    that is inequivalent to every sample over all but at most two
-    surviving balls, on a short sequence ``_pick_fewest``'s when none
-    is, then drops those outlier balls plus the ball holding the new
-    sample. Every round returns, raises or adds a sample, and
-    the samples are the formulas of the patterns, so ``PATTERN_CAP``
-    bounds the rounds: at pattern length 4 a build stops at its 5th sample.
+    the graph has a single-sample certificate. Any other round adds the
+    lowest unmarked vertex that is equivalent to some sample over at most
+    two surviving balls (on a short sequence, fewer than twice
+    ``budget.max_pattern_length`` balls, over the fewest when none is),
+    then drops those outlier balls plus the ball holding the new sample.
+    Every round returns, raises or adds a sample, and the samples are the
+    formulas of the patterns, so ``PATTERN_CAP`` bounds the rounds: at
+    pattern length 4 a build stops at its 5th sample.
 
-    Both stops, no candidate sample and too many patterns, raise with the
-    partial (samples, survivors) state; at that point the input sequence
-    behaves like a non-NIP family.
+    Both stops, no candidate sample and too many patterns, raise
+    ``BudgetExceeded`` with the partial (samples, survivors) state; at
+    that point the input sequence behaves like a family that is not
+    monadically stable.
     """
     ctx = EvalContext(g, inp.half_radius)
     ball = dist_atom()
@@ -336,7 +297,7 @@ def build_sample_set(
                     f"{budget.max_pattern_length} exceed the cap of "
                     f"{PATTERN_CAP}",
                     partial=(tuple(samples), tuple(survivors)),
-                    diagnostic=_NOT_NIP) from exc
+                    diagnostic=_NOT_STABLE) from exc
             survivors = extract_indiscernible(ctx, phi, patterns, survivors,
                                               cfg)
             cols = [_atom_row(ctx, a, survivors) for a in phi]
@@ -351,14 +312,14 @@ def build_sample_set(
             ex, s_of = zip(*certs)
             return SampleSetResult(tuple(samples), tuple(survivors), ex, s_of)
 
-        pick, outliers = _pick_sample(full, cols, mask_of(samples))
-        if pick is None and len(survivors) < 2 * budget.max_pattern_length:
-            pick, outliers = _pick_fewest(full, cols, mask_of(samples))
+        pick, outliers = _pick_sample(
+            full, cols, mask_of(samples),
+            len(survivors) < 2 * budget.max_pattern_length)
         if pick is None:
             raise BudgetExceeded(
                 "no vertex is inequivalent to the samples over all but two "
                 "balls", partial=(tuple(samples), tuple(survivors)),
-                diagnostic=_NOT_NIP)
+                diagnostic=_NOT_STABLE)
         drop = set(outliers)
         drop.update(i for i, b in enumerate(_atom_row(ctx, ball, survivors))
                     if b >> pick & 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .errors import BudgetExceeded, InputError, InternalInvariantError, ModeError
+from .errors import BudgetExceeded, InputError, InternalInvariantError
 from .graphcore import (
     Flip,
     FlipSet,
@@ -160,8 +160,9 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
     level, once the survivors are already pairwise more than ``radius``
     apart; after level L they are more than L+1 apart, so it runs at most
     n levels whatever the radius, and the trace may hold fewer than
-    radius+1 entries. ``BudgetExceeded`` and ``ModeError`` name the level
-    they came from.
+    radius+1 entries. A ``BudgetExceeded`` from a level's build names that
+    level and carries the flips and trace reached before it; inputs
+    outside the monadically stable classes can end there.
     """
     g_cur = req.graph
     current = tuple(req.a_set)
@@ -181,8 +182,6 @@ def flip_widen(req: FlipWideRequest) -> FlipWideResult:
                 partial={"level": level, "flips": tuple(acc),
                          "trace": tuple(trace), "build": exc.partial},
                 diagnostic=exc.diagnostic) from exc
-        except ModeError as exc:
-            raise ModeError(f"level {level}: {exc}") from exc
         nxt = built.subseq
         parity, build = (("even", _even_level_flips) if level % 2 == 0
                          else ("odd", _odd_level_flips))

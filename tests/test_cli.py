@@ -230,7 +230,7 @@ def test_flip_widen_no_candidate_sample_stop(graph_file, capsys):
     assert err.splitlines() == [
         "budget: level 0: no vertex is inequivalent to the samples over "
         "all but two balls",
-        "diagnostic: class likely not monadically NIP at these budgets"]
+        "diagnostic: class likely not monadically stable at these budgets"]
 
 
 def test_flip_widen_rejects_non_integer_vertex_list(graph_file, tmp_path,
@@ -304,12 +304,15 @@ def test_extract_rejects_out_of_range_items(graph_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
-def test_flip_widen_mode_error_names_level(graph_file, capsys):
+def test_flip_widen_half_graph_stop_names_level(graph_file, capsys):
     code, out, err = run(
         ["flip-widen", "-g", graph_file(half_graph(20)), "-A", "all",
          "-r", "1", "-m", "4"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("verification: level 0:")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "budget: level 0: no vertex is inequivalent to the samples over "
+        "all but two balls",
+        "diagnostic: class likely not monadically stable at these budgets"]
 
 
 # ----------------------------------------------------------------- verify
@@ -926,7 +929,7 @@ def test_public_api_is_pinned():
         "ExceptionWitness", "ExtractionConfig", "ExtractionShortfall",
         "Flip", "FlipSet", "FlipWideRequest", "FlipWideResult",
         "FlipwideError", "Graph", "InputError", "InternalInvariantError",
-        "LevelTrace", "ModeError", "OracleReport", "Pattern", "PhiType",
+        "LevelTrace", "OracleReport", "Pattern", "PhiType",
         "SampleBudget", "SampleSetResult", "TypeDecomposition",
         "TypeFalsifier", "Witness", "all_phi_types", "alternation_rank",
         "apply_flips", "ball", "ball_mask", "bipartite_canonical_pattern",

@@ -245,6 +245,35 @@ def test_items_out_of_range_rejected(bad):
         em_type(ctx, EDGE, PATS3, items)
 
 
+def test_first_item_out_of_range_is_named():
+    # as for a_set: the first out-of-range item in order, not the highest
+    ctx = edge_ctx(path(10))
+    items = [5, 500, 600]
+    message = r"^vertex 500 out of range for n=10$"
+    with pytest.raises(InputError, match=message):
+        extract_indiscernible(ctx, EDGE, PATS3, items,
+                              ExtractionConfig(target_length=1))
+    with pytest.raises(InputError, match=message):
+        is_delta_indiscernible(ctx, EDGE, PATS3, items)
+
+
+def test_exception_table_settles_the_exact_check(monkeypatch):
+    # every vertex of a clique is adjacent to every item but itself, so the
+    # table decides every pattern up to length 4 and no pattern is decided
+    # one at a time
+    decided = []
+
+    def recording_decide(*args):
+        decided.append(args[2])
+        return _decide(*args)
+
+    monkeypatch.setattr(indiscernibles, "_decide", recording_decide)
+    ctx = edge_ctx(clique(60))
+    assert is_delta_indiscernible(ctx, EDGE, enumerate_type_patterns(1, 4),
+                                  tuple(range(60))) == (True, None)
+    assert decided == []
+
+
 @given(st.integers(0, 400), st.data())
 @settings(max_examples=30, deadline=None)
 def test_em_type_grows_under_subsequences(seed, data):

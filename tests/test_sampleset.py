@@ -8,7 +8,7 @@ builder and the independent verifier.
 import dataclasses
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipwide import (
@@ -16,7 +16,6 @@ from flipwide import (
     DisjointFamilyInput,
     FlipWideRequest,
     InputError,
-    ModeError,
     SampleBudget,
     SampleSetResult,
     build_sample_set,
@@ -27,16 +26,19 @@ from flipwide import (
 from flipwide import formulas, wideness
 from flipwide.generators import (
     clique,
+    complement,
     edgeless,
     half_graph,
     path,
+    power,
     random_bounded_degree,
+    shatter_gadget,
     star_forest,
+    subdivided_clique,
 )
 from flipwide.graphcore import Graph, ball_mask, eq_class_mask
 from flipwide.sampleset import (
     _certificates,
-    _pick_fewest,
     _pick_sample,
     decompose_exceptional,
 )
@@ -176,13 +178,15 @@ def class_table(g, samples, balls):
 
 
 def stable_certificate(g, samples, balls, a):
-    # the per-vertex single-sample certificate: equivalent to one sample
-    # over all balls but at most one
-    for p, s in enumerate(samples):
-        bad = [i for i, ball in enumerate(balls)
-               if not phi_equivalent_over(g, a, s, ball)]
+    # the per-vertex single-sample certificate: the sentinel from the
+    # lowest sample equivalent to a over every ball, else the lowest
+    # sample with exactly one bad ball, and that ball
+    bads = [[i for i, ball in enumerate(balls)
+             if not phi_equivalent_over(g, a, s, ball)] for s in samples]
+    for p, bad in enumerate(bads):
         if not bad:
             return len(balls), p
+    for p, bad in enumerate(bads):
         if len(bad) == 1:
             return bad[0], p
     return None
@@ -237,15 +241,20 @@ def graph_samples_balls(draw):
     return g, samples, balls[:draw(st.integers(0, len(balls)))]
 
 
-def pick_by_vertex(g, samples, balls):
-    # the per-vertex picker loop the bitset counters replace
-    for v in range(g.n):
-        if v in samples:
-            continue
-        out = [i for i, ball in enumerate(balls)
-               if any(phi_equivalent_over(g, v, s, ball) for s in samples)]
+def pick_by_vertex(g, samples, balls, short):
+    # the per-vertex picker loop the bit-sliced counts replace: the lowest
+    # unmarked vertex equivalent to some sample over at most two balls,
+    # and on a short sequence, when there is none, the lowest at the
+    # fewest such balls
+    hits = {v: [i for i, ball in enumerate(balls)
+                if any(phi_equivalent_over(g, v, s, ball) for s in samples)]
+            for v in range(g.n) if v not in samples}
+    for v, out in hits.items():
         if len(out) <= 2:
             return v, out
+    if short and hits:
+        v = min(hits, key=lambda v: len(hits[v]))
+        return v, hits[v]
     return None, []
 
 
@@ -256,28 +265,19 @@ def pick_by_vertex(g, samples, balls):
           singleton_balls(0, 1, 2, 3)))
 @example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
 def test_stable_certificates_match_per_vertex_reference(case):
-    # the reference: None when some vertex has no split certificate;
-    # else the split certificate where one sample covers both sides, and
-    # the per-vertex single-sample certificate otherwise. In the first
-    # example vertex 9's split certificate uses two samples, and samples 1
-    # and 3 each miss it on one ball (1 and 0): the lower sample wins. In
-    # the second every vertex has a split certificate, vertices 2 and 6
-    # no single-sample one. In the third samples are present but no ball
+    # the reference: None when some vertex has no single-sample
+    # certificate, else every vertex's. In the first example vertex 9's
+    # split certificate uses two samples, and samples 1 and 3 each miss it
+    # on one ball (1 and 0): the lower sample wins; vertex 2 misses sample
+    # 0 on ball 0 but sample 2 on none, so the sentinel wins. In the second
+    # every vertex has a split certificate, vertices 2 and 6 no
+    # single-sample one. In the third samples are present but no ball
     # survives, so every vertex takes the sentinel with sample 0.
     g, samples, balls = case
-    table = class_table(g, samples, balls)
-    split = [decompose_exceptional(g, samples, balls, a) for a in range(g.n)]
-    if None in split:
-        assert _certificates(g.full_mask(), table, len(balls)) is None
-        return
-    want = [c[:2] if c[1] == c[2] else stable_certificate(g, samples, balls, a)
-            for a, c in enumerate(split)]
-    if None in want:
-        with pytest.raises(ModeError, match=f"^vertex {want.index(None)} "
-                           "has no single-sample certificate"):
-            _certificates(g.full_mask(), table, len(balls))
-    else:
-        assert _certificates(g.full_mask(), table, len(balls)) == want
+    want = [stable_certificate(g, samples, balls, a) for a in range(g.n)]
+    got = _certificates(g.full_mask(), class_table(g, samples, balls),
+                        len(balls))
+    assert got == (None if None in want else want)
 
 
 @pytest.mark.parametrize("survivors", [0, 1, 400])
@@ -290,31 +290,74 @@ def test_no_certificates_without_samples(survivors):
 
 @given(graph_samples_balls())
 @example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
+@example((edgeless(6), (1,), singleton_balls(2, 3, 4, 5)))
 def test_sample_pick_matches_per_vertex_loop(case):
+    # each case is picked as a long and as a short sequence; in the second
+    # example every unmarked vertex is equivalent to the sample over three
+    # balls or more, so only the short pick takes one (vertex 2)
     g, samples, balls = case
     marked = sum(1 << s for s in samples)
-    got = _pick_sample(g.full_mask(), class_table(g, samples, balls), marked)
-    assert got == pick_by_vertex(g, samples, balls)
+    table = class_table(g, samples, balls)
+    for short in (False, True):
+        assert (_pick_sample(g.full_mask(), table, marked, short)
+                == pick_by_vertex(g, samples, balls, short)), short
 
 
-@given(graph_samples_balls())
-@example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
-def test_fewest_pick_matches_per_vertex_loop(case):
-    # the short-sequence fallback: the unmarked vertex equivalent to some
-    # sample over the fewest balls, the lowest on ties
-    g, samples, balls = case
-    marked = sum(1 << s for s in samples)
-    counted = [(sum(any(phi_equivalent_over(g, v, s, ball) for s in samples)
-                    for ball in balls), v)
-               for v in range(g.n) if v not in samples]
-    want = (None, [])
-    if counted:
-        v = min(counted)[1]
-        want = (v, [i for i, ball in enumerate(balls)
-                    if any(phi_equivalent_over(g, v, s, ball)
-                           for s in samples)])
-    got = _pick_fewest(g.full_mask(), class_table(g, samples, balls), marked)
-    assert got == want
+@st.composite
+def family_inputs(draw):
+    """A small graph from a stable family or from one that is not
+    monadically stable, or its complement, and centers with pairwise
+    disjoint balls of half radius 0 or 1, taken greedily in vertex order
+    or in a drawn one."""
+    family = draw(st.sampled_from(["half_graph", "power_path",
+                                   "subdivided_clique", "shatter_gadget",
+                                   "random_bounded_degree"]))
+    if family == "half_graph":
+        g = half_graph(draw(st.integers(1, 25)))
+    elif family == "power_path":
+        g = power(path(draw(st.integers(2, 60))), draw(st.integers(1, 20)))
+    elif family == "subdivided_clique":
+        g = subdivided_clique(draw(st.integers(2, 7)))
+    elif family == "shatter_gadget":
+        g = shatter_gadget(draw(st.integers(1, 4)))
+    else:
+        g = random_bounded_degree(draw(st.integers(1, 40)),
+                                  draw(st.integers(1, 4)),
+                                  draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        g = complement(g)
+    half = draw(st.integers(0, 1))
+    centers, seen = [], 0
+    order = range(g.n)
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    for c in order:
+        ball = ball_mask(g, c, half)
+        if not ball & seen:
+            centers.append(c)
+            seen |= ball
+    return g, DisjointFamilyInput(tuple(centers), half)
+
+
+@given(family_inputs())
+@example((half_graph(20), DisjointFamilyInput(tuple(range(40)), 0)))
+@example((power(path(60), 20), DisjointFamilyInput(tuple(range(60)), 0)))
+@settings(max_examples=60, deadline=None)
+def test_build_ends_verified_or_with_a_budget_stop(case):
+    # on stable and non-stable inputs alike, a build either returns a
+    # result that the verifier accepts or stops with its partial state;
+    # the two examples stop
+    g, inp = case
+    try:
+        res = build_sample_set(g, inp)
+    except BudgetExceeded as exc:
+        samples, survivors = exc.partial
+        assert all(0 <= s < g.n for s in samples)
+        assert len(set(samples)) == len(samples)
+        it = iter(inp.centers)
+        assert all(c in it for c in survivors)
+        return
+    assert verify_sample_set(g, inp, res) == (True, None)
 
 
 # ------------------------------------------------------------ validation
@@ -347,7 +390,7 @@ def test_budget_exhaustion_payloads():
     assert str(exc.value) == ("type patterns over 2 samples up to length 9 "
                               "exceed the cap of 100000")
     assert exc.value.partial == ((0, 9), (1, 2, 3))
-    assert "monadically NIP" in exc.value.diagnostic
+    assert "monadically stable" in exc.value.diagnostic
 
 
 # ---------------------------------------------------------- verification

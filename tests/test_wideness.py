@@ -22,7 +22,6 @@ from flipwide import (
     FlipWideResult,
     InputError,
     InternalInvariantError,
-    ModeError,
     SampleBudget,
     alternation_rank,
     exception_rank,
@@ -241,7 +240,12 @@ def test_budget_error_carries_level_state():
     assert partial["level"] == 1 and len(partial["trace"]) == 2
     assert partial["build"] == ((0, 4), (7, 10, 13, 16, 19, 22, 25, 28,
                                          31, 36))
-    assert "monadically NIP" in exc.value.diagnostic
+    assert "monadically stable" in exc.value.diagnostic
+
+
+_NO_CANDIDATE = ("level 0: no vertex is inequivalent to the samples over "
+                 "all but two balls")
+_NOT_STABLE = "class likely not monadically stable at these budgets"
 
 
 def test_no_candidate_sample_carries_level_state():
@@ -254,14 +258,19 @@ def test_no_candidate_sample_carries_level_state():
     assert partial["level"] == 0 and partial["flips"] == ()
     assert len(partial["trace"]) == 1
     assert partial["build"] == ((0,), tuple(range(1, 12)))
-    assert exc.value.diagnostic == ("class likely not monadically NIP at "
-                                    "these budgets")
+    assert exc.value.diagnostic == _NOT_STABLE
 
 
-def test_mode_error_names_level():
+def test_half_graph_stop_names_level():
+    # with samples 0 and 37 some vertex still has no single-sample
+    # certificate, and no vertex qualifies as a third sample
     g = half_graph(20)
-    with pytest.raises(ModeError, match="^level 0: vertex 22 has no single"):
+    with pytest.raises(BudgetExceeded) as exc:
         flip_widen(FlipWideRequest(g, tuple(range(g.n)), 1, 4))
+    assert str(exc.value) == _NO_CANDIDATE
+    assert exc.value.partial["level"] == 0
+    assert exc.value.partial["build"] == ((0, 37), tuple(range(1, 18)))
+    assert exc.value.diagnostic == _NOT_STABLE
 
 
 def test_xor_accumulate():
@@ -524,25 +533,42 @@ def test_sparse_families_and_complements_end_verified():
     assert _unverified(graphs) == []
 
 
-# Inputs outside the stable classes still stop. The fallback above never
-# applies to the 11 surviving balls of subdivided_clique(12) at r=1, whose
-# stop test_no_candidate_sample_carries_level_state and the CLI tests pin;
-# these two stop with ModeError before the fallback could apply.
-@pytest.mark.parametrize("g, r, message", [
-    (half_graph(40), 2, "level 0: vertex 42 has no single"),
-    (power(path(60), 20), 2, "level 0: vertex 23 has no single"),
+# Inputs outside the stable classes still stop, when no vertex qualifies
+# as the next sample. The short-sequence pick above never applies to the
+# 11 surviving balls of subdivided_clique(12) at r=1, whose stop
+# test_no_candidate_sample_carries_level_state and the CLI tests pin, nor
+# to the 37 and 18 surviving balls of these two.
+@pytest.mark.parametrize("g, r, build", [
+    (half_graph(40), 2, ((0, 77), tuple(range(1, 38)))),
+    (power(path(60), 20), 2, ((0, 39), tuple(range(1, 19)))),
 ], ids=["half_graph40", "power_path60_20"])
-def test_non_stable_inputs_still_stop(g, r, message, tmp_path, capsys):
-    with pytest.raises(ModeError) as exc:
+def test_non_stable_inputs_still_stop(g, r, build, tmp_path, capsys):
+    with pytest.raises(BudgetExceeded) as exc:
         flip_widen(FlipWideRequest(g, tuple(range(g.n)), r, 1))
-    assert str(exc.value).startswith(message)
+    assert str(exc.value) == _NO_CANDIDATE
+    assert exc.value.partial["build"] == build
+    assert exc.value.diagnostic == _NOT_STABLE
     graph_file = tmp_path / "g.edges"
     graph_file.write_text(format_edge_list(g))
     got = main(["flip-widen", "-g", str(graph_file), "-A", "all", "-r",
                 str(r), "-m", "1"])
     cap = capsys.readouterr()
-    assert got == 2 and cap.out == ""
-    assert message in cap.err.splitlines()[0]
+    assert got == 3 and cap.out == ""
+    assert cap.err.splitlines() == [f"budget: {_NO_CANDIDATE}",
+                                    f"diagnostic: {_NOT_STABLE}"]
+
+
+@pytest.mark.parametrize("g", [half_graph(10), power(path(20), 10)],
+                         ids=["half_graph10", "power_path20_10"])
+def test_split_only_inputs_pick_a_third_sample(g):
+    # with samples 0 and 17 some vertex has only a split certificate (one
+    # sample before its exceptional ball, another after it); the build
+    # picks a third sample instead of stopping, and the level ends with
+    # every ball dropped and no flips
+    res = flip_widen(FlipWideRequest(g, tuple(range(g.n)), 1, 1))
+    assert [t.samples for t in res.trace] == [(), (0, 17, 1)]
+    assert res.b_set == () and res.flip_set == () and res.shortfall
+    assert verify_flip_wide(g, res, 1) == (True, None)
 
 
 def _results_digest(cases) -> str:
