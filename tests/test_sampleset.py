@@ -288,19 +288,31 @@ def test_no_certificates_without_samples(survivors):
         assert _certificates((1 << n) - 1, [], survivors) is None
 
 
+def check_pick(case, short):
+    g, samples, balls = case
+    marked = sum(1 << s for s in samples)
+    got = _pick_sample(g.full_mask(), class_table(g, samples, balls),
+                       marked, short)
+    assert got == pick_by_vertex(g, samples, balls, short)
+
+
 @given(graph_samples_balls())
 @example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
 @example((edgeless(6), (1,), singleton_balls(2, 3, 4, 5)))
 def test_sample_pick_matches_per_vertex_loop(case):
-    # each case is picked as a long and as a short sequence; in the second
-    # example every unmarked vertex is equivalent to the sample over three
-    # balls or more, so only the short pick takes one (vertex 2)
-    g, samples, balls = case
-    marked = sum(1 << s for s in samples)
-    table = class_table(g, samples, balls)
-    for short in (False, True):
-        assert (_pick_sample(g.full_mask(), table, marked, short)
-                == pick_by_vertex(g, samples, balls, short)), short
+    # the long-sequence pick; in the second example every unmarked vertex
+    # is equivalent to the sample over three balls or more, so it takes none
+    check_pick(case, short=False)
+
+
+@given(graph_samples_balls())
+@example((Graph.from_edges(5, [(0, 1), (2, 3)]), (1, 3), []))
+@example((edgeless(6), (1,), singleton_balls(2, 3, 4, 5)))
+def test_fewest_pick_matches_per_vertex_loop(case):
+    # the short-sequence pick falls back to the unmarked vertex equivalent
+    # to some sample over the fewest balls, the lowest on ties: in the
+    # second example vertex 2
+    check_pick(case, short=True)
 
 
 @st.composite
