@@ -148,7 +148,7 @@ class Graph:
                 rest ^= low
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -293,17 +293,29 @@ def is_distance_r_independent(
 
     Returns (True, None) or (False, (u, v)) with a concrete violating
     pair: u is the lowest member whose radius-r ball holds another
-    member, v the lowest such member. Each member's ball grows in place
-    one frontier at a time, as in ``_bfs_levels``, so ``r`` may be
-    arbitrarily large: the growth stops at the graph's eccentricity. The
-    lowest out-of-range member raises ``InputError``.
+    member, v the lowest such member. Each ball grows ceil(r) levels, so
+    at r <= 0 no member is near another, and at 0 < r <= 1 the balls are
+    the rows, read in one pass over the members. At larger r an isolated
+    member's ball is itself, so it is skipped; every other member's ball
+    grows in place one frontier at a time, as in ``_bfs_levels``, so
+    ``r`` may be arbitrarily large: the growth stops at the graph's
+    eccentricity. The lowest out-of-range member raises ``InputError``.
     """
     vs = sorted(set(members))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         g.check_vertex(vs[0] if vs[0] < 0 else vs[bisect_left(vs, g.n)])
+    if r <= 0:
+        return True, None
     rows = g.rows
     member_mask = mask_of(vs)
-    for u in vs:
+    if r <= 1:
+        near = map(member_mask.__and__, map(rows.__getitem__, vs))
+        u = next(compress(vs, near), None)
+        if u is None:
+            return True, None
+        hit = rows[u] & member_mask
+        return False, (u, (hit & -hit).bit_length() - 1)
+    for u in compress(vs, map(rows.__getitem__, vs)):
         seen = frontier = 1 << u
         dist = 0
         while frontier and dist < r:

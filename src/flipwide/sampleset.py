@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from .errors import BudgetExceeded, InputError
@@ -153,8 +154,9 @@ def decompose_exceptional(
 
 
 def _certificates(full: int, cols: list[list[int]],
-                  count: int) -> list[tuple[int, int]] | None:
-    """Every vertex's certificate (e, p), for all vertices at once.
+                  count: int) -> tuple[list[int], list[int]] | None:
+    """Every vertex's certificate (e, p), for all vertices at once, as
+    the two columns ``(e_of, p_of)`` indexed by vertex.
 
     ``cols[p]`` is sample p's row of the class table over the ``count``
     balls. Saturating counters over that row (``once``, ``twice``) hold
@@ -205,7 +207,7 @@ def _certificates(full: int, cols: list[list[int]],
                 low = bad & -bad
                 e_of[low.bit_length() - 1] = e
                 bad ^= low
-    return list(zip(e_of, p_of))
+    return e_of, p_of
 
 
 def _pick_sample(full: int, cols: list[list[int]], marked: int,
@@ -233,7 +235,10 @@ def _pick_sample(full: int, cols: list[list[int]], marked: int,
 
 def _check_disjoint(centers, balls: list[int], radius: int) -> None:
     """Raise ``InputError`` naming the first center whose ball (aligned
-    in ``balls``) meets an earlier one, and that one."""
+    in ``balls``) meets an earlier one, and that one. Disjoint balls,
+    whose sizes sum to the size of their union, return at once."""
+    if sum(map(int.bit_count, balls)) == reduce(or_, balls, 0).bit_count():
+        return
     seen = 0
     for c, ball in zip(centers, balls):
         if seen & ball:
@@ -259,10 +264,12 @@ def build_sample_set(
     lowest unmarked vertex that is equivalent to some sample over at most
     two surviving balls (on a short sequence, fewer than twice
     ``budget.max_pattern_length`` balls, over the fewest when none is),
-    then drops those outlier balls plus the ball holding the new sample.
-    Every round returns, raises or adds a sample, and the samples are the
-    formulas of the patterns, so ``PATTERN_CAP`` bounds the rounds: at
-    pattern length 4 a build stops at its 5th sample.
+    then drops those outlier balls plus the ball holding the new sample:
+    one keep flag per ball, cleared where the ball row holds the sample
+    and at each outlier, selects the survivors in one pass. Every round
+    returns, raises or adds a sample, and the samples are the formulas
+    of the patterns, so ``PATTERN_CAP`` bounds the rounds: at pattern
+    length 4 a build stops at its 5th sample.
 
     Both stops, no candidate sample and too many patterns, raise
     ``BudgetExceeded`` with the partial (samples, survivors) state; at
@@ -309,8 +316,9 @@ def build_sample_set(
         certs = (_certificates(full, cols, len(survivors))
                  if samples else None)
         if certs is not None:
-            ex, s_of = zip(*certs)
-            return SampleSetResult(tuple(samples), tuple(survivors), ex, s_of)
+            e_of, p_of = certs
+            return SampleSetResult(tuple(samples), tuple(survivors),
+                                   tuple(e_of), tuple(p_of))
 
         pick, outliers = _pick_sample(
             full, cols, mask_of(samples),
@@ -320,10 +328,10 @@ def build_sample_set(
                 "no vertex is inequivalent to the samples over all but two "
                 "balls", partial=(tuple(samples), tuple(survivors)),
                 diagnostic=_NOT_STABLE)
-        drop = set(outliers)
-        drop.update(i for i, b in enumerate(_atom_row(ctx, ball, survivors))
-                    if b >> pick & 1)
-        survivors = [c for i, c in enumerate(survivors) if i not in drop]
+        keep = [not b >> pick & 1 for b in _atom_row(ctx, ball, survivors)]
+        for i in outliers:
+            keep[i] = False
+        survivors = list(compress(survivors, keep))
         samples.append(pick)
 
 

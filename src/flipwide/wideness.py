@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from itertools import compress
+from operator import and_, or_
 
 from .errors import BudgetExceeded, InputError, InternalInvariantError
 from .graphcore import (
@@ -73,38 +74,55 @@ class FlipWideResult:
     shortfall: bool
 
 
+def _stray(x: int, stray: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"adjacent layer vertices {x}, {(stray & -stray).bit_length() - 1} "
+        f"with distinct anchors have asymmetric color relation")
+
+
 def _even_level_flips(g: Graph, nxt: tuple[int, ...], samples, s_of,
                       i: int) -> list[Flip]:
     """The even-level flips: every layer vertex, at distance exactly i
     from ``nxt`` (level i of one BFS), is colored by its sample and its
-    adjacency trace to the samples."""
+    adjacency trace to the samples.
+
+    At i = 0 each anchor is its own layer vertex, so no vertex has two
+    anchors, and the stray test is one pass over ``nxt``: x strays when
+    its row meets the layer outside its sample's row."""
     levels = _bfs_levels(g, mask_of(nxt), i)
     layer = levels[i] if i < len(levels) else 0
     if not layer or not samples:
         return []
     rows = g.rows
-    groups: dict[tuple[int, int], list[int]] = {}
-    claimed = 0
-    for a in nxt:
-        own = ball_mask(g, a, i) if i else 1 << a
-        twice = own & layer & claimed
-        if twice:
-            raise InternalInvariantError(
-                f"vertex {(twice & -twice).bit_length() - 1} in the "
-                f"distance-{i} layer has a second anchor {a}")
-        claimed |= own
-        for x in iter_bits(own & layer):
-            s = s_of[x]
-            stray = rows[x] & layer & ~own & ~rows[samples[s]]
-            if stray:
+    if i:
+        members = []
+        claimed = 0
+        for a in nxt:
+            own = ball_mask(g, a, i)
+            twice = own & layer & claimed
+            if twice:
                 raise InternalInvariantError(
-                    f"adjacent layer vertices {x}, "
-                    f"{(stray & -stray).bit_length() - 1} with distinct "
-                    f"anchors have asymmetric color relation")
-            trace = 0
-            for v in samples:
-                trace = trace << 1 | rows[x] >> v & 1
-            groups.setdefault((s, trace), []).append(x)
+                    f"vertex {(twice & -twice).bit_length() - 1} in the "
+                    f"distance-{i} layer has a second anchor {a}")
+            claimed |= own
+            for x in iter_bits(own & layer):
+                stray = rows[x] & layer & ~own & ~rows[samples[s_of[x]]]
+                if stray:
+                    raise _stray(x, stray)
+                members.append(x)
+    else:
+        free = [layer & ~rows[s] for s in samples]
+        strays = list(map(and_, map(rows.__getitem__, nxt),
+                          map(free.__getitem__, map(s_of.__getitem__, nxt))))
+        for x, stray in compress(zip(nxt, strays), strays):
+            raise _stray(x, stray)
+        members = nxt
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x in members:
+        trace = 0
+        for v in samples:
+            trace = trace << 1 | rows[x] >> v & 1
+        groups.setdefault((s_of[x], trace), []).append(x)
     flips = []
     ordered = sorted(groups)
     for idx, c1 in enumerate(ordered):

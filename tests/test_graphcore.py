@@ -11,7 +11,7 @@ import tracemalloc
 from itertools import combinations, compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipwide import (
@@ -250,8 +250,20 @@ def graphs_and_members(draw):
     return g, members
 
 
+# At r <= 1 the pair comes from one pass over the members' rows, and at
+# larger r isolated members are skipped. On the path 7-0-1-3 the pair is
+# (0, 7) at r = 1 but (0, 3) at r = 2, where member 3, two steps away, is
+# lower than 0's neighbour 7.
+PATH_7013 = Graph.from_edges(8, [(0, 7), (0, 1), (1, 3)])
+
+
 @given(graphs_and_members(), st.sampled_from((0, 1, 2, 3, 4, 5, math.inf)))
 @settings(max_examples=80)
+@example((Graph(5), [4, 0, 2]), math.inf)
+@example((Graph.from_edges(2, [(0, 1)]), [0, 1]), 0)
+@example((PATH_7013, [0, 3, 7]), 1)
+@example((PATH_7013, [0, 3, 7]), 2)
+@example((Graph.from_edges(6, [(4, 5)]), [5, 0, 4]), math.inf)
 def test_independence_pair_matches_all_pairs_distances(case, r):
     # the violating pair is the lowest member whose ball holds another
     # member, with the lowest such member; a member in another component

@@ -397,10 +397,16 @@ OVERLAPPING = (Graph.from_edges(3, [(0, 1), (1, 2)]), (0, 2), (0,),
                [0, 0, 0], 1)
 
 
+# at i = 0 the layer is the anchors 0 and 1 themselves, adjacent, and
+# vertex 0's sample 2 does not see vertex 1
+STRAY_AT_0 = (Graph.from_edges(3, [(0, 1)]), (0, 1), (2,), [0, 0, 0], 0)
+
+
 @given(level_inputs())
 @settings(max_examples=300)
 @example(ASYMMETRIC)
 @example(OVERLAPPING)
+@example(STRAY_AT_0)
 def test_even_level_flips_match_pair_scan(args):
     assert _outcome(_even_level_flips, *args) == _outcome(
         _pairwise_even_level_flips, *args)
@@ -409,6 +415,8 @@ def test_even_level_flips_match_pair_scan(args):
 @pytest.mark.parametrize("args, message", [
     (ASYMMETRIC, "vertices 2, 1 with distinct anchors have asymmetric"),
     (OVERLAPPING, "vertex 1 in the distance-1 layer has a second anchor 2"),
+    (STRAY_AT_0, "adjacent layer vertices 0, 1 with distinct anchors have "
+                 "asymmetric color relation"),
 ])
 def test_even_level_flips_name_the_failure(args, message):
     with pytest.raises(InternalInvariantError, match=message):
