@@ -183,15 +183,17 @@ class Graph:
 def _bfs_levels(g: Graph, start_mask: int, limit: float = INF) -> list[int]:
     """Frontier masks per distance, starting at distance 0.
 
-    Stops when the frontier empties or ``limit`` levels were produced, so a
-    huge radius costs nothing beyond the graph's true eccentricity.
+    Grows a level only while its distance is at most ``limit``, so a
+    fractional limit stops at its floor, and stops when the frontier
+    empties, so a huge radius costs nothing beyond the graph's true
+    eccentricity.
     """
     rows = g.rows
     seen = start_mask
     frontier = start_mask
     levels = [start_mask]
     dist = 0
-    while frontier and dist < limit:
+    while frontier and dist + 1 <= limit:
         nxt = 0
         f = frontier
         while f:
@@ -208,14 +210,15 @@ def _bfs_levels(g: Graph, start_mask: int, limit: float = INF) -> list[int]:
     return levels
 
 
-def ball_mask(g: Graph, v: int, radius: int) -> int:
-    """Bitmask of the closed distance-``radius`` ball around ``v``; radii
-    0 and 1 are read off ``v`` and its row without a BFS."""
+def ball_mask(g: Graph, v: int, radius: float) -> int:
+    """Bitmask of the closed distance-``radius`` ball around ``v``: the
+    vertices at distance at most ``radius``. Radii below 2 are read off
+    ``v`` and its row without a BFS."""
     g.check_vertex(v)
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
     if radius < 2:
-        return g.rows[v] | 1 << v if radius else 1 << v
+        return g.rows[v] | 1 << v if radius >= 1 else 1 << v
     m = 0
     for lv in _bfs_levels(g, 1 << v, radius):
         m |= lv
@@ -249,7 +252,7 @@ def eq_class_mask(g: Graph, s: int, ball: int) -> int:
     return m
 
 
-def ball(g: Graph, v: int, radius: int) -> frozenset[int]:
+def ball(g: Graph, v: int, radius: float) -> frozenset[int]:
     return frozenset(iter_bits(ball_mask(g, v, radius)))
 
 
@@ -293,9 +296,10 @@ def is_distance_r_independent(
 
     Returns (True, None) or (False, (u, v)) with a concrete violating
     pair: u is the lowest member whose radius-r ball holds another
-    member, v the lowest such member. Each ball grows ceil(r) levels, so
-    at r <= 0 no member is near another, and at 0 < r <= 1 the balls are
-    the rows, read in one pass over the members. At larger r an isolated
+    member, v the lowest such member. A ball grows a level only while its
+    distance is at most r, so it reaches distance floor(r): at r < 1 no
+    member is near another, and at 1 <= r < 2 the balls are the rows,
+    read in one pass over the members. At larger r an isolated
     member's ball is itself, so it is skipped; every other member's ball
     grows in place one frontier at a time, as in ``_bfs_levels``, so
     ``r`` may be arbitrarily large: the growth stops at the graph's
@@ -304,11 +308,11 @@ def is_distance_r_independent(
     vs = sorted(set(members))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         g.check_vertex(vs[0] if vs[0] < 0 else vs[bisect_left(vs, g.n)])
-    if r <= 0:
+    if r < 1:
         return True, None
     rows = g.rows
     member_mask = mask_of(vs)
-    if r <= 1:
+    if r < 2:
         near = map(member_mask.__and__, map(rows.__getitem__, vs))
         u = next(compress(vs, near), None)
         if u is None:
@@ -318,7 +322,7 @@ def is_distance_r_independent(
     for u in compress(vs, map(rows.__getitem__, vs)):
         seen = frontier = 1 << u
         dist = 0
-        while frontier and dist < r:
+        while frontier and dist + 1 <= r:
             nxt = 0
             while frontier:
                 low = frontier & -frontier

@@ -218,6 +218,29 @@ def _symmetric(want_rows, ncols: int) -> bool:
                 for w in rows} == rows for j in range(ncols - 1))
 
 
+def _pack(masks, bits: int) -> int:
+    """The masks as one int, mask i shifted to bit i * bits."""
+    packed = 0
+    for m in reversed(masks):
+        packed = packed << bits | m
+    return packed
+
+
+def _repeat(row: int, bits: int, count: int) -> int:
+    """count copies of row, at bits 0, bits, 2 * bits, ...: the copies
+    double at each step, and the surplus is cut off."""
+    copies = 1
+    while copies < count:
+        row |= row << bits * copies
+        copies <<= 1
+    return row & (1 << bits * count) - 1
+
+
+# A search keeps the lane-repeated row of each candidate it tries only
+# while that cache cannot outgrow this many bytes.
+_REP_CACHE_BYTES = 1 << 22
+
+
 def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
                    col_side: int, max_nodes: int):
     """Rows in row_side and distinct columns in col_side with bit j of
@@ -230,8 +253,27 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
     them are the pools, column pools first; an empty one ends the search.
     When the rows are symmetric, every permutation of a fitting column
     tuple fits too, so the first one is ascending and only ascending
-    tuples are tried. Returns ((row vertices, column vertices) or None,
-    nodes tried); the search hit its budget iff nodes > max_nodes.
+    tuples are tried.
+
+    The rows' candidate masks are packed into one int, row i in lane i. A
+    lane is ``8 * (n // 8 + 1)`` bits wide, whole bytes with the top bit
+    always clear. Trying candidate b for column j is one AND,
+    ``packed & (rep ^ flip[j])``: rep is b's row repeated in every lane
+    (a product with ``ones`` below n = 256, doubling shifts from there),
+    and flip[j] holds the full vertex mask in the lanes of the rows whose
+    want bit j is clear, so each lane keeps its neighbours of b or its
+    non-neighbours as wanted. Adding ``low``, each lane's bits below its
+    top, carries into a lane's top bit exactly when the lane is nonempty,
+    so one carry test against ``high`` accepts the node, whatever the
+    number of rows. flip[j] is built when the search first reaches
+    column j. The reps of tried candidates are cached when col_side's
+    size times the rows times the lane bytes is at most
+    ``_REP_CACHE_BYTES`` (4 MiB), and built at each node otherwise. Each
+    row's vertex is the lowest bit of its lane.
+
+    Returns ((row vertices, column vertices) or None, nodes tried); one
+    node is one column candidate tried, and the search hit its budget iff
+    nodes > max_nodes.
     """
     col_pools = _pools(g, col_side, row_side, [
         (t, len(want_rows) - t)
@@ -243,27 +285,44 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
     if not all(masks):
         return None, 0
     ascending = _symmetric(want_rows, ncols)
+    rows = g.rows
+    n = g.n
+    nrows = len(want_rows)
+    bits = 8 * (n // 8 + 1)
+    ones = _repeat(1, bits, nrows)
+    high = ones << bits - 1
+    low = high - ones
+    # multiplying by ones is quickest while rows are short, and costs
+    # O(n^2 * nrows) bit operations as they grow
+    repeat = (ones.__mul__ if n < 256
+              else lambda row: _repeat(row, bits, nrows))
+    wants = _pack(want_rows, bits)
+    flips: list[int | None] = [None] * ncols
+    keep = col_side.bit_count() * nrows * bits // 8 <= _REP_CACHE_BYTES
+    reps: dict[int, int] = {}
     cols: list[int] = []
     nodes = 0
 
-    def extend(masks: list[int], skip: int) -> list[int] | None:
+    def extend(packed: int, skip: int) -> int | None:
         nonlocal nodes
         j = len(cols)
         if j == ncols:
-            return masks
-        bit = 1 << j
+            return packed
+        flip = flips[j]
+        if flip is None:
+            clear = ones & ~(wants >> j)
+            flip = flips[j] = (clear << n) - clear
         for b in iter_bits(col_pools[j] & ~skip):
             nodes += 1
             if nodes > max_nodes:
                 return None
-            nbr = g.rows[b]
-            nxt = []
-            for w, m in zip(want_rows, masks):
-                m &= nbr if w & bit else ~nbr
-                if not m:
-                    break
-                nxt.append(m)
-            else:
+            rep = reps.get(b)
+            if rep is None:
+                rep = repeat(rows[b])
+                if keep:
+                    reps[b] = rep
+            nxt = packed & (rep ^ flip)
+            if (nxt + low) & high == high:
                 cols.append(b)
                 found = extend(nxt, (2 << b) - 1 if ascending
                                else skip | 1 << b)
@@ -272,10 +331,14 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
                 cols.pop()
         return None
 
-    found = extend(masks, 0)
+    found = extend(_pack(masks, bits), 0)
     if found is None:
         return None, nodes
-    return (tuple((m & -m).bit_length() - 1 for m in found), tuple(cols)), nodes
+    found &= ~(found - ones)  # each lane's lowest bit alone
+    lane = (1 << bits) - 1
+    return (tuple([(found >> s & lane).bit_length() - 1
+                   for s in range(0, bits * nrows, bits)]),
+            tuple(cols)), nodes
 
 
 def _witness_report(g: Graph, kind: str, want, nrows: int, ncols: int,

@@ -209,6 +209,7 @@ def test_ball_and_layers_match_floyd_warshall(g):
     for v in range(g.n):
         for r in range(4):
             assert ball(g, v, r) == {u for u in range(g.n) if want[v][u] <= r}
+            assert ball(g, v, r + 0.5) == ball(g, v, r)
             assert exact_distance_layer(g, (v,), r) == {
                 u for u in range(g.n) if want[v][u] == r}
 
@@ -250,14 +251,15 @@ def graphs_and_members(draw):
     return g, members
 
 
-# At r <= 1 the pair comes from one pass over the members' rows, and at
+# At r < 2 the pair comes from one pass over the members' rows, and at
 # larger r isolated members are skipped. On the path 7-0-1-3 the pair is
 # (0, 7) at r = 1 but (0, 3) at r = 2, where member 3, two steps away, is
 # lower than 0's neighbour 7.
 PATH_7013 = Graph.from_edges(8, [(0, 7), (0, 1), (1, 3)])
 
 
-@given(graphs_and_members(), st.sampled_from((0, 1, 2, 3, 4, 5, math.inf)))
+@given(graphs_and_members(),
+       st.sampled_from((0, 0.5, 1, 1.5, 2, 2.5, 3, 4, 5, math.inf)))
 @settings(max_examples=80)
 @example((Graph(5), [4, 0, 2]), math.inf)
 @example((Graph.from_edges(2, [(0, 1)]), [0, 1]), 0)
@@ -311,6 +313,16 @@ def test_bfs_names_the_lowest_bad_source(sources, bad):
     # sources may come as any iterable, read once
     assert distances_from(g, iter((0, 4))) == [0, 1, 2, 1, 0]
     assert exact_distance_layer(g, iter((0, 4)), 1) == {1, 3}
+
+
+def test_fractional_radius_is_not_rounded_up():
+    # distance <= r, not <= ceil(r): a ball reaches distance floor(r)
+    g = path(5)
+    assert is_distance_r_independent(g, (0, 2), 1.5) == (True, None)
+    assert is_distance_r_independent(g, (0, 1), 0.5) == (True, None)
+    assert is_distance_r_independent(g, (0, 3), 2.5) == (True, None)
+    assert ball_mask(g, 0, 0.5) == 0b1
+    assert ball_mask(g, 0, 2.5) == 0b111
 
 
 def test_huge_radius_stops_at_eccentricity():

@@ -5,6 +5,7 @@ matrix, independently of the internal validation the searches do.
 """
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -571,6 +572,128 @@ def test_searches_match_brute_force():
         for p, l in enumerate(w.left_seq):
             for q, r in enumerate(w.right_seq):
                 assert g.adj(l, r) == _KIND_TESTS[kind](p, q)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 24])
+def test_searches_match_brute_force_across_lane_widths(n):
+    # the search packs each row's candidates into a lane of
+    # 8 * (n // 8 + 1) bits: n = 7 and 15 fill a lane up to its guard bit,
+    # n = 8, 16 and 24 start a wider lane
+    rng = random.Random(n)
+    for _ in range(4):
+        g = _gnp(n, rng.choice((0.3, 0.5, 0.7)), rng.randrange(1 << 30))
+        for k in range(1, 4 if n > 9 else 5):
+            rep = order_property_witness(g, k)
+            assert rep.search == "exhaustive"
+            assert _pair(rep) == _first_matrix(g, lambda i, j: i <= j, k, k)
+            rep = shattering_witness(g, k)
+            assert rep.search == "exhaustive"
+            assert _pair(rep) == _first_shattered(g, k)
+            if k >= 2:
+                pairs = list(combinations(range(k), 2))
+                rep = pairing_index_witness(g, k)
+                assert rep.search == "exhaustive"
+                assert _pair(rep) == _first_matrix(
+                    g, lambda i, j: j in pairs[i], len(pairs), k)
+
+
+def _search(g, want, ncols, max_nodes=10**6):
+    """The matrix search with all of g's vertices on both sides."""
+    full = g.full_mask()
+    return oracles._matrix_search(g, want, ncols, full, full, max_nodes)
+
+
+def _order_rows(k):
+    return oracles._want_rows(lambda i, j: i <= j, k, k)
+
+
+def _pairing_rows(k):
+    pairs = list(combinations(range(k), 2))
+    return oracles._want_rows(lambda p, l: l in pairs[p], len(pairs), k)
+
+
+# one node is one column candidate tried; these counts pin that unit
+@pytest.mark.parametrize("k,nodes", [(10, 580), (12, 1_024), (16, 2_496)])
+def test_order_search_node_counts(k, nodes):
+    found, used = _search(half_graph(k), _order_rows(k), k)
+    assert found is not None and used == nodes
+
+
+def test_pairing_search_node_count():
+    assert _search(_gnp(25, 0.8, 4), _pairing_rows(5), 5) == (None, 2_606)
+
+
+def test_budget_is_spent_exactly_at_the_node_count():
+    g = half_graph(12)
+    rep = order_property_witness(g, 12, max_nodes=1_024)
+    assert rep.search == "exhaustive" and rep.witness is not None
+    assert order_property_witness(g, 12, max_nodes=1_023) == OracleReport(
+        None, "budget")
+    g = _gnp(25, 0.8, 4)
+    assert pairing_index_witness(g, 5, max_nodes=2_606) == OracleReport(
+        None, "exhaustive")
+    assert pairing_index_witness(g, 5, max_nodes=2_605) == OracleReport(
+        None, "budget")
+
+
+def _searches():
+    """(found, nodes) of order searches on half graphs and shattering
+    searches on gadgets, labels as generated and reversed."""
+    out = [_search(half_graph(k), _order_rows(k), k) for k in (10, 12, 16)]
+    for k in (3, 4, 5):
+        g = shatter_gadget(k)
+        last = g.n - 1
+        for h in (g, Graph.from_edges(
+                g.n, [(last - u, last - v) for u, v in g.edges()])):
+            out.append(_search(h, list(range(1 << k)), k))
+    return out
+
+
+def test_uncached_replicas_match_cached(monkeypatch):
+    # with no room for the cache every node replicates its row anew
+    cached = _searches()
+    assert all(found is not None for found, _ in cached)
+    monkeypatch.setattr(oracles, "_REP_CACHE_BYTES", 0)
+    assert _searches() == cached
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
+def test_repeat_matches_multiplication(count):
+    bits = 8 * 40
+    ones = sum(1 << bits * i for i in range(count))
+    for row in (0, 1, (1 << 300) - 1, 0b1011 << 290):
+        assert oracles._repeat(row, bits, count) == row * ones
+
+
+def test_isolated_padding_leaves_searches_alone():
+    # isolated vertices join no pool, so witnesses and node counts stay;
+    # at n >= 256 the rows are repeated by shifts instead of a product
+    def same(g, want, ncols):
+        padded = Graph.from_edges(300, g.edges())
+        return _search(padded, want, ncols) == _search(g, want, ncols)
+
+    assert all(same(half_graph(k), _order_rows(k), k) for k in (10, 12, 16))
+    assert all(same(shatter_gadget(k), list(range(1 << k)), k)
+               for k in (3, 4))
+    assert same(subdivided_clique(5), _pairing_rows(4), 4)
+
+
+def test_large_sparse_search_keeps_no_replica_cache():
+    # a path on 20,000 vertices with one extra leaf on vertex 1: a tree, so
+    # no order-3 witness (it needs a 4-cycle), and 19,998 vertices of
+    # degree 2 for the second column to try. A lane is 2,501 bytes, so
+    # replicas of the 10,001 rows tried, three lanes each, would take up
+    # to 75 MB; the search stays under 4 MiB, the cache bound itself.
+    n = 20_000
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 2)] + [(1, n - 1)])
+    tracemalloc.start()
+    try:
+        found, nodes = _search(g, _order_rows(3), 3, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None and nodes > 10_000
+    assert peak < 4 * 2**20
 
 
 def test_pools_answer_former_budget_cases():
