@@ -218,22 +218,10 @@ def _symmetric(want_rows, ncols: int) -> bool:
                 for w in rows} == rows for j in range(ncols - 1))
 
 
-def _pack(masks, bits: int) -> int:
-    """The masks as one int, mask i shifted to bit i * bits."""
-    packed = 0
-    for m in reversed(masks):
-        packed = packed << bits | m
-    return packed
-
-
-def _repeat(row: int, bits: int, count: int) -> int:
-    """count copies of row, at bits 0, bits, 2 * bits, ...: the copies
-    double at each step, and the surplus is cut off."""
-    copies = 1
-    while copies < count:
-        row |= row << bits * copies
-        copies <<= 1
-    return row & (1 << bits * count) - 1
+def _lanes(masks, width: int) -> int:
+    """The masks as one int, mask i in the width bytes from byte i * width."""
+    return int.from_bytes(
+        b"".join([m.to_bytes(width, "little") for m in masks]), "little")
 
 
 # A search keeps the lane-repeated row of each candidate it tries only
@@ -256,28 +244,36 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
     tuples are tried.
 
     The rows' candidate masks are packed into one int, row i in lane i. A
-    lane is ``8 * (n // 8 + 1)`` bits wide, whole bytes with the top bit
-    always clear. Trying candidate b for column j is one AND,
-    ``packed & (rep ^ flip[j])``: rep is b's row repeated in every lane
-    (a product with ``ones`` below n = 256, doubling shifts from there),
-    and flip[j] holds the full vertex mask in the lanes of the rows whose
-    want bit j is clear, so each lane keeps its neighbours of b or its
+    lane is the fewest whole bytes whose bits below the top one hold
+    row_side and every want-vector, so its top bit is always clear. The
+    want-vectors are packed the same way, which makes a column's count of
+    wanted neighbours one AND and a popcount. Trying candidate b for
+    column j is one AND, ``packed & (rep ^ flip[j])``: rep is b's row, cut
+    to the lane and repeated in every lane by repeating its bytes, and
+    flip[j] fills, below their top bit, the lanes of the rows whose want
+    bit j is clear, so each lane keeps its neighbours of b or its
     non-neighbours as wanted. Adding ``low``, each lane's bits below its
     top, carries into a lane's top bit exactly when the lane is nonempty,
     so one carry test against ``high`` accepts the node, whatever the
-    number of rows. flip[j] is built when the search first reaches
-    column j. The reps of tried candidates are cached when col_side's
-    size times the rows times the lane bytes is at most
-    ``_REP_CACHE_BYTES`` (4 MiB), and built at each node otherwise. Each
-    row's vertex is the lowest bit of its lane.
+    number of rows. flip[j] is built when the search first reaches column
+    j. The reps of tried candidates are cached when col_side's size times
+    the rows times the lane bytes is at most ``_REP_CACHE_BYTES`` (4 MiB),
+    and built at each node otherwise. Each row's vertex is the lowest bit
+    of its lane. Packing, repeating and unpacking go through bytes or a
+    bit string, so each is linear in the packed size.
 
     Returns ((row vertices, column vertices) or None, nodes tried); one
     node is one column candidate tried, and the search hit its budget iff
     nodes > max_nodes.
     """
+    nrows = len(want_rows)
+    width = max(row_side.bit_length(), ncols) // 8 + 1
+    top = 8 * width - 1
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * nrows, "little")
+    wants = _lanes(want_rows, width)
     col_pools = _pools(g, col_side, row_side, [
-        (t, len(want_rows) - t)
-        for t in (sum(w >> j & 1 for w in want_rows) for j in range(ncols))])
+        (t, nrows - t)
+        for t in ((wants >> j & ones).bit_count() for j in range(ncols))])
     if not all(col_pools):
         return None, 0
     masks = _pools(g, row_side, col_side,
@@ -286,19 +282,11 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
         return None, 0
     ascending = _symmetric(want_rows, ncols)
     rows = g.rows
-    n = g.n
-    nrows = len(want_rows)
-    bits = 8 * (n // 8 + 1)
-    ones = _repeat(1, bits, nrows)
-    high = ones << bits - 1
+    inside = (1 << top) - 1
+    high = ones << top
     low = high - ones
-    # multiplying by ones is quickest while rows are short, and costs
-    # O(n^2 * nrows) bit operations as they grow
-    repeat = (ones.__mul__ if n < 256
-              else lambda row: _repeat(row, bits, nrows))
-    wants = _pack(want_rows, bits)
     flips: list[int | None] = [None] * ncols
-    keep = col_side.bit_count() * nrows * bits // 8 <= _REP_CACHE_BYTES
+    keep = col_side.bit_count() * nrows * width <= _REP_CACHE_BYTES
     reps: dict[int, int] = {}
     cols: list[int] = []
     nodes = 0
@@ -311,14 +299,15 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
         flip = flips[j]
         if flip is None:
             clear = ones & ~(wants >> j)
-            flip = flips[j] = (clear << n) - clear
+            flip = flips[j] = (clear << top) - clear
         for b in iter_bits(col_pools[j] & ~skip):
             nodes += 1
             if nodes > max_nodes:
                 return None
             rep = reps.get(b)
             if rep is None:
-                rep = repeat(rows[b])
+                rep = int.from_bytes((rows[b] & inside).to_bytes(
+                    width, "little") * nrows, "little")
                 if keep:
                     reps[b] = rep
             nxt = packed & (rep ^ flip)
@@ -331,13 +320,13 @@ def _matrix_search(g: Graph, want_rows, ncols: int, row_side: int,
                 cols.pop()
         return None
 
-    found = extend(_pack(masks, bits), 0)
+    found = extend(_lanes(masks, width), 0)
     if found is None:
         return None, nodes
-    found &= ~(found - ones)  # each lane's lowest bit alone
-    lane = (1 << bits) - 1
-    return (tuple([(found >> s & lane).bit_length() - 1
-                   for s in range(0, bits * nrows, bits)]),
+    # a lane's lowest bit is the first 1 from its start, bits read upwards
+    up = bin(found)[:1:-1]
+    return (tuple([up.find("1", s) - s
+                   for s in range(0, 8 * width * nrows, 8 * width)]),
             tuple(cols)), nodes
 
 

@@ -5,6 +5,7 @@ matrix, independently of the internal validation the searches do.
 """
 
 import random
+import time
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -529,10 +530,19 @@ def _pair(rep):
     return None if w is None else (w.a_seq, w.b_seq)
 
 
+# The search packs each row's candidates into a lane of the fewest whole
+# bytes that hold every vertex below the lane's top bit: at n = 7 and 15
+# the vertices fill a lane up to that bit, at n = 8, 16 and 24 the lane
+# grows a byte.
+LANE_SIZES = (7, 8, 9, 15, 16, 17, 24)
+
+
 def test_searches_match_brute_force():
     rng = random.Random(2024)
-    for _ in range(120):
-        n, k = rng.randint(1, 12), rng.randint(1, 4)
+    for size in [None] * 120 + list(LANE_SIZES) * 4:
+        # past n = 12 the brute force is slow: k <= 3 and no bipartite check
+        n = size or rng.randint(1, 12)
+        k = rng.randint(1, 4 if n <= 12 else 3)
         p = rng.choice((0.3, 0.5, 0.7))
         g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
                                  if rng.random() < p])
@@ -548,6 +558,8 @@ def test_searches_match_brute_force():
             assert rep.search == "exhaustive"
             assert _pair(rep) == _first_matrix(
                 g, lambda i, j: j in pairs[i], len(pairs), k)
+        if n > 12:
+            continue
 
         verts = rng.sample(range(n), n)
         cut = rng.randint(0, n)
@@ -572,29 +584,6 @@ def test_searches_match_brute_force():
         for p, l in enumerate(w.left_seq):
             for q, r in enumerate(w.right_seq):
                 assert g.adj(l, r) == _KIND_TESTS[kind](p, q)
-
-
-@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 24])
-def test_searches_match_brute_force_across_lane_widths(n):
-    # the search packs each row's candidates into a lane of
-    # 8 * (n // 8 + 1) bits: n = 7 and 15 fill a lane up to its guard bit,
-    # n = 8, 16 and 24 start a wider lane
-    rng = random.Random(n)
-    for _ in range(4):
-        g = _gnp(n, rng.choice((0.3, 0.5, 0.7)), rng.randrange(1 << 30))
-        for k in range(1, 4 if n > 9 else 5):
-            rep = order_property_witness(g, k)
-            assert rep.search == "exhaustive"
-            assert _pair(rep) == _first_matrix(g, lambda i, j: i <= j, k, k)
-            rep = shattering_witness(g, k)
-            assert rep.search == "exhaustive"
-            assert _pair(rep) == _first_shattered(g, k)
-            if k >= 2:
-                pairs = list(combinations(range(k), 2))
-                rep = pairing_index_witness(g, k)
-                assert rep.search == "exhaustive"
-                assert _pair(rep) == _first_matrix(
-                    g, lambda i, j: j in pairs[i], len(pairs), k)
 
 
 def _search(g, want, ncols, max_nodes=10**6):
@@ -657,17 +646,9 @@ def test_uncached_replicas_match_cached(monkeypatch):
     assert _searches() == cached
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
-def test_repeat_matches_multiplication(count):
-    bits = 8 * 40
-    ones = sum(1 << bits * i for i in range(count))
-    for row in (0, 1, (1 << 300) - 1, 0b1011 << 290):
-        assert oracles._repeat(row, bits, count) == row * ones
-
-
 def test_isolated_padding_leaves_searches_alone():
-    # isolated vertices join no pool, so witnesses and node counts stay;
-    # at n >= 256 the rows are repeated by shifts instead of a product
+    # isolated vertices join no column pool, so witnesses and node counts
+    # stay, though the lanes widen where a row pool takes them in
     def same(g, want, ncols):
         padded = Graph.from_edges(300, g.edges())
         return _search(padded, want, ncols) == _search(g, want, ncols)
@@ -694,6 +675,22 @@ def test_large_sparse_search_keeps_no_replica_cache():
         tracemalloc.stop()
     assert found is None and nodes > 10_000
     assert peak < 4 * 2**20
+
+
+def test_many_row_search_packs_in_linear_time():
+    # a 4,096-cycle with three hubs on a hundred vertices each: the pairing
+    # search for k = 90 has 4,005 rows in 513-byte lanes and ends after six
+    # nodes. Packing row by row with shifts copies the growing int once per
+    # row, about 4 GB and seconds here; the byte joins copy 2 MB.
+    n, k = 4_096, 90
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    for hub, start in ((0, 1_000), (1, 2_000), (2, 3_000)):
+        edges += [(hub, start + i) for i in range(100)]
+    g = Graph.from_edges(n, edges)
+    want = _pairing_rows(k)
+    t0 = time.monotonic()
+    assert _search(g, want, k) == (None, 6)
+    assert time.monotonic() - t0 < 1.5
 
 
 def test_pools_answer_former_budget_cases():
